@@ -34,6 +34,13 @@ class SkewBrace:
       inv[a]     multiplicative inverse of a
       lam[a][b]  the twist -a + a∘b, an additive automorphism for each a
       star[a][b] the product -a + a∘b - b, i.e. lam[a][b] - b
+
+    and so are three per-element orbit masks, bit x of entry [i] set when
+    x is reached from i by some a (O(n^2) once per brace, never built by
+    validate):
+      add_conj_orbit[i]  {a + i - a}
+      mul_conj_orbit[i]  {a ∘ i ∘ a'}   (a' the multiplicative inverse)
+      lam_orbit[i]       {lam[a][i]}
     """
 
     add: Table
@@ -67,8 +74,32 @@ class SkewBrace:
             for a in range(self.order)
         )
 
+    @cached_property
+    def add_conj_orbit(self) -> tuple[int, ...]:
+        add, neg = self.add, self.neg
+        return _orbits(self.order, lambda a, i: add[add[a][i]][neg[a]])
+
+    @cached_property
+    def mul_conj_orbit(self) -> tuple[int, ...]:
+        mul, inv = self.mul, self.inv
+        return _orbits(self.order, lambda a, i: mul[mul[a][i]][inv[a]])
+
+    @cached_property
+    def lam_orbit(self) -> tuple[int, ...]:
+        lam = self.lam
+        return _orbits(self.order, lambda a, i: lam[a][i])
+
     def describe(self) -> str:
         return f"skew brace of order {self.order}"
+
+
+def _orbits(n: int, act) -> tuple[int, ...]:
+    """Mask of {act(a, i) : a} for each element i."""
+    out = [0] * n
+    for a in range(n):
+        for i in range(n):
+            out[i] |= 1 << act(a, i)
+    return tuple(out)
 
 
 def validate(add, mul) -> SkewBrace:

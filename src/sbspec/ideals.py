@@ -5,13 +5,20 @@ of both group structures, normal in both, and closed under every twist
 map.  For additively normal subgroups this is equivalent to absorbing
 star products on both sides; ideal_check evaluates both routes and
 treats disagreement as an internal defect.
+
+add_closure and generated_ideal are single-pass worklists: each element
+is processed once, ORing in its sums with the elements processed before
+it and, for ideals, its orbit masks (SkewBrace.add_conj_orbit,
+.mul_conj_orbit, .lam_orbit).  ideal_check tests normality and twist
+invariance on the same masks.  A join of ideals is an additive closure
+looked up in the enumerated ideal set rather than re-validated.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .bitsets import bits, full_mask, is_subset, mask_of, popcount
 from .braces import SkewBrace
@@ -67,7 +74,10 @@ def _subgroup_flags(mask: Mask, table, invs) -> tuple | None:
     return None
 
 
-def _normal_witness(brace: SkewBrace, mask: Mask, conj) -> tuple | None:
+def _normal_witness(brace: SkewBrace, mask: Mask, orbit, conj) -> tuple | None:
+    """First (a, i) with conj(a, i) outside mask; orbit[i] masks conj(., i)."""
+    if not any(orbit[i] & ~mask for i in bits(mask)):
+        return None
     for a in range(brace.order):
         for i in bits(mask):
             if not mask >> conj(a, i) & 1:
@@ -84,7 +94,9 @@ def ideal_check(brace: SkewBrace, mask: Mask) -> IdealCheck:
     if not add_subgroup:
         witness = ("add-subgroup",) + bad
 
-    bad = _normal_witness(brace, mask, lambda a, i: add[add[a][i]][neg[a]])
+    bad = _normal_witness(
+        brace, mask, brace.add_conj_orbit, lambda a, i: add[add[a][i]][neg[a]]
+    )
     add_normal = bad is None
     if not add_normal and witness is None:
         witness = ("add-normal",) + bad
@@ -94,12 +106,14 @@ def ideal_check(brace: SkewBrace, mask: Mask) -> IdealCheck:
     if not mul_subgroup and witness is None:
         witness = ("mul-subgroup",) + bad
 
-    bad = _normal_witness(brace, mask, lambda a, i: mul[mul[a][i]][inv[a]])
+    bad = _normal_witness(
+        brace, mask, brace.mul_conj_orbit, lambda a, i: mul[mul[a][i]][inv[a]]
+    )
     mul_normal = bad is None
     if not mul_normal and witness is None:
         witness = ("mul-normal",) + bad
 
-    bad = _normal_witness(brace, mask, lambda a, i: lam[a][i])
+    bad = _normal_witness(brace, mask, brace.lam_orbit, lambda a, i: lam[a][i])
     twist_invariant = bad is None
     if not twist_invariant and witness is None:
         witness = ("twist",) + bad
@@ -128,21 +142,41 @@ def is_ideal(brace: SkewBrace, mask: Mask) -> bool:
     return ideal_check(brace, mask).ok
 
 
-def add_closure(brace: SkewBrace, mask: Mask) -> Mask:
-    """Least additive subgroup containing the masked set (and 0)."""
+def _sum_closure(brace: SkewBrace, closed: Mask, orbits) -> Mask:
+    """Least superset of closed under + and each per-element orbit mask.
+
+    Worklist: pop the lowest unprocessed element i, OR in orbit[i], i + i,
+    and i + j, j + i for every processed j, so each pair is touched once.
+    A finite subset closed under + is a subgroup, so negatives need no
+    step of their own.
+    """
     add = brace.add
-    closed = mask | 1
-    while True:
-        grown = closed
-        members = list(bits(closed))
-        for i in members:
-            row = add[i]
-            grown |= 1 << brace.neg[i]
-            for j in members:
-                grown |= 1 << row[j]
-        if grown == closed:
-            return closed
-        closed = grown
+    full = full_mask(brace.order)
+    done: list[int] = []
+    processed = 0
+    todo = closed
+    while todo:
+        i = (todo & -todo).bit_length() - 1
+        row = add[i]
+        closed |= 1 << row[i]
+        for orbit in orbits:
+            closed |= orbit[i]
+        for j in done:
+            closed |= 1 << row[j] | 1 << add[j][i]
+        if closed == full:
+            return full
+        done.append(i)
+        processed |= 1 << i
+        todo = closed & ~processed
+    return closed
+
+
+def add_closure(brace: SkewBrace, mask: Mask) -> Mask:
+    """Least additive subgroup containing the masked set (and 0).
+
+    One pass of the sum worklist: every pair of members is added once.
+    """
+    return _sum_closure(brace, mask | 1, ())
 
 
 @lru_cache(maxsize=None)
@@ -172,38 +206,37 @@ def all_ideals(brace: SkewBrace) -> tuple[Mask, ...]:
 def generated_ideal(brace: SkewBrace, seed: Mask) -> Mask:
     """Least ideal containing the masked set.
 
-    Iterative closure under addition, negation, both conjugations and all
-    twist maps; multiplicative closure follows from those on finite sets.
+    One pass of the sum worklist that also ORs in each processed element's
+    additive-conjugation, multiplicative-conjugation and twist orbits, so
+    each element's images under every a are taken once.  Multiplicative
+    closure follows on finite sets, since a ∘ b = a + lam[a][b].
     """
-    add, mul, neg, inv, lam = brace.add, brace.mul, brace.neg, brace.inv, brace.lam
-    n = brace.order
-    closed = seed | 1
-    while True:
-        grown = closed
-        members = list(bits(closed))
-        for i in members:
-            grown |= 1 << neg[i]
-            row = add[i]
-            for j in members:
-                grown |= 1 << row[j]
-        for a in range(n):
-            add_a, mul_a, lam_a = add[a], mul[a], lam[a]
-            na, ia = neg[a], inv[a]
-            for i in members:
-                grown |= 1 << add[add_a[i]][na]
-                grown |= 1 << mul[mul_a[i]][ia]
-                grown |= 1 << lam_a[i]
-        if grown == closed:
-            return closed
-        closed = grown
+    orbits = (brace.add_conj_orbit, brace.mul_conj_orbit, brace.lam_orbit)
+    return _sum_closure(brace, seed | 1, orbits)
+
+
+@lru_cache(maxsize=None)
+def _ideal_set(brace: SkewBrace) -> frozenset[Mask]:
+    return frozenset(all_ideals(brace))
+
+
+def _join(brace: SkewBrace, union: Mask, ideals) -> Mask:
+    """Additive closure of a union of ideals, looked up in the ideal set.
+
+    A sum of ideals is an ideal, so a closure missing from ideals means an
+    argument was not an ideal (or the enumeration is wrong).
+    """
+    total = add_closure(brace, union)
+    if total not in ideals:
+        raise ConsistencyError(
+            f"additive closure {total:#x} of {union:#x} is not an ideal"
+        )
+    return total
 
 
 def sum_ideals(brace: SkewBrace, x: Mask, y: Mask) -> Mask:
     """Join of two ideals: the additive subgroup generated by their union."""
-    total = add_closure(brace, x | y)
-    if not is_ideal(brace, total):
-        raise ConsistencyError(f"sum of ideals {x:#x} and {y:#x} is not an ideal")
-    return total
+    return _join(brace, x | y, _ideal_set(brace))
 
 
 def family_sum(brace: SkewBrace, masks) -> Mask:
@@ -213,10 +246,7 @@ def family_sum(brace: SkewBrace, masks) -> Mask:
         total |= m
     if total == 1:
         return 1
-    total = add_closure(brace, total)
-    if not is_ideal(brace, total):
-        raise ConsistencyError("family sum is not an ideal")
-    return total
+    return _join(brace, total, _ideal_set(brace))
 
 
 def star_set(brace: SkewBrace, x: Mask, y: Mask) -> Mask:
@@ -274,7 +304,9 @@ class IdealLattice:
     """All ideals of one brace with meet, join and star product tables.
 
     Members are kept sorted by size then mask; tables are indexed by the
-    member positions.  Instances are immutable after construction.
+    member positions.  Joins are additive closures looked up in the member
+    index.  Instances are immutable after construction; weights, which
+    are combinatorial in the generator count, are computed on first read.
     """
 
     def __init__(self, brace: SkewBrace):
@@ -292,14 +324,17 @@ class IdealLattice:
         for i, x in enumerate(self.members):
             for j, y in enumerate(self.members):
                 meet[i][j] = self.index[x & y]
-                join[i][j] = self.index[sum_ideals(brace, x, y)]
+                if j >= i:
+                    total = _join(brace, x | y, self.index)
+                    join[i][j] = join[j][i] = self.index[total]
                 star[i][j] = self.index[star_ideal(brace, x, y)]
         self.meet_table = tuple(tuple(r) for r in meet)
         self.join_table = tuple(tuple(r) for r in join)
         self.star_table = tuple(tuple(r) for r in star)
-        self.weights: tuple[int, ...] = tuple(
-            ideal_weight(brace, m) for m in self.members
-        )
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        return tuple(ideal_weight(self.brace, m) for m in self.members)
 
     def __len__(self) -> int:
         return len(self.members)

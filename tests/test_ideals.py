@@ -1,12 +1,21 @@
 """Ideal layer: an independent subset-sweep oracle, frozen lattices, closures."""
 
+import itertools
+
 import pytest
 
+from sbspec import ideals
 from sbspec.bitsets import bits, elements, full_mask, mask_of, popcount
+from sbspec.braces import almost_trivial_brace, relabel, trivial_brace
 from sbspec.enumeration import enumerate_braces
+from sbspec.errors import ConsistencyError
+from sbspec.groups import cyclic_table, product_table, symmetric_table
 from sbspec.ideals import (
+    IdealCheck,
+    add_closure,
     additive_subgroups,
     all_ideals,
+    family_sum,
     generated_ideal,
     huq_commutator,
     ideal_check,
@@ -19,6 +28,7 @@ from sbspec.ideals import (
     star_subgroup,
     sum_ideals,
 )
+from sbspec.spectra import PRIME_KINDS, spectrum
 
 
 def naive_is_ideal(brace, subset: set) -> bool:
@@ -168,6 +178,30 @@ def test_ideal_weights(z4_radical, s3_almost, v4_trivial):
     assert lat.weights == (1, 1, 1, 1, 2)
 
 
+def test_lattice_and_spectra_leave_weights_unbuilt(monkeypatch):
+    # a relabelled trivial S3 x Z2 that no other test builds, so the
+    # lattice and spectra below are cache misses
+    table = product_table(symmetric_table(3), cyclic_table(2))
+    brace = relabel(trivial_brace(table), (0, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1))
+    calls = []
+    real_weight = ideals.ideal_weight
+
+    def counting_weight(b, m):
+        calls.append(m)
+        return real_weight(b, m)
+
+    monkeypatch.setattr(ideals, "ideal_weight", counting_weight)
+    misses = ideal_lattice.cache_info().misses
+    lat = ideal_lattice(brace)
+    assert ideal_lattice.cache_info().misses == misses + 1
+    for kind in PRIME_KINDS:
+        spectrum(brace, kind)
+    assert calls == []
+    assert lat.weights == tuple(real_weight(brace, m) for m in lat.members)
+    assert calls == list(lat.members)
+    assert lat.weights is lat.weights
+
+
 def test_lattice_ops(v4_trivial):
     lat = ideal_lattice(v4_trivial)
     a = mask_of([0, 1])
@@ -228,3 +262,153 @@ def test_weight_matches_minimal_generating_sets(v4_trivial):
                 best = size if best is None else min(best, size)
         assert best == lat.weights[pos]
     assert elements(mask_of([0, 3])) == (0, 3)
+
+
+# ---------------------------------------------------------------------------
+# the worklist closures and orbit-mask ideal test against naive references
+
+
+def reference_add_closure(brace, mask):
+    """Round-based closure: every member plus every member, until stable."""
+    add = brace.add
+    closed = mask | 1
+    while True:
+        grown = closed
+        members = list(bits(closed))
+        for i in members:
+            row = add[i]
+            grown |= 1 << brace.neg[i]
+            for j in members:
+                grown |= 1 << row[j]
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+def reference_generated_ideal(brace, seed):
+    """Round-based closure under +, negation, both conjugations and twists."""
+    add, mul, neg, inv, lam = brace.add, brace.mul, brace.neg, brace.inv, brace.lam
+    n = brace.order
+    closed = seed | 1
+    while True:
+        grown = closed
+        members = list(bits(closed))
+        for i in members:
+            grown |= 1 << neg[i]
+            row = add[i]
+            for j in members:
+                grown |= 1 << row[j]
+        for a in range(n):
+            add_a, mul_a, lam_a = add[a], mul[a], lam[a]
+            na, ia = neg[a], inv[a]
+            for i in members:
+                grown |= 1 << add[add_a[i]][na]
+                grown |= 1 << mul[mul_a[i]][ia]
+                grown |= 1 << lam_a[i]
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+def reference_ideal_check(brace, mask):
+    """Flags and first witness from direct scans, in ideal_check's order."""
+    n = brace.order
+    add, mul, neg, inv, lam = brace.add, brace.mul, brace.neg, brace.inv, brace.lam
+    members = list(bits(mask))
+
+    def subgroup_failure(table, invs):
+        if not mask & 1:
+            return ("missing-identity", 0)
+        for i in members:
+            for j in members:
+                if not mask >> table[i][j] & 1:
+                    return ("product", i, j)
+        for i in members:
+            if not mask >> invs[i] & 1:
+                return ("inverse", i)
+        return None
+
+    def normal_failure(conj):
+        for a in range(n):
+            for i in members:
+                if not mask >> conj(a, i) & 1:
+                    return (a, i)
+        return None
+
+    failures = (
+        ("add-subgroup", subgroup_failure(add, neg)),
+        ("add-normal", normal_failure(lambda a, i: add[add[a][i]][neg[a]])),
+        ("mul-subgroup", subgroup_failure(mul, inv)),
+        ("mul-normal", normal_failure(lambda a, i: mul[mul[a][i]][inv[a]])),
+        ("twist", normal_failure(lambda a, i: lam[a][i])),
+    )
+    witness = next(((name, *bad) for name, bad in failures if bad is not None), None)
+    return IdealCheck(*(bad is None for _, bad in failures), witness)
+
+
+def alternating4_table():
+    perms = sorted(
+        p
+        for p in itertools.permutations(range(4))
+        if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0
+    )
+    index = {p: i for i, p in enumerate(perms)}
+    return tuple(
+        tuple(index[tuple(p[q[x]] for x in range(4))] for q in perms) for p in perms
+    )
+
+
+def catalog_braces():
+    return [b for n in range(1, 7) for b in enumerate_braces(n)]
+
+
+def closure_corpus():
+    z2_cubed = product_table(product_table(cyclic_table(2), cyclic_table(2)), cyclic_table(2))
+    return catalog_braces() + [
+        trivial_brace(z2_cubed),
+        almost_trivial_brace(alternating4_table()),
+    ]
+
+
+@pytest.mark.parametrize(
+    "brace", closure_corpus(), ids=lambda b: b.describe()
+)
+def test_closures_match_round_based_reference(brace):
+    for seed in range(1 << brace.order):
+        assert add_closure(brace, seed) == reference_add_closure(brace, seed), seed
+        assert generated_ideal(brace, seed) == reference_generated_ideal(brace, seed), seed
+
+
+@pytest.mark.parametrize(
+    "brace", catalog_braces(), ids=lambda b: b.describe()
+)
+def test_ideal_check_matches_reference_scan(brace):
+    for mask in range(1 << brace.order):
+        assert ideal_check(brace, mask) == reference_ideal_check(brace, mask), mask
+
+
+def test_orbit_masks(s3_almost):
+    brace = s3_almost
+    n = brace.order
+    add, mul, neg, inv = brace.add, brace.mul, brace.neg, brace.inv
+    for i in range(n):
+        assert brace.add_conj_orbit[i] == mask_of(add[add[a][i]][neg[a]] for a in range(n))
+        assert brace.mul_conj_orbit[i] == mask_of(mul[mul[a][i]][inv[a]] for a in range(n))
+        assert brace.lam_orbit[i] == mask_of(brace.lam[a][i] for a in range(n))
+    # the alternating subgroup {0, 3, 4} is a union of twist orbits
+    assert brace.lam_orbit[3] | brace.lam_orbit[4] == mask_of([3, 4])
+
+
+def test_joins_reject_non_ideals(s3_trivial):
+    # {0, 1} is a non-normal order-2 subgroup: its additive closure is
+    # itself, which is missing from the ideal set
+    two = mask_of([0, 1])
+    assert add_closure(s3_trivial, two) == two
+    with pytest.raises(ConsistencyError):
+        sum_ideals(s3_trivial, two, 1)
+    with pytest.raises(ConsistencyError):
+        family_sum(s3_trivial, [two, 1])
+    # genuine ideals still join
+    a3 = generated_ideal(s3_trivial, mask_of([3]))
+    assert sum_ideals(s3_trivial, a3, 1) == a3
+    assert family_sum(s3_trivial, [a3, full_mask(6)]) == full_mask(6)

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from sbspec.braces import SkewBrace
+from sbspec.braces import SkewBrace, trivial_brace
 from sbspec.catalog import (
     build_record,
     catalog_lines,
@@ -16,6 +16,7 @@ from sbspec.catalog import (
     write_catalog,
 )
 from sbspec.errors import ParseError
+from sbspec.groups import cyclic_table
 from sbspec.suite import (
     SuiteResult,
     failures,
@@ -135,6 +136,17 @@ def test_run_brace_suite_clean(z4_radical):
     assert "square inside some maximal ideal" in by_check["t1-iff-spec-equals-max"].detail
     assert by_check["star-prime-subset-oracle"].verdict == "pass"
     assert by_check["maximal-prime-criterion"].verdict == "pass"
+
+
+def test_generated_routes_sample_past_4096_seeds(z4_radical):
+    # order 12 and below: every seed, with no sampling note
+    rows = run_brace_suite("z4r", z4_radical)
+    assert {r.check: r for r in rows}["generated-ideal-routes"].detail == ""
+    # order 13: 2^13 seeds, of which a seeded 4096 are drawn
+    rows = run_brace_suite("z13", trivial_brace(cyclic_table(13)))
+    assert failures(rows) == []
+    row = {r.check: r for r in rows}["generated-ideal-routes"]
+    assert (row.verdict, row.detail) == ("pass", "sampled 4096 of 2^13")
 
 
 def test_zero_brace_suite_vacuities(zero_brace):
