@@ -1,8 +1,11 @@
 """Finite groups as Cayley tables over {0, ..., n-1} with identity 0.
 
 A table is a tuple of n row tuples; table[a][b] is the product of a and b.
-All exhaustive searches in this module are bounded to order 6, where a
-direct backtracking sweep over row-Latin tables is still instant.
+All exhaustive searches in this module are bounded to order 6.  The table
+search fills a normalized Latin square row by row and tests associativity
+on the rows fixed so far after each new row, so it never completes a
+Latin square that is not a group; isomorphism classes are read off the
+lex-sorted table list by one sweep over relabelling orbits.
 """
 
 from __future__ import annotations
@@ -177,9 +180,40 @@ def _row_candidates(partial: list[tuple[int, ...]], r: int, n: int):
     yield from extend([], 0)
 
 
+def _rows_associate(partial: list[tuple[int, ...]], r: int) -> bool:
+    """Associativity on rows 0..r, for the pairs that involve the new row r.
+
+    Tests row(a) after row(b) == row(a*b) for every pair (a, b) with a, b
+    and a*b all among the fixed rows and at least one of them equal to r;
+    pairs among rows 0..r-1 were tested when their last row was added.
+    Row 0 is the identity, so a = 0 and b = 0 hold trivially.
+    """
+    cols = range(len(partial[0]))
+    for a in range(1, r + 1):
+        row_a = partial[a]
+        for b in range(1, r + 1):
+            ab = row_a[b]
+            if ab > r or (ab != r and a != r and b != r):
+                continue
+            row_b = partial[b]
+            target = partial[ab]
+            for c in cols:
+                if row_a[row_b[c]] != target[c]:
+                    return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def all_group_tables(n: int) -> tuple[Table, ...]:
-    """Every group Cayley table on {0..n-1} with identity 0, in lex order."""
+    """Every group Cayley table on {0..n-1} with identity 0, in lex order.
+
+    Depth-first over normalized Latin squares, one row at a time in lex
+    order.  After row r is appended, associativity is tested on the pairs
+    of fixed rows that involve r (`_rows_associate`) and the branch is cut
+    on the first mismatch, so non-group squares are abandoned as soon as
+    the rows that refute them are fixed.  Every complete table is still
+    verified by `group_violation`.
+    """
     if n > ENUMERATION_BOUND:
         raise OrderBoundError(
             f"group table search is bounded to order {ENUMERATION_BOUND}, got {n}"
@@ -198,7 +232,8 @@ def all_group_tables(n: int) -> tuple[Table, ...]:
             return
         for row in _row_candidates(partial, r, n):
             partial.append(row)
-            fill(partial)
+            if _rows_associate(partial, r):
+                fill(partial)
             partial.pop()
 
     fill([first])
@@ -207,11 +242,24 @@ def all_group_tables(n: int) -> tuple[Table, ...]:
 
 @lru_cache(maxsize=None)
 def group_representatives(n: int) -> tuple[Table, ...]:
-    """One canonical table per isomorphism class of groups of order n."""
-    seen = {}
-    for table in all_group_tables(n):
-        seen.setdefault(canonical_group_table(table), None)
-    return tuple(sorted(seen))
+    """One canonical table per isomorphism class of groups of order n.
+
+    `all_group_tables(n)` is complete, closed under identity-fixing
+    relabelling and lex-sorted, so the first table met in each relabelling
+    orbit is the orbit's lex-minimum, i.e. its `canonical_group_table`.
+    One sweep keeps every table not seen yet and marks its whole orbit as
+    seen; the result comes out sorted.
+    """
+    tables = all_group_tables(n)
+    perms = tuple(identity_fixing_perms(n))
+    seen: set[Table] = set()
+    reps = []
+    for table in tables:
+        if table in seen:
+            continue
+        reps.append(table)
+        seen.update(relabel_table(table, p) for p in perms)
+    return tuple(reps)
 
 
 def group_fingerprint(table: Table) -> str:

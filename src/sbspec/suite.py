@@ -21,6 +21,7 @@ from .braces import is_isomorphic, validate, SkewBrace
 from .catalog import catalog_lines, generate_catalog, verify_record
 from .enumeration import enumerate_braces, enumerate_braces_raw
 from .errors import SbspecError
+from .groups import ENUMERATION_BOUND
 from .ideals import (
     additive_subgroups,
     generated_ideal,
@@ -608,11 +609,11 @@ def run_catalog_checks(records) -> list[SuiteResult]:
     max_order = max(orders) if orders else 0
 
     for n in orders:
-        if n > SUBSET_ORACLE_BOUND:
+        if n > ENUMERATION_BOUND:
             out.append(
                 SuiteResult(
                     f"order-{n}", "enumeration-raw-agreement", "vacuous",
-                    f"raw sweep bounded to order {SUBSET_ORACLE_BOUND}",
+                    f"raw sweep bounded to order {ENUMERATION_BOUND}",
                 )
             )
             continue

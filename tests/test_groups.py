@@ -1,9 +1,13 @@
 """Group-table layer: enumeration counts, canonical forms, automorphisms."""
 
+from functools import lru_cache
+
 import pytest
 
 from sbspec.errors import NotAGroupError, OrderBoundError
 from sbspec.groups import (
+    _row_candidates,
+    _rows_associate,
     all_group_tables,
     automorphisms,
     canonical_group_table,
@@ -158,3 +162,77 @@ def test_enumeration_bound():
         all_group_tables(7)
     with pytest.raises(OrderBoundError):
         group_representatives(7)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the unpruned row-wise sweep over normalized Latin squares
+
+
+@lru_cache(maxsize=None)
+def _latin_squares(n):
+    """Every normalized Latin square of order n, in lex order, no pruning."""
+    results = []
+
+    def fill(partial):
+        r = len(partial)
+        if r == n:
+            results.append(tuple(partial))
+            return
+        for row in _row_candidates(partial, r, n):
+            partial.append(row)
+            fill(partial)
+            partial.pop()
+
+    fill([tuple(range(n))])
+    return tuple(results)
+
+
+def _reference_tables(n):
+    return tuple(t for t in _latin_squares(n) if group_violation(t) is None)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tables_match_unpruned_sweep(n):
+    assert all_group_tables(n) == _reference_tables(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_representatives_match_canonical_forms(n):
+    tables = all_group_tables(n)
+    expected = tuple(sorted({canonical_group_table(t) for t in tables}))
+    assert group_representatives(n) == expected
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_row_pruning_decides_groups(n):
+    # over all normalized Latin squares, passing the row test at every
+    # depth is exactly being a group; some squares fail it at n >= 5
+    rejected = 0
+    for square in _latin_squares(n):
+        rows_ok = all(_rows_associate(list(square[: r + 1]), r) for r in range(1, n))
+        assert rows_ok == (group_violation(square) is None)
+        rejected += not rows_ok
+    assert (rejected > 0) == (n >= 5)
+
+
+# invariants the orbit sweep in group_representatives relies on
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tables_strictly_lex_increasing(n):
+    tables = all_group_tables(n)
+    assert all(a < b for a, b in zip(tables, tables[1:]))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tables_are_groups(n):
+    assert all(group_violation(t) is None for t in all_group_tables(n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tables_closed_under_relabelling(n):
+    tables = all_group_tables(n)
+    present = set(tables)
+    for table in tables:
+        for perm in identity_fixing_perms(n):
+            assert relabel_table(table, perm) in present

@@ -215,11 +215,26 @@ def test_catalog_checks(catalog6):
     for r in rows:
         by_check.setdefault(r.check, []).append(r)
     agreement = by_check["enumeration-raw-agreement"]
-    assert sum(1 for r in agreement if r.verdict == "pass") == 5
-    # the raw sweep stops at order 5 by design; the order-6 row says so
-    assert [r.verdict for r in agreement if r.brace_id == "order-6"] == ["vacuous"]
+    # the raw sweep covers every order the group-table search reaches
+    assert [r.verdict for r in agreement] == ["pass"] * 6
+    assert [r.detail for r in agreement if r.brace_id == "order-6"] == ["twist=6 raw=6"]
+    assert not any(r.verdict == "vacuous" for r in rows)
     assert [r.verdict for r in by_check["catalog-matches-enumeration"]] == ["pass"]
     assert [r.verdict for r in by_check["catalog-deterministic"]] == ["pass"]
+
+
+def test_catalog_checks_past_enumeration_bound():
+    # an order the group-table search refuses keeps a vacuous agreement row
+    # naming the bound; the other catalog rows fail on the refusal itself
+    from types import SimpleNamespace
+
+    from sbspec.groups import ENUMERATION_BOUND
+
+    n = ENUMERATION_BOUND + 1
+    rec = SimpleNamespace(order=n, brace_id=f"{n}-0", add=None, mul=None)
+    rows = [r for r in run_catalog_checks([rec]) if r.check == "enumeration-raw-agreement"]
+    assert [(r.brace_id, r.verdict) for r in rows] == [(f"order-{n}", "vacuous")]
+    assert rows[0].detail == f"raw sweep bounded to order {ENUMERATION_BOUND}"
 
 
 def test_summarize_orders_and_counts():
