@@ -19,10 +19,11 @@ from .ideals import ideal_lattice
 from .morphisms import Hom, validate_hom
 from .spectra import PRIME_KINDS, nil_radical, spectrum
 from .topology import (
+    closed_axioms_report,
     connected_component_count,
     irreducibility_report,
+    is_topology,
     lattice_spectrum,
-    lattice_topology_report,
     separation_report,
     spec_topology,
     spectral_report,
@@ -175,7 +176,8 @@ def topology_to_dict(brace: SkewBrace, kind: str) -> dict:
         "t0": sep.t0,
         "t1": sep.t1,
         "components": connected_component_count(st.hk.space),
-        "quasi_compact": spc.quasi_compact,
+        # every finite space is quasi-compact
+        "quasi_compact": True,
         "sober": spc.sober,
         "spectral": spc.spectral,
     }
@@ -183,11 +185,11 @@ def topology_to_dict(brace: SkewBrace, kind: str) -> dict:
 
 def lattice_spectrum_to_dict(brace: SkewBrace) -> dict:
     ls = lattice_spectrum(brace)
-    rep = lattice_topology_report(ls)
+    axioms_ok = closed_axioms_report(ls.hk).ok and is_topology(ls.hk.space)[0]
     spc = spectral_report(ls.hk.space)
     return {
         "primes": [member_list(p) for p in ls.primes],
-        "closed_axioms": rep.ok,
+        "closed_axioms": axioms_ok,
         "spectral": spc.spectral,
     }
 

@@ -40,8 +40,8 @@ from sbspec.topology import (
     closed_axioms_report,
     galois_report,
     irreducibility_report,
+    is_topology,
     lattice_spectrum,
-    lattice_topology_report,
     noetherian_report,
     separation_report,
     spec_topology,
@@ -135,7 +135,8 @@ def test_criterion_4_galois_connection():
         least_pairs = rep.pairs_checked if least_pairs is None else min(
             least_pairs, rep.pairs_checked
         )
-        ok = ok and rep.pairs_checked >= 1000
+        # every element subset against every point set
+        ok = ok and rep.pairs_checked == 2**brace.order * 2**st.hk.n_points
         # singleton element sets, checked directly and independently
         for a in range(brace.order):
             kh = st.hk.kern(st.hk.hull_of_elements(1 << a))
@@ -148,7 +149,7 @@ def test_criterion_4_galois_connection():
         4,
         "hull/kernel Galois adjunction, KH = radical, HK = closure",
         ok,
-        f"min sampled pairs per brace: {least_pairs}",
+        f"fewest pairs per brace: {least_pairs}",
     )
 
 
@@ -238,8 +239,9 @@ def test_criterion_8_spectral_spaces():
     for _, brace in CORPUS:
         st = spec_topology(brace)
         ok = ok and spectral_report(st.hk.space).spectral
-        rep = lattice_topology_report(lattice_spectrum(brace))
-        ok = ok and rep.ok and rep.spectral.spectral
+        ls = lattice_spectrum(brace)
+        ok = ok and closed_axioms_report(ls.hk).ok and is_topology(ls.hk.space)[0]
+        ok = ok and spectral_report(ls.hk.space).spectral
     _criterion(
         8,
         "Spec A and Spec(Idl A) are spectral spaces "
@@ -276,11 +278,9 @@ def test_criterion_9_enumeration_self_consistency():
 def test_criterion_10_noetherian_weights_and_runtime():
     ok = True
     for _, brace in CORPUS:
-        rep = noetherian_report(spec_topology(brace))
-        ok = ok and rep.weights_all_finite and rep.chains_stabilize
-        ok = ok and rep.whole_space_covers_ok
-        ok = ok and rep.open_subspaces_covers_ok
-        ok = ok and rep.all_subspaces_covers_ok
+        for kind in ("star", "ksv", "huq"):
+            rep = noetherian_report(spec_topology(brace, kind))
+            ok = ok and rep.ok
     # the full property-suite run over the order <= 6 catalog, timed
     t0 = time.monotonic()
     records = generate_catalog(6)
@@ -292,7 +292,7 @@ def test_criterion_10_noetherian_weights_and_runtime():
     ok = ok and total < 120
     _criterion(
         10,
-        "finite weights, stabilizing chains, verified open covers; "
+        "longest closed chain = points + 1 under every definition; "
         "full catalog check under two minutes",
         ok,
         f"suite: {len(rows)} rows in {suite_seconds:.2f}s, "

@@ -138,6 +138,59 @@ def test_run_brace_suite_clean(z4_radical):
     assert by_check["maximal-prime-criterion"].verdict == "pass"
 
 
+def _kind_checks(kind):
+    return [
+        f"radical-laws-{kind}",
+        f"closed-axioms-{kind}",
+        f"galois-{kind}",
+        f"t0-specialization-{kind}",
+        *(["t1-iff-spec-equals-max"] if kind == "star" else []),
+        f"irreducibles-are-hulls-{kind}",
+        f"generic-points-unique-{kind}",
+        f"components-minimal-primes-{kind}",
+        f"irreducible-iff-nil-prime-{kind}",
+        f"noetherian-compact-{kind}",
+    ]
+
+
+SUITE_CHECKS = [
+    "brace-axioms",
+    "lambda-maps",
+    "ideal-criteria",
+    "multiplicative-lattice",
+    "generated-ideal-routes",
+    "star-chain",
+    "star-prime-subset-oracle",
+    "prime-ideal-implication",
+    *_kind_checks("star"),
+    *_kind_checks("ksv"),
+    *_kind_checks("huq"),
+    "maximal-prime-criterion",
+    "spectral-space-spec",
+    "closed-axioms-lattice",
+    "spectral-space-idl",
+    "hom-kernel-image",
+    "quotient-construction",
+    "ideal-correspondence",
+    "star-image-exact",
+    "extension-contraction-galois",
+    "spec-map-continuity",
+    "spec-map-surjectivity",
+    "spec-map-injectivity",
+    "spec-map-kernel-hull",
+    "spec-map-density",
+    "nil-quotient-homeomorphic",
+    "restriction-square",
+]
+
+
+def test_suite_check_names_pinned(z4_radical):
+    # catalog and benchmark gates count these rows per brace
+    assert len(SUITE_CHECKS) == 52
+    rows = run_brace_suite("z4r", z4_radical)
+    assert [r.check for r in rows] == SUITE_CHECKS
+
+
 def test_generated_routes_sample_past_4096_seeds(z4_radical):
     # order 12 and below: every seed, with no sampling note
     rows = run_brace_suite("z4r", z4_radical)

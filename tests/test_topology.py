@@ -19,15 +19,14 @@ from sbspec.errors import ConsistencyError
 from sbspec.ideals import ideal_lattice
 from sbspec.spectra import spectrum
 from sbspec.topology import (
+    HullKernelSpace,
     SpecTopology,
     closed_axioms_report,
     closure_in,
     connected_component_count,
-    covers_verified,
     finite_space,
     galois_report,
     generic_points,
-    hk_space,
     irreducibility_report,
     irreducible_closed_sets,
     is_connected,
@@ -37,7 +36,6 @@ from sbspec.topology import (
     is_t1,
     is_topology,
     lattice_spectrum,
-    lattice_topology_report,
     noetherian_report,
     point_closure,
     separation_report,
@@ -131,20 +129,12 @@ def test_irreducible_space_and_components():
     assert not is_connected(DISCRETE2)
 
 
-def test_covers():
-    ok, seen = covers_verified(DISCRETE2, 0b11)
-    assert ok and seen > 0
-    ok, _ = covers_verified(SIERPINSKI, 0b01)
-    assert ok
-
-
 def test_spectral_report_synthetic():
     rep = spectral_report(DISCRETE2)
-    assert rep.spectral and rep.quasi_compact and rep.t0 and rep.sober
-    assert rep.covers_seen > 0
+    assert rep.spectral and rep.t0 and rep.sober
     # not sober => not spectral
     rep = spectral_report(INDISCRETE2)
-    assert not rep.spectral and not rep.sober and rep.quasi_compact
+    assert not rep.spectral and not rep.sober and not rep.t0
     rep = spectral_report(EMPTY)
     assert rep.spectral
     rep = spectral_report(CHAIN3)
@@ -167,7 +157,7 @@ def test_hull_and_kern_small(v4_trivial):
     # a pseudo space built from the three maximal ideals as points
     lat = ideal_lattice(v4_trivial)
     points = lat.maximal_ideals()
-    hk = hk_space(lat, points, "pseudo-max")
+    hk = HullKernelSpace(lat, points)
     assert hk.n_points == 3
     assert hk.hull(mask_of([0])) == 0b111
     assert hk.hull(full_mask(4)) == 0
@@ -182,7 +172,7 @@ def test_pseudo_points_fail_union_axiom(v4_trivial):
     a Galois connection, but they are NOT the closed sets of a topology
     and the kernel-hull composite is not the radical."""
     lat = ideal_lattice(v4_trivial)
-    hk = hk_space(lat, lat.proper_members(), "pseudo-all")
+    hk = HullKernelSpace(lat, lat.proper_members())
     rep = closed_axioms_report(hk)
     assert not rep.ok
     assert not rep.union_is_meet_hull
@@ -198,7 +188,8 @@ def test_pseudo_points_fail_union_axiom(v4_trivial):
     st = SpecTopology(v4_trivial, "star", lat, spectrum(v4_trivial, "star"), hk)
     gal = galois_report(st)
     assert gal.adjunction
-    assert gal.pairs_checked >= 1000
+    # every element subset against every point set: 2^4 * 2^4
+    assert gal.pairs_checked == 2**4 * 2**hk.n_points
     assert not gal.kh_is_radical
     assert not gal.kh_fixed_are_radical_ideals
     assert not gal.kuratowski
@@ -207,7 +198,7 @@ def test_pseudo_points_fail_union_axiom(v4_trivial):
 
 def test_pseudo_points_separation(v4_trivial):
     lat = ideal_lattice(v4_trivial)
-    hk = hk_space(lat, lat.proper_members(), "pseudo-all")
+    hk = HullKernelSpace(lat, lat.proper_members())
     st = SpecTopology(v4_trivial, "star", lat, spectrum(v4_trivial, "star"), hk)
     rep = separation_report(st)
     assert rep.n_points == 4
@@ -224,7 +215,7 @@ def test_pseudo_points_separation(v4_trivial):
 
 def test_pseudo_points_irreducibility(v4_trivial):
     lat = ideal_lattice(v4_trivial)
-    hk = hk_space(lat, lat.proper_members(), "pseudo-all")
+    hk = HullKernelSpace(lat, lat.proper_members())
     st = SpecTopology(v4_trivial, "star", lat, spectrum(v4_trivial, "star"), hk)
     rep = irreducibility_report(st)
     # the components of the pseudo space are not hulls of minimal primes
@@ -269,19 +260,17 @@ def test_real_irreducibility_reports(z4_radical):
 def test_real_noetherian_reports(z4_radical, v4_trivial):
     for brace in (z4_radical, v4_trivial):
         rep = noetherian_report(spec_topology(brace))
+        assert rep.n_points == 0
         assert rep.longest_closed_chain == 1
-        assert rep.chains_stabilize
-        assert rep.weights_all_finite
-        assert rep.whole_space_covers_ok
-        assert rep.open_subspaces_covers_ok
-        assert rep.all_subspaces_covers_ok
+        assert rep.ok
 
 
 def test_galois_on_real_spectra(z4_radical, s3_almost, zero_brace):
     for brace in (z4_radical, s3_almost, zero_brace):
-        rep = galois_report(spec_topology(brace))
+        st = spec_topology(brace)
+        rep = galois_report(st)
         assert rep.ok, rep.witness
-        assert rep.pairs_checked >= 1000
+        assert rep.pairs_checked == 2**brace.order * 2**st.hk.n_points
 
 
 def test_galois_on_pseudo_max_points(v4_trivial):
@@ -289,7 +278,7 @@ def test_galois_on_pseudo_max_points(v4_trivial):
     # unions escape the hull family, so this is not a topology either,
     # and kernel-hull is not the radical since no maximal ideal is prime
     lat = ideal_lattice(v4_trivial)
-    hk = hk_space(lat, lat.maximal_ideals(), "pseudo-max")
+    hk = HullKernelSpace(lat, lat.maximal_ideals())
     st = SpecTopology(v4_trivial, "star", lat, spectrum(v4_trivial, "star"), hk)
     rep = galois_report(st)
     assert rep.adjunction
@@ -301,13 +290,26 @@ def test_galois_on_pseudo_max_points(v4_trivial):
     assert not closed_axioms_report(hk).union_is_meet_hull
 
 
+def test_noetherian_rejects_pseudo_max_points(v4_trivial):
+    # the three maximal ideals are pairwise incomparable points whose
+    # singleton hulls do not union to closed sets: the longest closed
+    # chain is 0 < {P} < everything, one short of points + 1
+    lat = ideal_lattice(v4_trivial)
+    hk = HullKernelSpace(lat, lat.maximal_ideals())
+    st = SpecTopology(v4_trivial, "star", lat, spectrum(v4_trivial, "star"), hk)
+    rep = noetherian_report(st)
+    assert rep.n_points == 3
+    assert rep.longest_closed_chain == 3
+    assert not rep.ok
+
+
 def test_lattice_spectrum_empty_and_spectral(z4_radical, v4_trivial, zero_brace):
     for brace in (z4_radical, v4_trivial, zero_brace):
         ls = lattice_spectrum(brace)
         assert ls.primes == ()
-        rep = lattice_topology_report(ls)
-        assert rep.ok
-        assert rep.spectral.spectral
+        assert closed_axioms_report(ls.hk).ok
+        assert is_topology(ls.hk.space)[0]
+        assert spectral_report(ls.hk.space).spectral
     # every proper lattice element is rejected with an ideal-pair witness
     ls = lattice_spectrum(z4_radical)
     assert len(ls.rejected) == 2
