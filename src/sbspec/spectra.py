@@ -14,6 +14,7 @@ A spectrum may well be empty; emptiness is a result, not an error.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,6 +22,7 @@ from .bitsets import full_mask, is_subset
 from .braces import SkewBrace
 from .errors import NotMaximalError, NotProperError
 from .ideals import (
+    IdealLattice,
     huq_commutator,
     ideal_lattice,
     star_ideal,
@@ -57,17 +59,33 @@ def is_prime(brace: SkewBrace, mask: Mask, kind: str) -> tuple[bool, tuple | Non
                 if mask >> row[b] & 1:
                     return False, ("elements", a, b)
         return True, None
-    lat = ideal_lattice(brace)
     op = star_subgroup if kind == "ksv" else huq_commutator
+    pair = ideal_pair_witness(
+        ideal_lattice(brace), mask, lambda x, y: op(brace, x, y)
+    )
+    if pair is None:
+        return True, None
+    return False, ("ideals", *pair)
+
+
+def ideal_pair_witness(
+    lat: IdealLattice, mask: Mask, product: Callable[[Mask, Mask], Mask]
+) -> tuple[Mask, Mask] | None:
+    """The first pair of members outside mask whose product lies in mask.
+
+    None means mask is prime for that product.  This is the one
+    ideal-pair primality loop: is_prime runs it for ksv and huq, and the
+    lattice spectrum runs it with the lattice's star multiplication.
+    """
     for x in lat.members:
         if is_subset(x, mask):
             continue
         for y in lat.members:
             if is_subset(y, mask):
                 continue
-            if is_subset(op(brace, x, y), mask):
-                return False, ("ideals", x, y)
-    return True, None
+            if is_subset(product(x, y), mask):
+                return x, y
+    return None
 
 
 def is_prime_star_by_subsets(brace: SkewBrace, mask: Mask) -> tuple[bool, tuple | None]:

@@ -23,8 +23,15 @@ from functools import lru_cache
 from .bitsets import bits, full_mask, is_subset, popcount
 from .braces import SkewBrace
 from .errors import ConsistencyError
-from .ideals import IdealLattice, family_sum, generated_ideal, ideal_lattice
-from .spectra import Spectrum, brace_square, is_prime, radical, spectrum
+from .ideals import IdealLattice, family_sum, ideal_lattice
+from .spectra import (
+    Spectrum,
+    brace_square,
+    ideal_pair_witness,
+    is_prime,
+    radical,
+    spectrum,
+)
 
 Mask = int
 
@@ -283,18 +290,7 @@ def lattice_spectrum(brace: SkewBrace) -> LatticeSpectrum:
     primes = []
     rejected = []
     for p in lat.proper_members():
-        witness = None
-        for x in lat.members:
-            if is_subset(x, p):
-                continue
-            for y in lat.members:
-                if is_subset(y, p):
-                    continue
-                if is_subset(lat.star(x, y), p):
-                    witness = (x, y)
-                    break
-            if witness:
-                break
+        witness = ideal_pair_witness(lat, p, lat.star)
         if witness is None:
             primes.append(p)
         else:
@@ -455,7 +451,7 @@ def galois_report(
     kh_rad = True
     for s in subsets:
         kh = hk.kern(hk.hull_of_elements(s))
-        rad = radical(st.brace, generated_ideal(st.brace, s), st.kind)
+        rad = radical(st.brace, st.lat.generated(s | 1), st.kind)
         if kh != rad:
             kh_rad = False
             witness = witness or ("kh-radical", s)

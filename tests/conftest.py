@@ -11,7 +11,13 @@ The fixture braces are chosen so that every interesting quantity
   (elements {0, 3, 4} in the table labelling), and A*A is that ideal.
 - v4_trivial: Klein four group with a ∘ b = a + b.  Star is constantly
   zero, so every additive subgroup is an ideal (five in total).
+- a5_trivial, a5_almost: the trivial and almost-trivial braces on the
+  alternating group A5 (order 60).  A5 is simple, so the ideals are {0}
+  and A5, and {0} is prime for huq on both and for ksv on the
+  almost-trivial one, so their spectra are not empty.
 """
+
+import itertools
 
 import pytest
 
@@ -60,6 +66,29 @@ def s3_trivial() -> SkewBrace:
 @pytest.fixture(scope="session")
 def s3_almost() -> SkewBrace:
     return almost_trivial_brace(symmetric_table(3))
+
+
+def _alternating_table(m: int):
+    """Cayley table of the even permutations of m letters, identity first."""
+    perms = sorted(
+        p
+        for p in itertools.permutations(range(m))
+        if sum(p[i] > p[j] for i in range(m) for j in range(i + 1, m)) % 2 == 0
+    )
+    index = {p: i for i, p in enumerate(perms)}
+    return tuple(
+        tuple(index[tuple(p[q[x]] for x in range(m))] for q in perms) for p in perms
+    )
+
+
+@pytest.fixture(scope="session")
+def a5_trivial() -> SkewBrace:
+    return trivial_brace(_alternating_table(5))
+
+
+@pytest.fixture(scope="session")
+def a5_almost() -> SkewBrace:
+    return almost_trivial_brace(_alternating_table(5))
 
 
 @pytest.fixture(scope="session")

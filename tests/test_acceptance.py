@@ -32,7 +32,6 @@ from sbspec.morphisms import (
     nil_quotient_homeo,
     quotient,
     quotient_projections,
-    star_image_check,
 )
 from sbspec.spectra import is_prime, is_prime_star_by_subsets, radical
 from sbspec.suite import failures, run_records
@@ -208,16 +207,14 @@ def test_criterion_7_morphisms():
                 target_ideals[f.target] = all_ideals(f.target)
             for j in target_ideals[f.target]:
                 ok = ok and is_ideal(f.source, contraction(f, j))
-            ok = ok and star_image_check(f).exact
-            ok = ok and ext_cont_report(f).ok
+            ok = ok and ext_cont_report(f).adjunction
             rep = induced_spec_map(f)
             ok = ok and rep.contractions_prime
             ok = ok and rep.continuity_exact is True
-            if rep.continuity_vacuous:
+            if rep.points_vacuous:
                 vacuous += 1
             if is_surjective(f):
-                ok = ok and rep.surjective_case is not None
-                ok = ok and rep.surjective_case.ok
+                ok = ok and rep.kernel_hull is True
             ok = ok and rep.density_matches_kernel is True
             assert img == f.image_of(full_mask(f.source.order))
         for ideal in all_ideals(brace):
@@ -226,8 +223,8 @@ def test_criterion_7_morphisms():
         ok = ok and nil_quotient_homeo(brace).homeomorphic
     _criterion(
         7,
-        "kernel/image/contraction ideals, quotient correspondence, star images, "
-        "spec-map continuity, surjective image = hull of kernel, density <=> "
+        "kernel/image/contraction ideals, quotient correspondence, "
+        "extension/contraction adjunction, spec-map continuity, surjective image = hull of kernel, density <=> "
         "kernel nil, nil-quotient homeomorphism; zero fails",
         ok,
         f"{homs} homomorphisms, {vacuous} continuity checks vacuous (empty spectra)",

@@ -223,16 +223,14 @@ def test_hom_command(tmp_path, capsys):
     path = tmp_path / "hom.json"
     path.write_text(dumps(hom_to_dict(f)))
     assert main(["hom", str(path)]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["kernel"] == [0, 2]
-    assert doc["image"] == [0, 1]
-    assert doc["surjective"] is True
-    assert doc["injective"] is False
-    assert doc["star_image_exact"] is True
-    assert doc["extension_contraction_ok"] is True
-    assert doc["spec_map"]["points"] == 0
-    assert doc["spec_map"]["continuity_exact"] is True
-    assert doc["spec_map"]["density_matches_kernel"] is True
+    # the whole line is pinned, keys and bytes
+    assert capsys.readouterr().out == (
+        '{"extension_contraction_ok":true,"image":[0,1],"injective":false,'
+        '"kernel":[0,2],"spec_map":{"continuity_exact":true,'
+        '"continuity_vacuous":true,"contractions_prime":true,'
+        '"density_matches_kernel":true,"kind":"star","points":0},'
+        '"star_image_exact":true,"surjective":true}\n'
+    )
 
 
 def test_hom_broken_map_is_property_failure(tmp_path, capsys):

@@ -10,7 +10,7 @@ from sbspec.errors import (
     ParseError,
 )
 from sbspec.groups import cyclic_table
-from sbspec.ideals import all_ideals, ideal_lattice, is_ideal, star_set
+from sbspec.ideals import all_ideals, ideal_lattice, is_ideal
 from sbspec.morphisms import (
     compose,
     contraction,
@@ -28,11 +28,10 @@ from sbspec.morphisms import (
     quotient,
     quotient_projections,
     restriction_square,
-    star_image_check,
     validate_hom,
     zero_hom,
 )
-from sbspec.spectra import nil_radical
+from sbspec.spectra import nil_radical, spectrum
 
 
 def test_validate_hom_accepts(z4_radical, z2_trivial):
@@ -160,24 +159,6 @@ def test_quotient_projections_enumeration(z4_radical, v4_trivial):
     assert len(quotient_projections(v4_trivial)) == 5
 
 
-def test_star_image_on_projections(z4_radical, s3_almost):
-    for brace in (z4_radical, s3_almost):
-        for p in quotient_projections(brace):
-            rep = star_image_check(p)
-            assert rep.exact, rep.witness
-            assert rep.pairs_checked == len(ideal_lattice(brace).members) ** 2
-
-
-def test_star_image_on_non_surjective_embedding(z2_trivial, z4_radical):
-    # the inclusion of Z2 into z4_radical hitting {0, 2}: star-exactness
-    # is a statement about images and holds for any homomorphism
-    f = validate_hom(z2_trivial, z4_radical, [0, 2])
-    rep = star_image_check(f)
-    assert rep.exact
-    lhs = f.image_of(star_set(z2_trivial, 0b11, 0b11))
-    assert lhs == mask_of([0])
-
-
 def test_ext_cont_reports(z4_radical, s3_almost, z2_trivial):
     homs = []
     for brace in (z4_radical, s3_almost):
@@ -185,7 +166,7 @@ def test_ext_cont_reports(z4_radical, s3_almost, z2_trivial):
     homs.append(validate_hom(z2_trivial, z4_radical, [0, 2]))
     for f in homs:
         rep = ext_cont_report(f)
-        assert rep.ok, rep.witness
+        assert rep.adjunction, rep.witness
 
 
 def test_spec_map_on_projection(z4_radical):
@@ -198,12 +179,9 @@ def test_spec_map_on_projection(z4_radical):
     assert rep.points_vacuous
     assert rep.contractions_prime
     assert rep.continuity_exact is True
-    assert rep.continuity_vacuous
-    assert rep.all_target_primes_extended
-    assert rep.surjectivity_matches_contractions is True
-    assert rep.surjective_case is not None
-    assert rep.surjective_case.vacuous
-    assert rep.surjective_case.ok
+    assert rep.injectivity_certificate is True
+    # surjective: the (empty) image is the hull of the kernel
+    assert rep.kernel_hull is True
     # density: the empty image is dense iff the kernel sits inside the
     # nil radical; here Nil(A) is the whole brace, so both sides hold
     assert rep.kernel_in_nil
@@ -216,7 +194,7 @@ def test_spec_map_on_embedding(z2_trivial, z4_radical):
     f = validate_hom(z2_trivial, z4_radical, [0, 2])
     rep = induced_spec_map(f)
     assert rep.points_vacuous
-    assert rep.surjective_case is None
+    assert rep.kernel_hull is None
     assert rep.kernel_in_nil  # kernel is {0}
     assert rep.density_matches_kernel is True
 
@@ -264,6 +242,42 @@ def test_restriction_square_all_pairs(s3_almost):
             assert rep.ok, (ideal, rep.witness)
 
 
+@pytest.mark.parametrize(
+    "fixture, kinds",
+    [("a5_trivial", ("huq",)), ("a5_almost", ("ksv", "huq"))],
+    ids=["a5-trivial-huq", "a5-almost-ksv-huq"],
+)
+def test_spec_map_certificates_on_a5(request, fixture, kinds):
+    # Spec A5 = {0} for these kinds, so the certificates quantify over a
+    # real point: the projection by {0} maps it onto itself, the one by
+    # A5 has an empty image that must equal the (empty) hull of A5
+    brace = request.getfixturevalue(fixture)
+    for kind in kinds:
+        assert spectrum(brace, kind).primes == (1,)
+        projections = quotient_projections(brace)
+        assert len(projections) == 2
+        points_seen = False
+        squares_seen = 0
+        for f in projections:
+            rep = induced_spec_map(f, kind)
+            assert rep.contractions_prime, rep.witness
+            assert rep.kernel_hull is True, rep.witness
+            assert rep.continuity_exact is True
+            assert rep.density_matches_kernel is True
+            assert rep.density is (kernel(f) == 1)
+            assert not rep.density_vacuous
+            points_seen = points_seen or not rep.points_vacuous
+            for ideal in ideal_lattice(brace).members:
+                sq = restriction_square(f, ideal, kind)
+                assert sq.ok, sq.witness
+                squares_seen += not sq.vacuous
+        assert points_seen
+        assert squares_seen >= 1
+        nq = nil_quotient_homeo(brace, kind)
+        assert nq.nil == 1
+        assert nq.homeomorphic and not nq.vacuous
+
+
 def test_hom_roundtrip_through_quotient_tower(s3_almost):
     # compose two projections: S3 -> S3/A3 -> (S3/A3)/whole
     q1 = quotient(s3_almost, mask_of([0, 3, 4]))
@@ -272,7 +286,7 @@ def test_hom_roundtrip_through_quotient_tower(s3_almost):
     tower = compose(q2.projection, q1.projection)
     assert kernel(tower) == full_mask(6)
     assert is_surjective(tower)
-    assert ext_cont_report(tower).ok
+    assert ext_cont_report(tower).adjunction
 
 
 def test_direct_checks_against_trivial_z2(z2_trivial):
