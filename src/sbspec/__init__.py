@@ -55,7 +55,6 @@ from .morphisms import (
     nil_quotient_homeo,
     quotient,
     quotient_projections,
-    restriction_square,
     validate_hom,
     zero_hom,
 )
@@ -72,7 +71,6 @@ from .spectra import (
 from .suite import SuiteResult, run_brace_suite, run_records, summarize
 from .topology import (
     closed_axioms_report,
-    galois_report,
     irreducibility_report,
     lattice_spectrum,
     noetherian_report,

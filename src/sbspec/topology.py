@@ -3,8 +3,13 @@
 The closed sets of a spectrum are the hulls H(I) = {P : I subset of P};
 the kernel of a point set is the intersection of its members, with the
 empty intersection read as the whole brace.  Hull and kernel form an
-antitone Galois pair, and every law verified here is checked by direct
-computation rather than assumed.
+antitone Galois pair by their definitions, for any choice of points:
+s is in K(T) exactly when T lies in H(s).  The closure laws and
+KH = radical follow from that pair, and T0 from the points being
+distinct ideals, so none of them is recomputed as a check.  What is
+checked is what depends on the points being prime: the closed-set
+axioms of the hull family, T1 against Spec = Max, irreducibility and
+the closed-chain length.
 
 FiniteSpace is a plain finite topological space given by its closed
 sets; the separation and soberness checks live at that level so they
@@ -16,7 +21,6 @@ quasi-compact and Noetherian, so neither is checked as such.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,11 +86,6 @@ def closure_in(fs: FiniteSpace, pts: int) -> int:
 
 def point_closure(fs: FiniteSpace, i: int) -> int:
     return closure_in(fs, 1 << i)
-
-
-def specialization_leq(fs: FiniteSpace, i: int, j: int) -> bool:
-    """i below j when i lies in the closure of j."""
-    return bool(point_closure(fs, j) >> i & 1)
 
 
 def is_t0(fs: FiniteSpace) -> tuple[bool, tuple | None]:
@@ -367,182 +366,32 @@ def closed_axioms_report(hk: HullKernelSpace) -> ClosedAxiomsReport:
 
 
 @dataclass(frozen=True)
-class GaloisReport:
-    adjunction: bool
-    hkh: bool
-    khk: bool
-    kh_is_radical: bool
-    kh_fixed_are_radical_ideals: bool
-    hk_fixed_are_closed: bool
-    kuratowski: bool
-    closure_is_smallest_closed: bool
-    pairs_checked: int
-    witness: tuple | None
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.adjunction
-            and self.hkh
-            and self.khk
-            and self.kh_is_radical
-            and self.kh_fixed_are_radical_ideals
-            and self.hk_fixed_are_closed
-            and self.kuratowski
-            and self.closure_is_smallest_closed
-        )
-
-
-def _point_subsets(n_points: int, limit: int, seed: int):
-    if 1 << n_points <= limit:
-        return list(range(1 << n_points))
-    rng = random.Random(seed)
-    return [rng.randrange(1 << n_points) for _ in range(limit)]
-
-
-def _element_subsets(n: int, limit: int, seed: int):
-    if 1 << n <= limit:
-        return list(range(1 << n))
-    rng = random.Random(seed)
-    picked = [rng.randrange(1 << n) for _ in range(limit)]
-    picked.extend(1 << a for a in range(n))
-    return picked
-
-
-def galois_report(
-    st: SpecTopology, min_pairs: int = 1000, seed: int = 0
-) -> GaloisReport:
-    """Verify the hull/kernel adjunction and everything it implies.
-
-    Element subsets and point sets are each exhausted when small and
-    sampled otherwise, with min_pairs setting the sample sizes; singleton
-    element sets are always included.  The adjunction is checked on every
-    (element subset, point set) pair, so a space with both lists
-    exhausted counts 2^n * 2^points pairs.
-    """
-    hk = st.hk
-    n = st.brace.order
-    witness = None
-
-    side = max(2, int(min_pairs**0.5) + 1)
-    subsets = _element_subsets(n, max(side, min_pairs // max(1, 1 << hk.n_points)), seed)
-    point_sets = _point_subsets(hk.n_points, side, seed + 1)
-
-    adjunction = True
-    for s in subsets:
-        for t in point_sets:
-            if is_subset(s, hk.kern(t)) != is_subset(t, hk.hull_of_elements(s)):
-                adjunction = False
-                witness = witness or ("adjunction", s, t)
-    pairs = len(subsets) * len(point_sets)
-
-    hkh = True
-    for m in st.lat.members:
-        if hk.hull_of_elements(hk.kern(hk.hull(m))) != hk.hull(m):
-            hkh = False
-            witness = witness or ("hkh", m)
-
-    khk = True
-    for t in _point_subsets(hk.n_points, 1024, seed + 2):
-        if hk.kern(hk.closure(t)) != hk.kern(t):
-            khk = False
-            witness = witness or ("khk", t)
-
-    kh_rad = True
-    for s in subsets:
-        kh = hk.kern(hk.hull_of_elements(s))
-        rad = radical(st.brace, st.lat.generated(s | 1), st.kind)
-        if kh != rad:
-            kh_rad = False
-            witness = witness or ("kh-radical", s)
-
-    kh_fixed = True
-    for m in st.lat.members:
-        fixed = hk.kern(hk.hull(m)) == m
-        is_rad = radical(st.brace, m, st.kind) == m
-        if fixed != is_rad:
-            kh_fixed = False
-            witness = witness or ("kh-fixed", m)
-
-    hk_fixed = True
-    family = set(hk.closed_family)
-    for t in _point_subsets(hk.n_points, 1024, seed + 3):
-        if (hk.closure(t) == t) != (t in family):
-            hk_fixed = False
-            witness = witness or ("hk-fixed", t)
-
-    kuratowski = True
-    smallest = True
-    pts = _point_subsets(hk.n_points, 256, seed + 4)
-    if hk.closure(0) != 0:
-        kuratowski = False
-    for t in pts:
-        ct = hk.closure(t)
-        if not is_subset(t, ct) or hk.closure(ct) != ct:
-            kuratowski = False
-            witness = witness or ("kuratowski", t)
-        best = full_mask(hk.n_points)
-        for c in hk.closed_family:
-            if is_subset(t, c):
-                best &= c
-        if best != ct:
-            smallest = False
-            witness = witness or ("smallest-closed", t)
-        for u in pts[:32]:
-            if hk.closure(t | u) != hk.closure(t) | hk.closure(u):
-                kuratowski = False
-                witness = witness or ("kuratowski-union", t, u)
-
-    return GaloisReport(
-        adjunction, hkh, khk, kh_rad, kh_fixed, hk_fixed, kuratowski, smallest,
-        pairs, witness,
-    )
-
-
-@dataclass(frozen=True)
 class SeparationReport:
     n_points: int
     t0: bool
-    t0_matches_antisymmetry: bool
-    specialization_reverse_containment: bool
     t1: bool
     spec_equals_max: bool
     hypothesis_square_outside_max: bool
     t1_iff_spec_equals_max: bool | None
-    witness: tuple | None
 
 
 def separation_report(st: SpecTopology) -> SeparationReport:
-    """Separation axioms, their specialization-order reading, and the
-    conditional equivalence of T1 with Spec = Max."""
-    hk = st.hk
-    fs = hk.space
-    witness = None
-    t0, w = is_t0(fs)
-    if w is not None:
-        witness = ("t0", *w)
+    """T0 and T1, and the conditional equivalence of T1 with Spec = Max.
 
-    antisym = True
-    rev = True
-    for i in range(hk.n_points):
-        for j in range(hk.n_points):
-            leq = specialization_leq(fs, i, j)
-            if leq != is_subset(hk.points[j], hk.points[i]):
-                rev = False
-                witness = witness or ("reverse-containment", i, j)
-            if i != j and leq and specialization_leq(fs, j, i):
-                antisym = False
-                witness = witness or ("antisymmetry", i, j)
-
-    t1, w = is_t1(fs)
+    The closure of a point P is H(P), and H(P) = H(Q) forces P = Q, so a
+    hull-kernel space is T0 and i lies in the closure of j exactly when
+    P_j is contained in P_i.  t0 is still computed, for the catalog and
+    the JSON report; t1 can differ from Spec = Max.
+    """
+    fs = st.hk.space
+    t1 = is_t1(fs)[0]
     maxima = set(st.lat.maximal_ideals())
     spec_eq_max = set(st.spec.primes) == maxima
     square = brace_square(st.brace)
     hypothesis = all(not is_subset(square, m) for m in maxima)
     t1_iff = (t1 == spec_eq_max) if hypothesis else None
     return SeparationReport(
-        hk.n_points, t0, t0 == antisym, rev, t1, spec_eq_max, hypothesis,
-        t1_iff, witness,
+        st.hk.n_points, is_t0(fs)[0], t1, spec_eq_max, hypothesis, t1_iff
     )
 
 

@@ -19,6 +19,7 @@ from sbspec.errors import ParseError
 from sbspec.groups import cyclic_table
 from sbspec.suite import (
     SuiteResult,
+    _check_separation,
     failures,
     run_brace_suite,
     run_catalog_checks,
@@ -191,6 +192,78 @@ def test_suite_check_names_pinned(z4_radical):
     assert [r.check for r in rows] == SUITE_CHECKS
 
 
+# (check, pass, fail, vacuous) over run_records(generate_catalog(6)).
+# Several rows hold by construction and carry only their vacuity rule
+# (galois-*, radical-laws-*, t0-specialization-*, hom-kernel-image,
+# star-image-exact, spec-map-surjectivity, restriction-square), so the
+# counts are what would move if one of those rules changed.
+CATALOG6_VERDICTS = [
+    ('record-integrity', 14, 0, 0),
+    ('brace-axioms', 14, 0, 0),
+    ('lambda-maps', 14, 0, 0),
+    ('ideal-criteria', 14, 0, 0),
+    ('multiplicative-lattice', 14, 0, 0),
+    ('generated-ideal-routes', 14, 0, 0),
+    ('star-chain', 14, 0, 0),
+    ('star-prime-subset-oracle', 8, 0, 6),
+    ('prime-ideal-implication', 0, 0, 14),
+    ('radical-laws-star', 14, 0, 0),
+    ('closed-axioms-star', 14, 0, 0),
+    ('galois-star', 14, 0, 0),
+    ('t0-specialization-star', 0, 0, 14),
+    ('t1-iff-spec-equals-max', 1, 0, 13),
+    ('irreducibles-are-hulls-star', 14, 0, 0),
+    ('generic-points-unique-star', 0, 0, 14),
+    ('components-minimal-primes-star', 0, 0, 14),
+    ('irreducible-iff-nil-prime-star', 14, 0, 0),
+    ('noetherian-compact-star', 14, 0, 0),
+    ('radical-laws-ksv', 14, 0, 0),
+    ('closed-axioms-ksv', 14, 0, 0),
+    ('galois-ksv', 14, 0, 0),
+    ('t0-specialization-ksv', 0, 0, 14),
+    ('irreducibles-are-hulls-ksv', 14, 0, 0),
+    ('generic-points-unique-ksv', 0, 0, 14),
+    ('components-minimal-primes-ksv', 0, 0, 14),
+    ('irreducible-iff-nil-prime-ksv', 14, 0, 0),
+    ('noetherian-compact-ksv', 14, 0, 0),
+    ('radical-laws-huq', 14, 0, 0),
+    ('closed-axioms-huq', 14, 0, 0),
+    ('galois-huq', 14, 0, 0),
+    ('t0-specialization-huq', 0, 0, 14),
+    ('irreducibles-are-hulls-huq', 14, 0, 0),
+    ('generic-points-unique-huq', 0, 0, 14),
+    ('components-minimal-primes-huq', 0, 0, 14),
+    ('irreducible-iff-nil-prime-huq', 14, 0, 0),
+    ('noetherian-compact-huq', 14, 0, 0),
+    ('maximal-prime-criterion', 13, 0, 1),
+    ('spectral-space-spec', 14, 0, 0),
+    ('closed-axioms-lattice', 14, 0, 0),
+    ('spectral-space-idl', 14, 0, 0),
+    ('hom-kernel-image', 14, 0, 0),
+    ('quotient-construction', 14, 0, 0),
+    ('ideal-correspondence', 14, 0, 0),
+    ('star-image-exact', 14, 0, 0),
+    ('extension-contraction-galois', 14, 0, 0),
+    ('spec-map-continuity', 0, 0, 14),
+    ('spec-map-surjectivity', 0, 0, 14),
+    ('spec-map-injectivity', 0, 0, 14),
+    ('spec-map-kernel-hull', 0, 0, 14),
+    ('spec-map-density', 0, 0, 14),
+    ('nil-quotient-homeomorphic', 0, 0, 14),
+    ('restriction-square', 0, 0, 14),
+    ('enumeration-raw-agreement', 6, 0, 0),
+    ('catalog-isomorphism-free', 6, 0, 0),
+    ('catalog-matches-enumeration', 1, 0, 0),
+    ('catalog-deterministic', 1, 0, 0),
+]
+
+
+def test_catalog6_verdict_table(catalog6):
+    rows = run_records(catalog6)
+    assert len(rows) == 756
+    assert summarize(rows) == CATALOG6_VERDICTS
+
+
 def test_generated_routes_sample_past_4096_seeds(z4_radical):
     # order 12 and below: every seed, with no sampling note
     rows = run_brace_suite("z4r", z4_radical)
@@ -200,6 +273,13 @@ def test_generated_routes_sample_past_4096_seeds(z4_radical):
     assert failures(rows) == []
     row = {r.check: r for r in rows}["generated-ideal-routes"]
     assert (row.verdict, row.detail) == ("pass", "sampled 4096 of 2^13")
+
+
+def test_t0_row_needs_two_points(a5_trivial):
+    # T0 holds in every hull-kernel space, so the row is a literal pass
+    # whose only content is its vacuity rule: one point is not evidence
+    rows = _check_separation("a5", a5_trivial, "huq")
+    assert [(r.verdict, r.detail) for r in rows] == [("vacuous", "points=1")]
 
 
 def test_zero_brace_suite_vacuities(zero_brace):
