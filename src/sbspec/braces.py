@@ -46,6 +46,14 @@ class SkewBrace:
     add: Table
     mul: Table
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # every lru_cache lookup hashes the brace; the 2n^2 entries once
+        return hash((self.add, self.mul))
+
     @property
     def order(self) -> int:
         return len(self.add)

@@ -10,8 +10,15 @@ add_closure and generated_ideal are single-pass worklists: each element
 is processed once, ORing in its sums with the elements processed before
 it and, for ideals, its orbit masks (SkewBrace.add_conj_orbit,
 .mul_conj_orbit, .lam_orbit).  ideal_check tests normality and twist
-invariance on the same masks.  A join of ideals is an additive closure
-looked up in the enumerated ideal set rather than re-validated.
+invariance on the same masks.
+
+The lattice is built from ideals and their generators: all_ideals closes
+the principal ideals (one generated_ideal per element orbit) under set
+sums, IdealLattice reads joins off the size-sorted member list and takes
+star products of ideals from generator pairs (the proof is on the
+class).  additive_subgroups, add_closure and star_ideal sweep subgroups
+and element pairs; they stay as the oracles the suite and tests compare
+the lattice against.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .bitsets import bits, full_mask, is_subset, mask_of, popcount
+from .bitsets import bits, full_mask, is_subset, popcount
 from .braces import SkewBrace
 from .errors import ConsistencyError
 
@@ -142,27 +149,27 @@ def is_ideal(brace: SkewBrace, mask: Mask) -> bool:
     return ideal_check(brace, mask).ok
 
 
-def _sum_closure(brace: SkewBrace, closed: Mask, orbits) -> Mask:
-    """Least superset of closed under + and each per-element orbit mask.
+def _sum_closure(table, closed: Mask, orbits) -> Mask:
+    """Least superset of closed under the table and each per-element orbit mask.
 
-    Worklist: pop the lowest unprocessed element i, OR in orbit[i], i + i,
-    and i + j, j + i for every processed j, so each pair is touched once.
-    A finite subset closed under + is a subgroup, so negatives need no
-    step of their own.
+    Worklist: pop the lowest unprocessed element i, OR in orbit[i], i·i,
+    and i·j, j·i for every processed j (· the table's operation), so each
+    pair is touched once.
+    A finite subset closed under a group operation is a subgroup, so
+    inverses need no step of their own.
     """
-    add = brace.add
-    full = full_mask(brace.order)
+    full = full_mask(len(table))
     done: list[int] = []
     processed = 0
     todo = closed
     while todo:
         i = (todo & -todo).bit_length() - 1
-        row = add[i]
+        row = table[i]
         closed |= 1 << row[i]
         for orbit in orbits:
             closed |= orbit[i]
         for j in done:
-            closed |= 1 << row[j] | 1 << add[j][i]
+            closed |= 1 << row[j] | 1 << table[j][i]
         if closed == full:
             return full
         done.append(i)
@@ -176,7 +183,7 @@ def add_closure(brace: SkewBrace, mask: Mask) -> Mask:
 
     One pass of the sum worklist: every pair of members is added once.
     """
-    return _sum_closure(brace, mask | 1, ())
+    return _sum_closure(brace.add, mask | 1, ())
 
 
 @lru_cache(maxsize=None)
@@ -197,12 +204,6 @@ def additive_subgroups(brace: SkewBrace) -> tuple[Mask, ...]:
     return tuple(sorted(found, key=lambda m: (popcount(m), m)))
 
 
-@lru_cache(maxsize=None)
-def all_ideals(brace: SkewBrace) -> tuple[Mask, ...]:
-    """All ideals, sorted by size then mask.  Sweeps additive subgroups only."""
-    return tuple(m for m in additive_subgroups(brace) if is_ideal(brace, m))
-
-
 def generated_ideal(brace: SkewBrace, seed: Mask) -> Mask:
     """Least ideal containing the masked set.
 
@@ -212,41 +213,93 @@ def generated_ideal(brace: SkewBrace, seed: Mask) -> Mask:
     closure follows on finite sets, since a ∘ b = a + lam[a][b].
     """
     orbits = (brace.add_conj_orbit, brace.mul_conj_orbit, brace.lam_orbit)
-    return _sum_closure(brace, seed | 1, orbits)
+    return _sum_closure(brace.add, seed | 1, orbits)
 
 
 @lru_cache(maxsize=None)
-def _ideal_set(brace: SkewBrace) -> frozenset[Mask]:
-    return frozenset(all_ideals(brace))
+def principal_ideals(brace: SkewBrace) -> tuple[Mask, ...]:
+    """The ideal generated by each element, indexed by element.
 
-
-def _join(brace: SkewBrace, union: Mask, ideals) -> Mask:
-    """Additive closure of a union of ideals, looked up in the ideal set.
-
-    A sum of ideals is an ideal, so a closure missing from ideals means an
-    argument was not an ideal (or the enumeration is wrong).
+    Elements of one additive-conjugation, multiplicative-conjugation or
+    twist orbit generate the same ideal (each lies in the other's, since
+    the three actions are group actions), so one closure serves an orbit.
     """
-    total = add_closure(brace, union)
-    if total not in ideals:
-        raise ConsistencyError(
-            f"additive closure {total:#x} of {union:#x} is not an ideal"
-        )
-    return total
+    out: list[Mask] = [0] * brace.order
+    orbits = (brace.add_conj_orbit, brace.mul_conj_orbit, brace.lam_orbit)
+    for a in range(brace.order):
+        if not out[a]:
+            ideal = generated_ideal(brace, 1 << a)
+            for b in bits(orbits[0][a] | orbits[1][a] | orbits[2][a]):
+                out[b] = ideal
+    return tuple(out)
+
+
+def _set_sum(brace: SkewBrace, x: Mask, y: Mask) -> Mask:
+    """x + y for normal additive subgroups: the union of the cosets x + j."""
+    add = brace.add
+    out = x
+    for j in bits(y & ~x):
+        if not out >> j & 1:
+            for i in bits(x):
+                out |= 1 << add[i][j]
+    return out
+
+
+@lru_cache(maxsize=None)
+def all_ideals(brace: SkewBrace) -> tuple[Mask, ...]:
+    """All ideals, sorted by size then mask.
+
+    Every ideal is the join of the principal ideals of its elements, so
+    closing the distinct principal ideals under joins with a principal
+    ideal reaches every ideal.  A join of ideals is their set sum.
+    """
+    principal = sorted(set(principal_ideals(brace)))
+    found = set(principal)
+    frontier = list(principal)
+    while frontier:
+        x = frontier.pop()
+        for p in principal:
+            if p & ~x:
+                total = _set_sum(brace, x, p)
+                if total not in found:
+                    found.add(total)
+                    frontier.append(total)
+    return tuple(sorted(found, key=lambda m: (popcount(m), m)))
+
+
+def _greedy_generators(table, mask: Mask) -> tuple[int, ...]:
+    """Elements of mask, in order, each outside the closure of those before.
+
+    For a subgroup mask they generate it under the table's operation.
+    """
+    gens = []
+    closed = 1
+    for x in bits(mask):
+        if not closed >> x & 1:
+            gens.append(x)
+            closed = _sum_closure(table, closed | 1 << x, ())
+    return tuple(gens)
 
 
 def sum_ideals(brace: SkewBrace, x: Mask, y: Mask) -> Mask:
     """Join of two ideals: the additive subgroup generated by their union."""
-    return _join(brace, x | y, _ideal_set(brace))
+    return family_sum(brace, (x, y))
 
 
 def family_sum(brace: SkewBrace, masks) -> Mask:
-    """Join of a family of ideals; the empty family sums to the zero ideal."""
-    total: Mask = 1
+    """Join of a family of ideals, read off the lattice's join table.
+
+    The empty family sums to the zero ideal; a mask that is not an ideal
+    raises ConsistencyError.
+    """
+    lat = ideal_lattice(brace)
+    pos = 0
     for m in masks:
-        total |= m
-    if total == 1:
-        return 1
-    return _join(brace, total, _ideal_set(brace))
+        i = lat.index.get(m)
+        if i is None:
+            raise ConsistencyError(f"mask {m:#x} is not an ideal")
+        pos = lat.join_table[pos][i]
+    return lat.members[pos]
 
 
 def star_set(brace: SkewBrace, x: Mask, y: Mask) -> Mask:
@@ -289,13 +342,27 @@ def huq_commutator(brace: SkewBrace, x: Mask, y: Mask) -> Mask:
 
 
 def ideal_weight(brace: SkewBrace, mask: Mask) -> int:
-    """Least size of a generating subset; the zero ideal has weight 1."""
+    """Least size of a generating subset; the zero ideal has weight 1.
+
+    A k-subset of the ideal generates the join of its elements' principal
+    ideals, so the search runs over combinations of the distinct nonzero
+    principal ideals inside mask, joined through the lattice's table.
+    """
     if mask == 1:
         return 1
-    gens = [i for i in bits(mask) if i != 0]
-    for k in range(1, len(gens) + 1):
-        for combo in itertools.combinations(gens, k):
-            if generated_ideal(brace, mask_of(combo)) == mask:
+    lat = ideal_lattice(brace)
+    target = lat.index.get(mask)
+    if target is None:
+        raise ConsistencyError(f"mask {mask:#x} is not an ideal")
+    principal = principal_ideals(brace)
+    inside = sorted({lat.index[principal[a]] for a in bits(mask) if a})
+    join = lat.join_table
+    for k in range(1, len(inside) + 1):
+        for combo in itertools.combinations(inside, k):
+            pos = combo[0]
+            for q in combo[1:]:
+                pos = join[pos][q]
+            if pos == target:
                 return k
     raise ConsistencyError(f"mask {mask:#x} does not generate itself")
 
@@ -304,9 +371,31 @@ class IdealLattice:
     """All ideals of one brace with meet, join and star product tables.
 
     Members are kept sorted by size then mask; tables are indexed by the
-    member positions.  Joins are additive closures looked up in the member
-    index.  Instances are immutable after construction; weights, which
-    are combinatorial in the generator count, are computed on first read.
+    member positions.  No table entry runs a closure over a pair:
+
+    - meets are intersections, looked up in the member index;
+    - the join of x and y is their set sum, of size |x||y|/|x ∩ y|.  Every
+      upper bound contains it, so it is the first member, in size order,
+      above both; a first upper bound of another size means the member
+      list is not closed under sums and raises ConsistencyError;
+    - the star product x·y, the ideal generated by the pointwise products,
+      is generated by g·h with g over ∘-generators of x and h over
+      +-generators of y (greedy, add_generators and mul_generators), and
+      each distinct generator seed is closed once.
+
+    Proof of the star rule.  Let K be the ideal generated by those g·h.
+    It lies in the ideal generated by all of x·y, so it remains to show
+    a·b ∈ K for a ∈ x and b ∈ y.  Fix g.  By a·(b + c) = a·b + b + a·c − b
+    and the normality of K in (A, +), the b with g·b ∈ K form a set
+    closed under + that contains 0, hence an additive subgroup; it holds
+    the +-generators of y, so all of y.  Next, by
+    (a ∘ b)·c = a·(b·c) + b·c + a·c and A·K ⊆ K (a·k = lam[a][k] − k,
+    and K is twist invariant), the a with a·y ⊆ K form a set closed
+    under ∘ that contains 0, hence a multiplicative subgroup; it holds
+    the ∘-generators of x, so all of x.
+
+    Instances are immutable after construction; weights, which are
+    combinatorial in the generator count, are computed on first read.
     """
 
     def __init__(self, brace: SkewBrace):
@@ -317,20 +406,55 @@ class IdealLattice:
         self.top: Mask = full_mask(brace.order)
         if self.members[0] != self.bottom or self.members[-1] != self.top:
             raise ConsistencyError("ideal lattice lacks bottom or top")
-        k = len(self.members)
-        meet = [[0] * k for _ in range(k)]
+        members, index = self.members, self.index
+        k = len(members)
+        sizes = [popcount(m) for m in members]
+
+        meet = []
+        above = [0] * k  # bit j of above[i]: member j contains member i
+        for i, x in enumerate(members):
+            row = [index[x & y] for y in members]
+            for j, m in enumerate(row):
+                if m == i:
+                    above[i] |= 1 << j
+            meet.append(tuple(row))
+        self.meet_table = tuple(meet)
+
         join = [[0] * k for _ in range(k)]
-        star = [[0] * k for _ in range(k)]
-        for i, x in enumerate(self.members):
-            for j, y in enumerate(self.members):
-                meet[i][j] = self.index[x & y]
-                if j >= i:
-                    total = _join(brace, x | y, self.index)
-                    join[i][j] = join[j][i] = self.index[total]
-                star[i][j] = self.index[star_ideal(brace, x, y)]
-        self.meet_table = tuple(tuple(r) for r in meet)
+        for i in range(k):
+            for j in range(i, k):
+                both = above[i] & above[j]
+                pos = (both & -both).bit_length() - 1
+                if sizes[pos] * sizes[meet[i][j]] != sizes[i] * sizes[j]:
+                    raise ConsistencyError(
+                        f"no member is the sum of {members[i]:#x} and {members[j]:#x}"
+                    )
+                join[i][j] = join[j][i] = pos
         self.join_table = tuple(tuple(r) for r in join)
-        self.star_table = tuple(tuple(r) for r in star)
+
+        self.add_generators = tuple(_greedy_generators(brace.add, m) for m in members)
+        self.mul_generators = tuple(_greedy_generators(brace.mul, m) for m in members)
+        star = brace.star
+        ideal_of_seed: dict[Mask, int] = {}
+        table = []
+        for hs in self.add_generators:
+            # by_g[g]: the products g·h over the +-generators h of this member
+            by_g = [0] * brace.order
+            for g in range(brace.order):
+                row = star[g]
+                for h in hs:
+                    by_g[g] |= 1 << row[h]
+            column = []
+            for gs in self.mul_generators:
+                seed = 1
+                for g in gs:
+                    seed |= by_g[g]
+                pos = ideal_of_seed.get(seed)
+                if pos is None:
+                    pos = ideal_of_seed[seed] = index[generated_ideal(brace, seed)]
+                column.append(pos)
+            table.append(column)
+        self.star_table = tuple(zip(*table))
 
     @cached_property
     def weights(self) -> tuple[int, ...]:
@@ -352,14 +476,8 @@ class IdealLattice:
         return self.members[self.star_table[self.index[x]][self.index[y]]]
 
     def generated(self, seed: Mask) -> Mask:
-        """Least member containing the seed, via intersection of members."""
-        out = self.top
-        for m in self.members:
-            if is_subset(seed, m):
-                out &= m
-        if out not in self.index:
-            raise ConsistencyError("intersection of members left the lattice")
-        return out
+        """Least member containing the seed: the first one in size order."""
+        return next(m for m in self.members if is_subset(seed, m))
 
     def proper_members(self) -> tuple[Mask, ...]:
         return tuple(m for m in self.members if m != self.top)

@@ -225,14 +225,8 @@ class HullKernelSpace:
         for m in lat.members:
             closed.setdefault(self.hull_by_member[m], None)
         family = sorted(closed, key=lambda c: (popcount(c), c))
-        defining = []
-        for c in family:
-            k = self.kern(c)
-            if k not in lat.index:
-                raise ConsistencyError("kernel of a closed set is not an ideal")
-            defining.append(k)
         self.closed_family: tuple[int, ...] = tuple(family)
-        self.defining: tuple[Mask, ...] = tuple(defining)
+        self.defining: tuple[Mask, ...] = tuple(self.kern(c) for c in family)
         self.space = finite_space(self.n_points, family)
 
     def hull_of_elements(self, elem_mask: Mask) -> int:

@@ -110,6 +110,16 @@ def test_direct_product(z2_trivial, z3_trivial):
     assert is_isomorphic(prod, trivial_brace(cyclic_table(6))) is not None
 
 
+def test_hash_and_equality_follow_the_tables(z4_radical):
+    # the hash is cached per instance; separately built equal braces
+    # still hash and compare equal, and a relabelled one does not compare equal
+    rebuilt = validate([list(r) for r in z4_radical.add], [list(r) for r in z4_radical.mul])
+    assert rebuilt is not z4_radical
+    assert rebuilt == z4_radical
+    assert hash(rebuilt) == hash(z4_radical) == hash((z4_radical.add, z4_radical.mul))
+    assert relabel(z4_radical, (0, 3, 1, 2)) != z4_radical
+
+
 def test_neg_inv_tables(z4_radical):
     for a in range(4):
         assert z4_radical.add[a][z4_radical.neg[a]] == 0

@@ -1,4 +1,4 @@
-"""Ideal layer: an independent subset-sweep oracle, frozen lattices, closures."""
+"""Ideal layer: subset-sweep and seed-route oracles, frozen lattices, closures."""
 
 import itertools
 
@@ -400,8 +400,7 @@ def test_orbit_masks(s3_almost):
 
 
 def test_joins_reject_non_ideals(s3_trivial):
-    # {0, 1} is a non-normal order-2 subgroup: its additive closure is
-    # itself, which is missing from the ideal set
+    # {0, 1} is a non-normal order-2 subgroup, so it is not a lattice member
     two = mask_of([0, 1])
     assert add_closure(s3_trivial, two) == two
     with pytest.raises(ConsistencyError):
@@ -412,3 +411,104 @@ def test_joins_reject_non_ideals(s3_trivial):
     a3 = generated_ideal(s3_trivial, mask_of([3]))
     assert sum_ideals(s3_trivial, a3, 1) == a3
     assert family_sum(s3_trivial, [a3, full_mask(6)]) == full_mask(6)
+
+
+# ---------------------------------------------------------------------------
+# the lattice's generator routes against the seed route: subgroup sweep,
+# additive-closure joins and element-pair star products
+
+
+def seed_route_tables(brace):
+    members = tuple(m for m in additive_subgroups(brace) if is_ideal(brace, m))
+    index = {m: i for i, m in enumerate(members)}
+    meet = tuple(tuple(index[x & y] for y in members) for x in members)
+    join = tuple(
+        tuple(index[add_closure(brace, x | y)] for y in members) for x in members
+    )
+    star = tuple(
+        tuple(index[star_ideal(brace, x, y)] for y in members) for x in members
+    )
+    return members, meet, join, star
+
+
+def reference_closure(table, mask):
+    """Round-based closure of mask | {0} under the table's operation."""
+    closed = mask | 1
+    while True:
+        members = list(bits(closed))
+        grown = closed
+        for i in members:
+            for j in members:
+                grown |= 1 << table[i][j]
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+def lattice_oracle_corpus():
+    s3xz2 = product_table(symmetric_table(3), cyclic_table(2))
+    a4 = alternating4_table()
+    z2_cubed = product_table(product_table(cyclic_table(2), cyclic_table(2)), cyclic_table(2))
+    return catalog_braces() + [
+        trivial_brace(z2_cubed),
+        trivial_brace(cyclic_table(12)),
+        trivial_brace(a4),
+        almost_trivial_brace(a4),
+        trivial_brace(s3xz2),
+        almost_trivial_brace(s3xz2),
+        almost_trivial_brace(symmetric_table(4)),
+    ]
+
+
+def assert_lattice_matches_seed_route(brace):
+    lat = ideal_lattice(brace)
+    members, meet, join, star = seed_route_tables(brace)
+    assert lat.members == members
+    assert lat.meet_table == meet
+    assert lat.join_table == join
+    assert lat.star_table == star
+    for m, add_gens, mul_gens in zip(members, lat.add_generators, lat.mul_generators):
+        assert reference_closure(brace.add, mask_of(add_gens)) == m
+        assert reference_closure(brace.mul, mask_of(mul_gens)) == m
+
+
+@pytest.mark.parametrize(
+    "brace", lattice_oracle_corpus(), ids=lambda b: b.describe()
+)
+def test_lattice_tables_match_seed_route(brace):
+    assert_lattice_matches_seed_route(brace)
+
+
+def test_a5_lattice_tables_match_seed_route(a5_trivial, a5_almost):
+    for brace in (a5_trivial, a5_almost):
+        assert_lattice_matches_seed_route(brace)
+
+
+def test_nontrivial_star_products_are_covered():
+    # almost-trivial S4, A4 and S3 x Z2 multiply the whole brace into a
+    # proper nonzero ideal, so the star tables above are not all zero
+    for table in (symmetric_table(4), alternating4_table(),
+                  product_table(symmetric_table(3), cyclic_table(2))):
+        lat = ideal_lattice(almost_trivial_brace(table))
+        square = lat.star(lat.top, lat.top)
+        assert square not in (lat.bottom, lat.top)
+
+
+def elementwise_weight(brace, mask):
+    """Least k such that some k nonzero elements generate mask."""
+    if mask == 1:
+        return 1
+    gens = [i for i in bits(mask) if i != 0]
+    for k in range(1, len(gens) + 1):
+        for combo in itertools.combinations(gens, k):
+            if generated_ideal(brace, mask_of(combo)) == mask:
+                return k
+    raise AssertionError(f"mask {mask:#x} does not generate itself")
+
+
+@pytest.mark.parametrize(
+    "brace", catalog_braces(), ids=lambda b: b.describe()
+)
+def test_weights_match_elementwise_search(brace):
+    lat = ideal_lattice(brace)
+    assert lat.weights == tuple(elementwise_weight(brace, m) for m in lat.members)
