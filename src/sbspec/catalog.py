@@ -20,7 +20,6 @@ from .serialize import dumps
 from .spectra import PRIME_KINDS, spectrum
 from .topology import (
     connected_component_count,
-    lattice_spectrum,
     separation_report,
     spec_topology,
     spectral_report,
@@ -52,7 +51,7 @@ def build_record(brace_id: str, brace: SkewBrace) -> CatalogRecord:
     lat = ideal_lattice(brace)
     st = spec_topology(brace, "star")
     sep = separation_report(st)
-    ls = lattice_spectrum(brace)
+    spectral = spectral_report(st.hk.space).spectral
     return CatalogRecord(
         brace_id=brace_id,
         order=brace.order,
@@ -65,12 +64,12 @@ def build_record(brace_id: str, brace: SkewBrace) -> CatalogRecord:
         spec_sizes=tuple(
             (kind, len(spectrum(brace, kind).primes)) for kind in PRIME_KINDS
         ),
-        lattice_spec_size=len(ls.primes),
+        lattice_spec_size=len(st.primes),
         t0=sep.t0,
         t1=sep.t1,
         components=connected_component_count(st.hk.space),
-        spec_spectral=spectral_report(st.hk.space).spectral,
-        idl_spectral=spectral_report(ls.hk.space).spectral,
+        spec_spectral=spectral,
+        idl_spectral=spectral,
     )
 
 

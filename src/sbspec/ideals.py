@@ -373,7 +373,8 @@ class IdealLattice:
     Members are kept sorted by size then mask; tables are indexed by the
     member positions.  No table entry runs a closure over a pair:
 
-    - meets are intersections, looked up in the member index;
+    - meets are intersections, looked up in the member index (a meet or
+      star product outside it raises ConsistencyError naming the pair);
     - the join of x and y is their set sum, of size |x||y|/|x ∩ y|.  Every
       upper bound contains it, so it is the first member, in size order,
       above both; a first upper bound of another size means the member
@@ -410,10 +411,15 @@ class IdealLattice:
         k = len(members)
         sizes = [popcount(m) for m in members]
 
+        def position(m: Mask, what: str, x: Mask, y: Mask) -> int:
+            if m not in index:
+                raise ConsistencyError(f"{what} of {x:#x} and {y:#x} is not a member")
+            return index[m]
+
         meet = []
         above = [0] * k  # bit j of above[i]: member j contains member i
         for i, x in enumerate(members):
-            row = [index[x & y] for y in members]
+            row = [position(x & y, "meet", x, y) for y in members]
             for j, m in enumerate(row):
                 if m == i:
                     above[i] |= 1 << j
@@ -437,7 +443,7 @@ class IdealLattice:
         star = brace.star
         ideal_of_seed: dict[Mask, int] = {}
         table = []
-        for hs in self.add_generators:
+        for y, hs in zip(members, self.add_generators):
             # by_g[g]: the products g·h over the +-generators h of this member
             by_g = [0] * brace.order
             for g in range(brace.order):
@@ -445,13 +451,14 @@ class IdealLattice:
                 for h in hs:
                     by_g[g] |= 1 << row[h]
             column = []
-            for gs in self.mul_generators:
+            for x, gs in zip(members, self.mul_generators):
                 seed = 1
                 for g in gs:
                     seed |= by_g[g]
                 pos = ideal_of_seed.get(seed)
                 if pos is None:
-                    pos = ideal_of_seed[seed] = index[generated_ideal(brace, seed)]
+                    product = generated_ideal(brace, seed)
+                    pos = ideal_of_seed[seed] = position(product, "star product", x, y)
                 column.append(pos)
             table.append(column)
         self.star_table = tuple(zip(*table))

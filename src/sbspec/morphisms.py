@@ -137,8 +137,9 @@ class Quotient:
     projection: Hom
 
 
+@lru_cache(maxsize=None)
 def quotient(brace: SkewBrace, ideal: Mask) -> Quotient:
-    """Quotient by additive cosets.
+    """Quotient by additive cosets, cached per (brace, ideal).
 
     Cosets are found in element order, so each representative is the
     minimal element of its coset and the identity coset sits at index 0.
@@ -168,8 +169,9 @@ def quotient_has_primes(brace: SkewBrace, ideal: Mask, kind: str = "star") -> bo
     """Whether Spec(A/J) is non-empty, read off Spec A without building A/J.
 
     The primes of A/J are the P/J for the primes P of A containing J:
-    pi(a) * pi(b) = pi(a * b), and a lies outside P exactly when pi(a)
-    lies outside P/J.
+    pi maps ideals onto ideals with pi(I K) = pi(I) pi(K) for the star and
+    commutator products, and pi(I) lies in pi(P) exactly when I lies in
+    P + J = P, so the ideal pairs that witness against P and P/J match.
     """
     return any(is_subset(ideal, p) for p in spectrum(brace, kind).primes)
 

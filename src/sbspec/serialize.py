@@ -23,7 +23,6 @@ from .topology import (
     connected_component_count,
     irreducibility_report,
     is_topology,
-    lattice_spectrum,
     separation_report,
     spec_topology,
     spectral_report,
@@ -184,11 +183,12 @@ def topology_to_dict(brace: SkewBrace, kind: str) -> dict:
 
 
 def lattice_spectrum_to_dict(brace: SkewBrace) -> dict:
-    ls = lattice_spectrum(brace)
-    axioms_ok = closed_axioms_report(ls.hk).ok and is_topology(ls.hk.space)[0]
-    spc = spectral_report(ls.hk.space)
+    """Spec(Idl A), which is the star spectrum."""
+    st = spec_topology(brace, "star")
+    axioms_ok = closed_axioms_report(st.hk).ok and is_topology(st.hk.space)[0]
+    spc = spectral_report(st.hk.space)
     return {
-        "primes": [member_list(p) for p in ls.primes],
+        "primes": [member_list(p) for p in st.primes],
         "closed_axioms": axioms_ok,
         "spectral": spc.spectral,
     }

@@ -1,13 +1,15 @@
-"""Prime ideals of a skew brace under three inequivalent definitions.
+"""Prime ideals of a skew brace under three definitions.
 
-Kinds:
-  star  pointwise: no two elements outside P star-multiply into P.
-        Equivalent to the quantification over arbitrary subsets, which
-        is kept as is_prime_star_by_subsets for use as a test oracle.
-  ksv   over ideal pairs, with the star product closed into an additive
-        subgroup before comparing against P.
-  huq   over ideal pairs, with the commutator ideal in place of the
-        star product.
+A proper ideal P is prime for an ideal product when no two ideals
+outside P have their product in P.  One loop, ideal_pair_witness,
+decides this for every kind, with the product kind_product names: star,
+the ideal generated by the products i*j (the paper's primes, so
+Spec(Idl A) is this spectrum); ksv, the additive subgroup they generate,
+which decides every pair as star does; huq, the commutator ideal.
+
+is_prime_pointwise, no two elements outside P star-multiplying into P,
+is an oracle: it implies star primality, but not conversely (on the
+almost-trivial brace of A5, {0} is star prime).
 
 A spectrum may well be empty; emptiness is a result, not an error.
 """
@@ -40,32 +42,30 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown prime kind {kind!r}, expected one of {PRIME_KINDS}")
 
 
-def is_prime(brace: SkewBrace, mask: Mask, kind: str) -> tuple[bool, tuple | None]:
-    """Primality of a proper ideal, with a witness for failures.
+def kind_product(lat: IdealLattice, kind: str) -> Callable[[Mask, Mask], Mask]:
+    """The ideal product that decides primality of one kind.
 
-    Witnesses: ("elements", a, b) for the star kind, ("ideals", x, y)
-    for the other two.
+    star and ksv get the lattice's star table.  For ksv that is a theorem:
+    an ideal P contains the products i*j exactly when it contains the
+    additive subgroup they generate (P is a subgroup), and exactly when it
+    contains the ideal they generate (P is an ideal).  So both tests agree
+    on every pair, witnesses included.  huq gets the commutator ideal.
     """
     _check_kind(kind)
-    n = brace.order
-    if mask == full_mask(n):
+    if kind == "huq":
+        return lambda x, y: huq_commutator(lat.brace, x, y)
+    return lat.star
+
+
+def is_prime(brace: SkewBrace, mask: Mask, kind: str) -> tuple[bool, tuple | None]:
+    """Primality of a proper ideal, with a witness ("ideals", x, y) for
+    failures: members outside mask whose product lies in it."""
+    lat = ideal_lattice(brace)
+    product = kind_product(lat, kind)
+    if mask == lat.top:
         raise NotProperError("primality is only defined for proper ideals")
-    if kind == "star":
-        star = brace.star
-        outside = [a for a in range(n) if not mask >> a & 1]
-        for a in outside:
-            row = star[a]
-            for b in outside:
-                if mask >> row[b] & 1:
-                    return False, ("elements", a, b)
-        return True, None
-    op = star_subgroup if kind == "ksv" else huq_commutator
-    pair = ideal_pair_witness(
-        ideal_lattice(brace), mask, lambda x, y: op(brace, x, y)
-    )
-    if pair is None:
-        return True, None
-    return False, ("ideals", *pair)
+    pair = ideal_pair_witness(lat, mask, product)
+    return (True, None) if pair is None else (False, ("ideals", *pair))
 
 
 def ideal_pair_witness(
@@ -74,8 +74,7 @@ def ideal_pair_witness(
     """The first pair of members outside mask whose product lies in mask.
 
     None means mask is prime for that product.  This is the one
-    ideal-pair primality loop: is_prime runs it for ksv and huq, and the
-    lattice spectrum runs it with the lattice's star multiplication.
+    primality loop: is_prime runs it for every kind, with kind_product.
     """
     for x in lat.members:
         if is_subset(x, mask):
@@ -88,8 +87,23 @@ def ideal_pair_witness(
     return None
 
 
+def is_prime_pointwise(brace: SkewBrace, mask: Mask) -> tuple[bool, tuple | None]:
+    """Oracle: no two elements outside mask star-multiply into it, else
+    the witness ("elements", a, b).  It implies star primality: a in I
+    and b in J outside P give a*b in I*J outside P."""
+    if mask == full_mask(brace.order):
+        raise NotProperError("primality is only defined for proper ideals")
+    outside = [a for a in range(brace.order) if not mask >> a & 1]
+    for a in outside:
+        row = brace.star[a]
+        for b in outside:
+            if mask >> row[b] & 1:
+                return False, ("elements", a, b)
+    return True, None
+
+
 def is_prime_star_by_subsets(brace: SkewBrace, mask: Mask) -> tuple[bool, tuple | None]:
-    """Oracle for the star kind: quantify over all subset pairs directly."""
+    """Oracle for is_prime_pointwise: quantify over all subset pairs directly."""
     n = brace.order
     if mask == full_mask(n):
         raise NotProperError("primality is only defined for proper ideals")

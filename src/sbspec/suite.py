@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
 
 from .bitsets import is_subset, popcount
 from .braces import is_isomorphic, validate, SkewBrace
@@ -48,6 +47,7 @@ from .spectra import (
     PRIME_KINDS,
     brace_square,
     is_prime,
+    is_prime_pointwise,
     is_prime_star_by_subsets,
     maximal_prime_criterion,
     spectrum,
@@ -56,7 +56,6 @@ from .topology import (
     closed_axioms_report,
     irreducibility_report,
     is_topology,
-    lattice_spectrum,
     noetherian_report,
     separation_report,
     spec_topology,
@@ -190,7 +189,7 @@ def _check_subset_oracle(bid: str, brace: SkewBrace):
     ok = True
     witness = None
     for m in lat.proper_members():
-        fast = is_prime(brace, m, "star")[0]
+        fast = is_prime_pointwise(brace, m)[0]
         slow = is_prime_star_by_subsets(brace, m)[0]
         if fast != slow:
             ok = False
@@ -199,18 +198,18 @@ def _check_subset_oracle(bid: str, brace: SkewBrace):
 
 
 def _check_prime_implication(bid: str, brace: SkewBrace):
-    """Elementwise primality forces the ideal-pair implication."""
-    lat = ideal_lattice(brace)
-    primes = spectrum(brace, "star").primes
+    """Pointwise primality forces star primality, decided over ideal pairs."""
+    primes = [
+        m for m in ideal_lattice(brace).proper_members()
+        if is_prime_pointwise(brace, m)[0]
+    ]
     ok = True
     witness = None
     for p in primes:
-        for i in lat.members:
-            for j in lat.members:
-                if is_subset(star_set(brace, i, j), p):
-                    if not is_subset(i, p) and not is_subset(j, p):
-                        ok = False
-                        witness = witness or (p, i, j)
+        prime, why = is_prime(brace, p, "star")
+        if not prime:
+            ok = False
+            witness = witness or (p, why)
     return _row(
         bid, "prime-ideal-implication", ok, vacuous=not primes,
         detail=str(witness) if witness else f"primes={len(primes)}",
@@ -309,25 +308,21 @@ def _check_noetherian(bid: str, brace: SkewBrace, kind: str):
 
 
 def _check_spectral(bid: str, brace: SkewBrace):
+    # Spec(Idl A) is the star spectrum: the idl rows read the same space
     st = spec_topology(brace, "star")
     rep = spectral_report(st.hk.space)
-    rows = [
+    axioms_ok = closed_axioms_report(st.hk).ok and is_topology(st.hk.space)[0]
+    return [
         _row(
             bid, "spectral-space-spec", rep.spectral,
             detail=f"t0={rep.t0} sober={rep.sober}",
-        )
-    ]
-    ls = lattice_spectrum(brace)
-    axioms_ok = closed_axioms_report(ls.hk).ok and is_topology(ls.hk.space)[0]
-    srep = spectral_report(ls.hk.space)
-    rows.append(_row(bid, "closed-axioms-lattice", axioms_ok))
-    rows.append(
+        ),
+        _row(bid, "closed-axioms-lattice", axioms_ok),
         _row(
-            bid, "spectral-space-idl", srep.spectral,
-            detail=f"points={len(ls.primes)}",
-        )
-    )
-    return rows
+            bid, "spectral-space-idl", rep.spectral,
+            detail=f"points={len(st.primes)}",
+        ),
+    ]
 
 
 def _corpus(brace: SkewBrace, quotients):
@@ -450,10 +445,9 @@ def _check_restriction_squares(bid: str, brace: SkewBrace, homs):
 def run_brace_suite(brace_id: str, brace: SkewBrace) -> list[SuiteResult]:
     out: list[SuiteResult] = []
 
-    @cache
     def quotients():
-        # one quotient per ideal, shared by the morphism rows; an error is
-        # not cached, so every row that reads it becomes a fail row
+        # quotient is cached per (brace, ideal) and an error is not, so
+        # every row that reads a failing quotient becomes a fail row
         return tuple(quotient(brace, m) for m in ideal_lattice(brace).members)
 
     def corpus():

@@ -9,7 +9,8 @@ KH = radical follow from that pair, and T0 from the points being
 distinct ideals, so none of them is recomputed as a check.  What is
 checked is what depends on the points being prime: the closed-set
 axioms of the hull family, T1 against Spec = Max, irreducibility and
-the closed-chain length.
+the closed-chain length.  Each space carries the product its points
+are prime for, and the union law H(I) | H(J) = H(I J) is checked on it.
 
 FiniteSpace is a plain finite topological space given by its closed
 sets; the separation and soberness checks live at that level so they
@@ -22,17 +23,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .bitsets import bits, full_mask, is_subset, popcount
 from .braces import SkewBrace
 from .errors import ConsistencyError
-from .ideals import IdealLattice, family_sum, ideal_lattice
+from .ideals import IdealLattice, ideal_lattice
 from .spectra import (
     Spectrum,
     brace_square,
-    ideal_pair_witness,
     is_prime,
+    kind_product,
     radical,
     spectrum,
 )
@@ -207,13 +208,13 @@ class HullKernelSpace:
     """Points are chosen ideals; closed sets are hulls of lattice members.
 
     No topology axiom is asserted at construction: the axioms are theorems
-    about prime points and are verified by the report functions, which
-    also lets tests exercise them against non-prime point choices.
+    about points prime for product and are verified by the report
+    functions, which also lets tests exercise them on other choices.
     """
 
-    def __init__(self, lat: IdealLattice, points):
+    def __init__(self, lat: IdealLattice, points, product):
         self.lat = lat
-        self.brace = lat.brace
+        self.product = product
         self.points: tuple[Mask, ...] = tuple(
             sorted(points, key=lambda m: (popcount(m), m))
         )
@@ -221,13 +222,7 @@ class HullKernelSpace:
         self.hull_by_member: dict[Mask, int] = {
             m: self.hull_of_elements(m) for m in lat.members
         }
-        closed = {}
-        for m in lat.members:
-            closed.setdefault(self.hull_by_member[m], None)
-        family = sorted(closed, key=lambda c: (popcount(c), c))
-        self.closed_family: tuple[int, ...] = tuple(family)
-        self.defining: tuple[Mask, ...] = tuple(self.kern(c) for c in family)
-        self.space = finite_space(self.n_points, family)
+        self.space = finite_space(self.n_points, self.hull_by_member.values())
 
     def hull_of_elements(self, elem_mask: Mask) -> int:
         """Point set of primes containing every masked element."""
@@ -242,7 +237,7 @@ class HullKernelSpace:
 
     def kern(self, point_set: int) -> Mask:
         """Intersection of the points; the whole brace for no points."""
-        out = full_mask(self.brace.order)
+        out = self.lat.top
         for i in bits(point_set):
             out &= self.points[i]
         return out
@@ -259,38 +254,24 @@ class SpecTopology:
     spec: Spectrum
     hk: HullKernelSpace
 
+    @property
+    def primes(self) -> tuple[Mask, ...]:
+        return self.spec.primes
+
 
 @lru_cache(maxsize=None)
 def spec_topology(brace: SkewBrace, kind: str = "star") -> SpecTopology:
     lat = ideal_lattice(brace)
     spec = spectrum(brace, kind)
-    return SpecTopology(brace, kind, lat, spec, HullKernelSpace(lat, spec.primes))
-
-
-@dataclass(eq=False)
-class LatticeSpectrum:
-    brace: SkewBrace
-    lat: IdealLattice
-    primes: tuple[Mask, ...]
-    rejected: tuple[tuple[Mask, tuple], ...]
-    hk: HullKernelSpace
+    hk = HullKernelSpace(lat, spec.primes, kind_product(lat, kind))
+    return SpecTopology(brace, kind, lat, spec, hk)
 
 
 @lru_cache(maxsize=None)
-def lattice_spectrum(brace: SkewBrace) -> LatticeSpectrum:
-    """Prime elements of the ideal lattice under its star multiplication."""
-    lat = ideal_lattice(brace)
-    primes = []
-    rejected = []
-    for p in lat.proper_members():
-        witness = ideal_pair_witness(lat, p, lat.star)
-        if witness is None:
-            primes.append(p)
-        else:
-            rejected.append((p, witness))
-    return LatticeSpectrum(
-        brace, lat, tuple(primes), tuple(rejected), HullKernelSpace(lat, primes)
-    )
+def lattice_spectrum(brace: SkewBrace) -> SpecTopology:
+    """Spec(Idl A): the prime elements of the ideal lattice under its star
+    multiplication, which are the star primes, with their topology."""
+    return spec_topology(brace, "star")
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +285,7 @@ class ClosedAxiomsReport:
     whole_hull_empty: bool
     zero_hull_all: bool
     union_is_meet_hull: bool
-    union_is_star_hull: bool
+    union_is_product_hull: bool
     family_intersections: bool
     witness: tuple | None
 
@@ -314,7 +295,7 @@ class ClosedAxiomsReport:
             self.whole_hull_empty
             and self.zero_hull_all
             and self.union_is_meet_hull
-            and self.union_is_star_hull
+            and self.union_is_product_hull
             and self.family_intersections
         )
 
@@ -323,8 +304,10 @@ def closed_axioms_report(hk: HullKernelSpace) -> ClosedAxiomsReport:
     """The hull laws of any hull-kernel space, over every lattice member.
 
     Hulls of the top and bottom, H(I) | H(J) against the hulls of the meet
-    and of the star product, and the intersection of up to three hulls
-    against the hull of the family sum.
+    and of the space's product, and the intersection of up to three hulls
+    against the hull of the family's join.  The product law holds for
+    points prime for a product that lies in the meet, as the star product
+    and the commutator ideal do.
     """
     lat = hk.lat
     witness = None
@@ -332,7 +315,7 @@ def closed_axioms_report(hk: HullKernelSpace) -> ClosedAxiomsReport:
     zero_all = hk.hull(lat.bottom) == full_mask(hk.n_points)
 
     union_meet = True
-    union_star = True
+    union_product = True
     for x in lat.members:
         hx = hk.hull(x)
         for y in lat.members:
@@ -340,9 +323,9 @@ def closed_axioms_report(hk: HullKernelSpace) -> ClosedAxiomsReport:
             if hx | hy != hk.hull(lat.meet(x, y)):
                 union_meet = False
                 witness = witness or ("union-meet", x, y)
-            if hx | hy != hk.hull(lat.star(x, y)):
-                union_star = False
-                witness = witness or ("union-star", x, y)
+            if hx | hy != hk.hull(hk.product(x, y)):
+                union_product = False
+                witness = witness or ("union-product", x, y)
 
     family_ok = True
     for r in range(4):
@@ -350,12 +333,12 @@ def closed_axioms_report(hk: HullKernelSpace) -> ClosedAxiomsReport:
             inter = full_mask(hk.n_points)
             for m in fam:
                 inter &= hk.hull(m)
-            if inter != hk.hull(family_sum(hk.brace, fam)):
+            if inter != hk.hull(reduce(lat.join, fam, lat.bottom)):
                 family_ok = False
                 witness = witness or ("family", fam)
 
     return ClosedAxiomsReport(
-        whole_empty, zero_all, union_meet, union_star, family_ok, witness
+        whole_empty, zero_all, union_meet, union_product, family_ok, witness
     )
 
 

@@ -13,8 +13,11 @@ The fixture braces are chosen so that every interesting quantity
   zero, so every additive subgroup is an ideal (five in total).
 - a5_trivial, a5_almost: the trivial and almost-trivial braces on the
   alternating group A5 (order 60).  A5 is simple, so the ideals are {0}
-  and A5, and {0} is prime for huq on both and for ksv on the
+  and A5, and {0} is prime for huq on both and for star and ksv on the
   almost-trivial one, so their spectra are not empty.
+- s4_trivial, s4_almost, a4_almost: braces on S4 and A4 whose ideals
+  are the normal subgroups.  All their spectra are empty, so they are
+  negative controls for the A5 spectra.
 """
 
 import itertools
@@ -89,6 +92,21 @@ def a5_trivial() -> SkewBrace:
 @pytest.fixture(scope="session")
 def a5_almost() -> SkewBrace:
     return almost_trivial_brace(_alternating_table(5))
+
+
+@pytest.fixture(scope="session")
+def s4_trivial() -> SkewBrace:
+    return trivial_brace(symmetric_table(4))
+
+
+@pytest.fixture(scope="session")
+def s4_almost() -> SkewBrace:
+    return almost_trivial_brace(symmetric_table(4))
+
+
+@pytest.fixture(scope="session")
+def a4_almost() -> SkewBrace:
+    return almost_trivial_brace(_alternating_table(4))
 
 
 @pytest.fixture(scope="session")

@@ -33,7 +33,7 @@ from sbspec.morphisms import (
     quotient,
     quotient_projections,
 )
-from sbspec.spectra import is_prime, is_prime_star_by_subsets, radical
+from sbspec.spectra import is_prime_pointwise, is_prime_star_by_subsets, radical
 from sbspec.suite import failures, run_records
 from sbspec.topology import (
     closed_axioms_report,
@@ -91,7 +91,7 @@ def test_criterion_2_star_primality_subset_oracle():
             continue
         for m in ideal_lattice(brace).proper_members():
             checked += 1
-            lhs, _ = is_prime(brace, m, "star")
+            lhs, _ = is_prime_pointwise(brace, m)
             rhs, _ = is_prime_star_by_subsets(brace, m)
             ok = ok and lhs == rhs
     _criterion(

@@ -217,8 +217,8 @@ def test_nil_quotient(z4_radical, s3_almost, v4_trivial):
 
 @pytest.mark.parametrize(
     "fixture, kinds",
-    [("a5_trivial", ("huq",)), ("a5_almost", ("ksv", "huq"))],
-    ids=["a5-trivial-huq", "a5-almost-ksv-huq"],
+    [("a5_trivial", ("huq",)), ("a5_almost", ("star", "ksv", "huq"))],
+    ids=["a5-trivial-huq", "a5-almost-star-ksv-huq"],
 )
 def test_spec_map_certificates_on_a5(request, fixture, kinds):
     # Spec A5 = {0} for these kinds, so the certificates quantify over a

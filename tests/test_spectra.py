@@ -5,12 +5,13 @@ import pytest
 from sbspec.bitsets import full_mask, is_subset, mask_of
 from sbspec.enumeration import enumerate_braces
 from sbspec.errors import NotMaximalError, NotProperError
-from sbspec.ideals import ideal_lattice, star_set
+from sbspec.ideals import ideal_lattice, star_set, star_subgroup
 from sbspec.spectra import (
     PRIME_KINDS,
     brace_square,
     compare_definitions,
     is_prime,
+    is_prime_pointwise,
     is_prime_star_by_subsets,
     maximal_prime_criterion,
     nil_radical,
@@ -39,15 +40,27 @@ def test_brace_squares(z4_radical, s3_almost, v4_trivial):
 
 
 def test_star_prime_witness_is_checkable(s3_almost):
-    # the alternating ideal is not star-prime: the witness elements lie
-    # outside it yet their star product lands inside
+    # the alternating ideal is not pointwise prime: the witness elements
+    # lie outside it yet their star product lands inside
     a3 = mask_of([0, 3, 4])
-    ok, witness = is_prime(s3_almost, a3, "star")
+    ok, witness = is_prime_pointwise(s3_almost, a3)
     assert not ok
     tag, a, b = witness
     assert tag == "elements"
     assert not a3 >> a & 1 and not a3 >> b & 1
     assert a3 >> s3_almost.star[a][b] & 1
+
+
+def test_star_ideal_witness_is_checkable(s3_almost):
+    # nor is it star prime: the witness ideals lie outside it, and their
+    # star product, read off the lattice, lies inside
+    a3 = mask_of([0, 3, 4])
+    ok, witness = is_prime(s3_almost, a3, "star")
+    assert not ok
+    tag, x, y = witness
+    assert tag == "ideals"
+    assert not is_subset(x, a3) and not is_subset(y, a3)
+    assert is_subset(ideal_lattice(s3_almost).star(x, y), a3)
 
 
 def test_ideal_witness_for_ksv_and_huq(z4_radical):
@@ -63,6 +76,8 @@ def test_ideal_witness_for_ksv_and_huq(z4_radical):
 def test_not_proper(z4_radical):
     with pytest.raises(NotProperError):
         is_prime(z4_radical, full_mask(4), "star")
+    with pytest.raises(NotProperError):
+        is_prime_pointwise(z4_radical, full_mask(4))
     with pytest.raises(NotProperError):
         is_prime_star_by_subsets(z4_radical, full_mask(4))
 
@@ -96,7 +111,7 @@ SMALL = [t for t in CORPUS if t[1].order <= 5]
 @pytest.mark.parametrize("bid,brace", SMALL, ids=[bid for bid, _ in SMALL])
 def test_star_prime_subset_oracle_agreement(bid, brace):
     for m in ideal_lattice(brace).proper_members():
-        lhs, _ = is_prime(brace, m, "star")
+        lhs, _ = is_prime_pointwise(brace, m)
         rhs, _ = is_prime_star_by_subsets(brace, m)
         assert lhs == rhs
 
@@ -144,6 +159,13 @@ def test_maximal_criterion_rejects_non_maximal(z4_radical):
         maximal_prime_criterion(z4_radical, full_mask(4))
 
 
+def _assert_star_equals_ksv(brace):
+    star, ksv = spectrum(brace, "star"), spectrum(brace, "ksv")
+    assert star.primes == ksv.primes
+    assert star.rejected == ksv.rejected
+    assert lattice_spectrum(brace).primes == star.primes
+
+
 @pytest.mark.parametrize("bid,brace", CORPUS, ids=[bid for bid, _ in CORPUS])
 def test_definitions_compared(bid, brace):
     cmp = compare_definitions(brace)
@@ -151,9 +173,42 @@ def test_definitions_compared(bid, brace):
     assert tuple(s.kind for s in cmp.spectra) == PRIME_KINDS
     for mask, flags in cmp.membership:
         assert len(set(flags)) == 1
+    _assert_star_equals_ksv(brace)
 
 
 def test_rejection_reasons_are_stable(z4_radical):
     spec = spectrum(z4_radical, "star")
     assert spec == spectrum(z4_radical, "star")
     assert dict(spec.rejected).keys() == {mask_of([0]), mask_of([0, 2])}
+
+
+@pytest.fixture(params=["s4_almost", "a4_almost", "a5_trivial", "a5_almost"])
+def large_brace(request):
+    return request.getfixturevalue(request.param)
+
+
+def test_star_equals_ksv_on_larger_braces(large_brace):
+    # the S4 and A4 braces have empty spectra; the A5 ones do not
+    _assert_star_equals_ksv(large_brace)
+
+
+def test_ksv_pairs_match_subgroup_closure(large_brace):
+    # the ksv product is the additive subgroup generated by the products;
+    # the star table decides every pair alike, because an ideal contains
+    # that subgroup exactly when it contains the ideal it generates
+    lat = ideal_lattice(large_brace)
+    for p in lat.proper_members():
+        for x in lat.members:
+            for y in lat.members:
+                by_subgroup = is_subset(star_subgroup(large_brace, x, y), p)
+                assert by_subgroup == is_subset(lat.star(x, y), p)
+
+
+def test_a5_almost_star_spectrum_is_zero(a5_almost, a5_trivial):
+    # A5 is perfect, so A*A = A lies outside {0}: {0} is star prime on the
+    # almost-trivial brace, although commuting elements multiply into it
+    assert spectrum(a5_almost, "star").primes == (1,)
+    assert not is_prime_pointwise(a5_almost, 1)[0]
+    # on the trivial brace A*A = {0}
+    assert spectrum(a5_trivial, "star").primes == ()
+

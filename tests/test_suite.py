@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+from sbspec import ideals
+from sbspec.bitsets import popcount
 from sbspec.braces import SkewBrace, trivial_brace
 from sbspec.catalog import (
     build_record,
@@ -15,8 +17,11 @@ from sbspec.catalog import (
     verify_record,
     write_catalog,
 )
-from sbspec.errors import ParseError
+from sbspec.errors import ConsistencyError, ParseError
 from sbspec.groups import cyclic_table
+from sbspec.ideals import ideal_lattice
+from sbspec.morphisms import quotient
+from sbspec.spectra import spectrum
 from sbspec.suite import (
     SuiteResult,
     _check_separation,
@@ -26,6 +31,7 @@ from sbspec.suite import (
     run_records,
     summarize,
 )
+from sbspec.topology import lattice_spectrum, spec_topology
 
 
 def test_generate_catalog_shape(catalog4):
@@ -262,6 +268,118 @@ def test_catalog6_verdict_table(catalog6):
     rows = run_records(catalog6)
     assert len(rows) == 756
     assert summarize(rows) == CATALOG6_VERDICTS
+
+
+# (check, pass, fail, vacuous) over run_brace_suite on trivial and
+# almost-trivial S4 and A5, the braces with non-empty spectra: {0} is
+# star, ksv and huq prime on almost-trivial A5 and huq prime on trivial
+# A5, so the topology and morphism rows there are evidence, not vacuous.
+LARGE_VERDICTS = [
+    ('brace-axioms', 4, 0, 0),
+    ('lambda-maps', 4, 0, 0),
+    ('ideal-criteria', 4, 0, 0),
+    ('multiplicative-lattice', 4, 0, 0),
+    ('generated-ideal-routes', 4, 0, 0),
+    ('star-chain', 4, 0, 0),
+    ('star-prime-subset-oracle', 0, 0, 4),
+    ('prime-ideal-implication', 0, 0, 4),
+    ('radical-laws-star', 4, 0, 0),
+    ('closed-axioms-star', 4, 0, 0),
+    ('galois-star', 4, 0, 0),
+    ('t0-specialization-star', 0, 0, 4),
+    ('t1-iff-spec-equals-max', 1, 0, 3),
+    ('irreducibles-are-hulls-star', 4, 0, 0),
+    ('generic-points-unique-star', 1, 0, 3),
+    ('components-minimal-primes-star', 1, 0, 3),
+    ('irreducible-iff-nil-prime-star', 4, 0, 0),
+    ('noetherian-compact-star', 4, 0, 0),
+    ('radical-laws-ksv', 4, 0, 0),
+    ('closed-axioms-ksv', 4, 0, 0),
+    ('galois-ksv', 4, 0, 0),
+    ('t0-specialization-ksv', 0, 0, 4),
+    ('irreducibles-are-hulls-ksv', 4, 0, 0),
+    ('generic-points-unique-ksv', 1, 0, 3),
+    ('components-minimal-primes-ksv', 1, 0, 3),
+    ('irreducible-iff-nil-prime-ksv', 4, 0, 0),
+    ('noetherian-compact-ksv', 4, 0, 0),
+    ('radical-laws-huq', 4, 0, 0),
+    ('closed-axioms-huq', 4, 0, 0),
+    ('galois-huq', 4, 0, 0),
+    ('t0-specialization-huq', 0, 0, 4),
+    ('irreducibles-are-hulls-huq', 4, 0, 0),
+    ('generic-points-unique-huq', 2, 0, 2),
+    ('components-minimal-primes-huq', 2, 0, 2),
+    ('irreducible-iff-nil-prime-huq', 4, 0, 0),
+    ('noetherian-compact-huq', 4, 0, 0),
+    ('maximal-prime-criterion', 4, 0, 0),
+    ('spectral-space-spec', 4, 0, 0),
+    ('closed-axioms-lattice', 4, 0, 0),
+    ('spectral-space-idl', 4, 0, 0),
+    ('hom-kernel-image', 4, 0, 0),
+    ('quotient-construction', 4, 0, 0),
+    ('ideal-correspondence', 4, 0, 0),
+    ('star-image-exact', 4, 0, 0),
+    ('extension-contraction-galois', 4, 0, 0),
+    ('spec-map-continuity', 1, 0, 3),
+    ('spec-map-surjectivity', 1, 0, 3),
+    ('spec-map-injectivity', 1, 0, 3),
+    ('spec-map-kernel-hull', 1, 0, 3),
+    ('spec-map-density', 1, 0, 3),
+    ('nil-quotient-homeomorphic', 1, 0, 3),
+    ('restriction-square', 1, 0, 3),
+]
+
+
+def test_large_brace_verdict_table(s4_trivial, s4_almost, a5_trivial, a5_almost):
+    rows = []
+    for name, brace in (
+        ("s4-trivial", s4_trivial),
+        ("s4-almost", s4_almost),
+        ("a5-trivial", a5_trivial),
+        ("a5-almost", a5_almost),
+    ):
+        rows += run_brace_suite(name, brace)
+    assert len(rows) == 208
+    assert failures(rows) == []
+    assert summarize(rows) == LARGE_VERDICTS
+
+
+def _clear_lattice_caches():
+    for fn in (ideal_lattice, spectrum, spec_topology, lattice_spectrum, quotient):
+        fn.cache_clear()
+
+
+def test_lattice_missing_a_member_gives_fail_rows(s4_almost, monkeypatch):
+    # drop the second-smallest principal ideal, V4, from the members: the
+    # star product A4 * A4 = V4 then has no position in the lattice
+    real = ideals.all_ideals(s4_almost)
+    dropped = sorted(set(ideals.principal_ideals(s4_almost)))[1]
+    assert popcount(dropped) == 4 and dropped in real
+    monkeypatch.setattr(
+        ideals, "all_ideals", lambda brace: tuple(m for m in real if m != dropped)
+    )
+    _clear_lattice_caches()
+    try:
+        with pytest.raises(ConsistencyError, match="star product"):
+            ideals.IdealLattice(s4_almost)
+        rows = run_brace_suite("s4-almost", s4_almost)
+    finally:
+        monkeypatch.undo()
+        _clear_lattice_caches()
+    # every row that reads the lattice fails with the error as its detail;
+    # only the rows that never build it keep their verdicts
+    kept = {r.check: r.verdict for r in rows if r.verdict != "fail"}
+    assert kept == {
+        "brace-axioms": "pass",
+        "lambda-maps": "pass",
+        "star-prime-subset-oracle": "vacuous",
+        **{f"radical-laws-{kind}": "pass" for kind in ("star", "ksv", "huq")},
+        **{f"galois-{kind}": "pass" for kind in ("star", "ksv", "huq")},
+        "star-image-exact": "pass",
+    }
+    bad = failures(rows)
+    assert len(bad) == 26
+    assert all(r.detail.startswith("ConsistencyError: ") for r in bad)
 
 
 def test_generated_routes_sample_past_4096_seeds(z4_radical):

@@ -143,7 +143,7 @@ def test_spectral_report_synthetic():
 def test_empty_spectrum_space(z4_radical):
     st = spec_topology(z4_radical)
     assert st.hk.n_points == 0
-    assert st.hk.closed_family == (0,)
+    assert st.hk.space.closed == (0,)
     assert st.hk.kern(0) == full_mask(4)
     assert st.hk.closure(0) == 0
     assert closed_axioms_report(st.hk).ok
@@ -153,7 +153,7 @@ def test_hull_and_kern_small(v4_trivial):
     # a pseudo space built from the three maximal ideals as points
     lat = ideal_lattice(v4_trivial)
     points = lat.maximal_ideals()
-    hk = HullKernelSpace(lat, points)
+    hk = HullKernelSpace(lat, points, lat.star)
     assert hk.n_points == 3
     assert hk.hull(mask_of([0])) == 0b111
     assert hk.hull(full_mask(4)) == 0
@@ -167,11 +167,11 @@ def test_pseudo_points_fail_union_axiom(v4_trivial):
     """Falsifiability: with all proper ideals as points, the hulls are
     NOT the closed sets of a topology."""
     lat = ideal_lattice(v4_trivial)
-    hk = HullKernelSpace(lat, lat.proper_members())
+    hk = HullKernelSpace(lat, lat.proper_members(), lat.star)
     rep = closed_axioms_report(hk)
     assert not rep.ok
     assert not rep.union_is_meet_hull
-    assert not rep.union_is_star_hull
+    assert not rep.union_is_product_hull
     assert rep.whole_hull_empty and rep.zero_hull_all
     assert rep.witness is not None
 
@@ -183,7 +183,7 @@ def test_pseudo_points_fail_union_axiom(v4_trivial):
 
 def test_pseudo_points_separation(v4_trivial):
     lat = ideal_lattice(v4_trivial)
-    hk = HullKernelSpace(lat, lat.proper_members())
+    hk = HullKernelSpace(lat, lat.proper_members(), lat.star)
     st = SpecTopology(v4_trivial, "star", lat, spectrum(v4_trivial, "star"), hk)
     rep = separation_report(st)
     assert rep.n_points == 4
@@ -198,7 +198,7 @@ def test_pseudo_points_separation(v4_trivial):
 
 def test_pseudo_points_irreducibility(v4_trivial):
     lat = ideal_lattice(v4_trivial)
-    hk = HullKernelSpace(lat, lat.proper_members())
+    hk = HullKernelSpace(lat, lat.proper_members(), lat.star)
     st = SpecTopology(v4_trivial, "star", lat, spectrum(v4_trivial, "star"), hk)
     rep = irreducibility_report(st)
     # the components of the pseudo space are not hulls of minimal primes
@@ -254,7 +254,7 @@ def test_noetherian_rejects_pseudo_max_points(v4_trivial):
     # topology: the longest closed chain is 0 < {P} < everything, one
     # short of points + 1
     lat = ideal_lattice(v4_trivial)
-    hk = HullKernelSpace(lat, lat.maximal_ideals())
+    hk = HullKernelSpace(lat, lat.maximal_ideals(), lat.star)
     ok, why = is_topology(hk.space)
     assert not ok and "union" in why
     with pytest.raises(ConsistencyError):
@@ -276,11 +276,33 @@ def test_lattice_spectrum_empty_and_spectral(z4_radical, v4_trivial, zero_brace)
         assert spectral_report(ls.hk.space).spectral
     # every proper lattice element is rejected with an ideal-pair witness
     ls = lattice_spectrum(z4_radical)
-    assert len(ls.rejected) == 2
-    for p, (x, y) in ls.rejected:
+    assert len(ls.spec.rejected) == 2
+    for p, (tag, x, y) in ls.spec.rejected:
         lat = ls.lat
+        assert tag == "ideals"
         assert lat.leq(lat.star(x, y), p)
         assert not lat.leq(x, p) and not lat.leq(y, p)
+
+
+def test_lattice_spectrum_is_star_spectrum(a5_almost):
+    ls = lattice_spectrum(a5_almost)
+    assert ls is spec_topology(a5_almost, "star")
+    assert ls.primes == (1,)
+    assert ls.hk.points == (1,)
+
+
+def test_union_law_uses_the_space_product(a5_trivial):
+    # {0} is huq prime on trivial A5 ([A, A] = A) but not star prime
+    # (A*A = {0}); the union law holds against the commutator ideal and
+    # fails against the star product on the same points
+    st = spec_topology(a5_trivial, "huq")
+    assert st.primes == (1,)
+    assert closed_axioms_report(st.hk).ok
+    lat = st.lat
+    wrong = closed_axioms_report(HullKernelSpace(lat, st.primes, lat.star))
+    assert not wrong.ok
+    assert wrong.union_is_meet_hull and not wrong.union_is_product_hull
+    assert wrong.witness == ("union-product", lat.top, lat.top)
 
 
 def test_spec_topology_cached(z4_radical):
