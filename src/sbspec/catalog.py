@@ -49,9 +49,9 @@ class CatalogRecord:
 
 def build_record(brace_id: str, brace: SkewBrace) -> CatalogRecord:
     lat = ideal_lattice(brace)
-    st = spec_topology(brace, "star")
-    sep = separation_report(st)
-    spectral = spectral_report(st.hk.space).spectral
+    hk = spec_topology(brace, "star")
+    sep = separation_report(hk)
+    spectral = spectral_report(hk.space).spectral
     return CatalogRecord(
         brace_id=brace_id,
         order=brace.order,
@@ -64,10 +64,10 @@ def build_record(brace_id: str, brace: SkewBrace) -> CatalogRecord:
         spec_sizes=tuple(
             (kind, len(spectrum(brace, kind).primes)) for kind in PRIME_KINDS
         ),
-        lattice_spec_size=len(st.primes),
+        lattice_spec_size=hk.n_points,
         t0=sep.t0,
         t1=sep.t1,
-        components=connected_component_count(st.hk.space),
+        components=connected_component_count(hk.space),
         spec_spectral=spectral,
         idl_spectral=spectral,
     )

@@ -62,6 +62,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    if not 1 <= args.max_order <= DEFAULT_BOUND:
+        raise ParseError(f"--max-order must lie in 1..{DEFAULT_BOUND}, got {args.max_order}")
     records = generate_catalog(args.max_order)
     write_catalog(records, args.out)
     print(f"wrote {len(records)} records for orders 1..{args.max_order} to {args.out}")
@@ -108,7 +110,7 @@ def _match_predicate(predicate: str, brace, brace_id: str):
         ]
         return not cmp.all_agree, f"disagreeing ideals: {rows}"
     if predicate in ("spec-connected", "spec-disconnected"):
-        count = connected_component_count(spec_topology(brace, "star").hk.space)
+        count = connected_component_count(spec_topology(brace, "star").space)
         matched = count <= 1 if predicate == "spec-connected" else count >= 2
         return matched, f"components={count}"
     if predicate == "t1":

@@ -329,12 +329,12 @@ def induced_spec_map(f: Hom, kind: str = "star") -> SpecMapReport:
     density = None
     density_match = None
     if contractions_prime:
-        st = spec_topology(f.source, kind)
-        index = {p: i for i, p in enumerate(st.hk.points)}
+        hk = spec_topology(f.source, kind)
+        index = {p: i for i, p in enumerate(hk.points)}
         im_mask = 0
         for c in contracted:
             im_mask |= 1 << index[c]
-        density = st.hk.closure(im_mask) == full_mask(st.hk.n_points)
+        density = hk.closure(im_mask) == full_mask(hk.n_points)
         density_match = density == kernel_in_nil
         if not density_match:
             witness = witness or ("density", density, kernel_in_nil)

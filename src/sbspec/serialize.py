@@ -21,8 +21,6 @@ from .spectra import PRIME_KINDS, nil_radical, spectrum
 from .topology import (
     closed_axioms_report,
     connected_component_count,
-    irreducibility_report,
-    is_topology,
     separation_report,
     spec_topology,
     spectral_report,
@@ -159,22 +157,21 @@ def lattice_to_dict(brace: SkewBrace) -> dict:
 
 
 def topology_to_dict(brace: SkewBrace, kind: str) -> dict:
-    st = spec_topology(brace, kind)
-    sep = separation_report(st)
-    irr = irreducibility_report(st)
-    spc = spectral_report(st.hk.space)
-    point_index = {p: i for i, p in enumerate(st.hk.points)}
+    hk = spec_topology(brace, kind)
+    sep = separation_report(hk)
+    spc = spectral_report(hk.space)
+    point_index = {p: i for i, p in enumerate(hk.points)}
     closed = [
-        sorted(point_index[p] for p in st.hk.points if c >> point_index[p] & 1)
-        for c in st.hk.space.closed
+        sorted(point_index[p] for p in hk.points if c >> point_index[p] & 1)
+        for c in hk.space.closed
     ]
     return {
         "kind": kind,
-        "points": [member_list(p) for p in st.hk.points],
+        "points": [member_list(p) for p in hk.points],
         "closed_sets": closed,
         "t0": sep.t0,
         "t1": sep.t1,
-        "components": connected_component_count(st.hk.space),
+        "components": connected_component_count(hk.space),
         # every finite space is quasi-compact
         "quasi_compact": True,
         "sober": spc.sober,
@@ -184,12 +181,12 @@ def topology_to_dict(brace: SkewBrace, kind: str) -> dict:
 
 def lattice_spectrum_to_dict(brace: SkewBrace) -> dict:
     """Spec(Idl A), which is the star spectrum."""
-    st = spec_topology(brace, "star")
-    axioms_ok = closed_axioms_report(st.hk).ok and is_topology(st.hk.space)[0]
-    spc = spectral_report(st.hk.space)
+    hk = spec_topology(brace, "star")
+    spc = spectral_report(hk.space)
     return {
-        "primes": [member_list(p) for p in st.primes],
-        "closed_axioms": axioms_ok,
+        "primes": [member_list(p) for p in hk.points],
+        # implies a topology: H(top) = ∅, H(bottom) = all, H(x)∪H(y) = H(x∧y), H(x)∩H(y) = H(x∨y)
+        "closed_axioms": closed_axioms_report(hk).ok,
         "spectral": spc.spectral,
     }
 
@@ -227,9 +224,9 @@ def dot_ideal_lattice(brace: SkewBrace) -> str:
 
 def dot_closed_sets(brace: SkewBrace, kind: str = "star") -> str:
     """Hasse diagram of the closed-set family of the spectrum."""
-    st = spec_topology(brace, kind)
-    point_index = {p: i for i, p in enumerate(st.hk.points)}
-    closed = list(st.hk.space.closed)
+    hk = spec_topology(brace, kind)
+    point_index = {p: i for i, p in enumerate(hk.points)}
+    closed = list(hk.space.closed)
     index = {c: i for i, c in enumerate(closed)}
     lines = ["digraph closed_sets {", "  rankdir=BT;", "  node [shape=box];"]
     for p, i in sorted(point_index.items(), key=lambda kv: kv[1]):
@@ -250,8 +247,7 @@ def dot_specialization(brace: SkewBrace, kind: str = "star") -> str:
     with hull-kernel closures that is reverse ideal containment, so the
     drawn order is containment turned upside down.
     """
-    st = spec_topology(brace, kind)
-    point_index = {p: i for i, p in enumerate(st.hk.points)}
+    point_index = {p: i for i, p in enumerate(spec_topology(brace, kind).points)}
     lines = ["digraph specialization {", "  rankdir=BT;", "  node [shape=box];"]
     for p, i in sorted(point_index.items(), key=lambda kv: kv[1]):
         lines.append(f'  P{i} [label="{_set_label(p)}"];')

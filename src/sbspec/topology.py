@@ -1,16 +1,17 @@
 """Hull-kernel topology on prime spectra, plus generic finite-space checks.
 
-The closed sets of a spectrum are the hulls H(I) = {P : I subset of P};
-the kernel of a point set is the intersection of its members, with the
-empty intersection read as the whole brace.  Hull and kernel form an
-antitone Galois pair by their definitions, for any choice of points:
-s is in K(T) exactly when T lies in H(s).  The closure laws and
-KH = radical follow from that pair, and T0 from the points being
-distinct ideals, so none of them is recomputed as a check.  What is
-checked is what depends on the points being prime: the closed-set
-axioms of the hull family, T1 against Spec = Max, irreducibility and
-the closed-chain length.  Each space carries the product its points
-are prime for, and the union law H(I) | H(J) = H(I J) is checked on it.
+A HullKernelSpace takes a finite multiplicative lattice, a choice of
+points and the product the points are meant to be prime for; it never
+reads the brace.  The closed sets are the hulls H(I) = {P : I <= P};
+the kernel of a point set is the meet of its members, with the empty
+meet read as the top.  Hull and kernel form an antitone Galois pair by
+their definitions, for any choice of points: s <= K(T) exactly when T
+lies in H(s).  The closure laws and KH = radical follow from that pair,
+and T0 from the points being distinct members, so none of them is
+recomputed as a check.  What is checked is what depends on the points
+being prime: the closed-set axioms of the hull family, with the union
+law H(I) | H(J) = H(I J) on the space's product, T1 against Spec = Max,
+irreducibility and the closed-chain length.
 
 FiniteSpace is a plain finite topological space given by its closed
 sets; the separation and soberness checks live at that level so they
@@ -28,15 +29,8 @@ from functools import lru_cache, reduce
 from .bitsets import bits, full_mask, is_subset, popcount
 from .braces import SkewBrace
 from .errors import ConsistencyError
-from .ideals import IdealLattice, ideal_lattice
-from .spectra import (
-    Spectrum,
-    brace_square,
-    is_prime,
-    kind_product,
-    radical,
-    spectrum,
-)
+from .ideals import ideal_lattice
+from .spectra import ideal_pair_witness, kind_product, spectrum
 
 Mask = int
 
@@ -205,14 +199,17 @@ def spectral_report(fs: FiniteSpace) -> SpectralReport:
 
 
 class HullKernelSpace:
-    """Points are chosen ideals; closed sets are hulls of lattice members.
+    """Points are chosen lattice members; closed sets are hulls of members.
 
+    The lattice is any finite multiplicative lattice of masks under
+    inclusion, meets being intersections; the space and its reports read
+    only its members, top, bottom, meet, join, maximal_ideals and star.
     No topology axiom is asserted at construction: the axioms are theorems
     about points prime for product and are verified by the report
     functions, which also lets tests exercise them on other choices.
     """
 
-    def __init__(self, lat: IdealLattice, points, product):
+    def __init__(self, lat, points, product):
         self.lat = lat
         self.product = product
         self.points: tuple[Mask, ...] = tuple(
@@ -236,7 +233,7 @@ class HullKernelSpace:
         return self.hull_by_member[member]
 
     def kern(self, point_set: int) -> Mask:
-        """Intersection of the points; the whole brace for no points."""
+        """Intersection of the points; the top for no points."""
         out = self.lat.top
         for i in bits(point_set):
             out &= self.points[i]
@@ -246,32 +243,18 @@ class HullKernelSpace:
         return self.hull_of_elements(self.kern(point_set))
 
 
-@dataclass(eq=False)
-class SpecTopology:
-    brace: SkewBrace
-    kind: str
-    lat: IdealLattice
-    spec: Spectrum
-    hk: HullKernelSpace
-
-    @property
-    def primes(self) -> tuple[Mask, ...]:
-        return self.spec.primes
-
-
 @lru_cache(maxsize=None)
-def spec_topology(brace: SkewBrace, kind: str = "star") -> SpecTopology:
+def spec_topology(brace: SkewBrace, kind: str = "star") -> HullKernelSpace:
+    """The hull-kernel space on Spec of one kind, over the ideal lattice."""
     lat = ideal_lattice(brace)
-    spec = spectrum(brace, kind)
-    hk = HullKernelSpace(lat, spec.primes, kind_product(lat, kind))
-    return SpecTopology(brace, kind, lat, spec, hk)
+    return HullKernelSpace(lat, spectrum(brace, kind).primes, kind_product(lat, kind))
 
 
 @lru_cache(maxsize=None)
-def lattice_spectrum(brace: SkewBrace) -> SpecTopology:
+def lattice_spectrum(brace: SkewBrace):
     """Spec(Idl A): the prime elements of the ideal lattice under its star
-    multiplication, which are the star primes, with their topology."""
-    return spec_topology(brace, "star")
+    multiplication, which are the star primes."""
+    return spectrum(brace, "star")
 
 
 # ---------------------------------------------------------------------------
@@ -352,23 +335,25 @@ class SeparationReport:
     t1_iff_spec_equals_max: bool | None
 
 
-def separation_report(st: SpecTopology) -> SeparationReport:
+def separation_report(hk: HullKernelSpace) -> SeparationReport:
     """T0 and T1, and the conditional equivalence of T1 with Spec = Max.
 
     The closure of a point P is H(P), and H(P) = H(Q) forces P = Q, so a
     hull-kernel space is T0 and i lies in the closure of j exactly when
     P_j is contained in P_i.  t0 is still computed, for the catalog and
-    the JSON report; t1 can differ from Spec = Max.
+    the JSON report; t1 can differ from Spec = Max.  The hypothesis reads
+    the star square of the top, not the space's product.
     """
-    fs = st.hk.space
+    lat = hk.lat
+    fs = hk.space
     t1 = is_t1(fs)[0]
-    maxima = set(st.lat.maximal_ideals())
-    spec_eq_max = set(st.spec.primes) == maxima
-    square = brace_square(st.brace)
+    maxima = set(lat.maximal_ideals())
+    spec_eq_max = set(hk.points) == maxima
+    square = lat.star(lat.top, lat.top)
     hypothesis = all(not is_subset(square, m) for m in maxima)
     t1_iff = (t1 == spec_eq_max) if hypothesis else None
     return SeparationReport(
-        st.hk.n_points, is_t0(fs)[0], t1, spec_eq_max, hypothesis, t1_iff
+        hk.n_points, is_t0(fs)[0], t1, spec_eq_max, hypothesis, t1_iff
     )
 
 
@@ -384,8 +369,10 @@ class IrreducibilityReport:
     witness: tuple | None
 
 
-def irreducibility_report(st: SpecTopology) -> IrreducibilityReport:
-    hk = st.hk
+def irreducibility_report(hk: HullKernelSpace) -> IrreducibilityReport:
+    """Irreducibles against point hulls, components against minimal-point
+    hulls, and irreducibility against the nil radical being prime."""
+    lat = hk.lat
     fs = hk.space
     witness = None
 
@@ -401,14 +388,16 @@ def irreducibility_report(st: SpecTopology) -> IrreducibilityReport:
             unique = False
             witness = witness or ("generic", c)
 
-    minimal_hulls = {hk.hull_of_elements(p) for p in st.spec.minimal}
+    points = hk.points
+    minimal = [p for p in points if not any(q != p and is_subset(q, p) for q in points)]
+    minimal_hulls = {hk.hull_of_elements(p) for p in minimal}
     comp_ok = set(space_components(fs)) == minimal_hulls
     if not comp_ok:
         witness = witness or ("components",)
 
     whole_irr = is_space_irreducible(fs)
-    nil = radical(st.brace, 1, st.kind)
-    nil_prime = nil != st.lat.top and is_prime(st.brace, nil, st.kind)[0]
+    nil = hk.kern(fs.everything)
+    nil_prime = nil != lat.top and ideal_pair_witness(lat, nil, hk.product) is None
     return IrreducibilityReport(
         hk.n_points, irr_ok, unique, comp_ok, whole_irr, nil_prime,
         whole_irr == nil_prime, witness,
@@ -425,7 +414,7 @@ class NoetherianReport:
         return self.longest_closed_chain == self.n_points + 1
 
 
-def noetherian_report(st: SpecTopology) -> NoetherianReport:
+def noetherian_report(hk: HullKernelSpace) -> NoetherianReport:
     """Longest strictly increasing chain of closed sets, empty set included.
 
     Every finite space is Noetherian, so what is checked instead is that
@@ -435,8 +424,8 @@ def noetherian_report(st: SpecTopology) -> NoetherianReport:
     specialization order reach that length.  A shorter chain means the
     hull family fails one of those two conditions.
     """
-    family = st.hk.space.closed  # sorted by size, so subsets come first
+    family = hk.space.closed  # sorted by size, so subsets come first
     depth = {}
     for c in family:
         depth[c] = 1 + max((depth[d] for d in depth if is_subset(d, c)), default=0)
-    return NoetherianReport(st.hk.n_points, max(depth.values(), default=0))
+    return NoetherianReport(hk.n_points, max(depth.values(), default=0))

@@ -5,10 +5,13 @@ import json
 import pytest
 
 from sbspec.braces import trivial_brace, validate
+from sbspec.catalog import build_record, read_catalog, write_catalog
 from sbspec.cli import main
+from sbspec.enumeration import DEFAULT_BOUND
 from sbspec.groups import cyclic_table
 from sbspec.serialize import brace_to_dict, dumps, hom_to_dict
 from sbspec.morphisms import validate_hom
+from sbspec.suite import run_records
 
 Z4_RADICAL_DOC = {
     "order": 4,
@@ -259,3 +262,34 @@ def test_missing_required_flag_exits_2(brace_file):
     with pytest.raises(SystemExit) as exc:
         main(["report", brace_file])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("order", [0, -1, 7])
+def test_catalog_order_out_of_range_exits_2(tmp_path, capsys, order):
+    path = tmp_path / "catalog.jsonl"
+    assert main(["catalog", "--max-order", str(order), "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and f"1..{DEFAULT_BOUND}" in err
+    assert not path.exists()
+
+
+def test_check_past_the_enumeration_bound_is_vacuous(tmp_path, capsys):
+    # trivial Z7 is a valid record, but order 7 cannot be enumerated to
+    # compare with: the catalog-level rows are vacuous, not failures
+    path = tmp_path / "catalog7.jsonl"
+    write_catalog([build_record("7-0", trivial_brace(cyclic_table(7)))], str(path))
+    rows = {
+        r.check: r
+        for r in run_records(read_catalog(str(path)))
+        if r.check.startswith("catalog-")
+    }
+    assert set(rows) == {
+        "catalog-isomorphism-free",
+        "catalog-matches-enumeration",
+        "catalog-deterministic",
+    }
+    for r in rows.values():
+        assert r.verdict == "vacuous"
+        assert r.detail == f"enumeration bounded to order {DEFAULT_BOUND}"
+    assert main(["check", str(path)]) == 0
+    assert "0 fail" in capsys.readouterr().out

@@ -475,17 +475,24 @@ def test_catalog_checks(catalog6):
 
 
 def test_catalog_checks_past_enumeration_bound():
-    # an order the group-table search refuses keeps a vacuous agreement row
-    # naming the bound; the other catalog rows fail on the refusal itself
+    # an order the enumeration refuses keeps every catalog row, vacuous,
+    # with a detail naming the bound
     from types import SimpleNamespace
 
+    from sbspec.enumeration import DEFAULT_BOUND
     from sbspec.groups import ENUMERATION_BOUND
 
     n = ENUMERATION_BOUND + 1
     rec = SimpleNamespace(order=n, brace_id=f"{n}-0", add=None, mul=None)
-    rows = [r for r in run_catalog_checks([rec]) if r.check == "enumeration-raw-agreement"]
-    assert [(r.brace_id, r.verdict) for r in rows] == [(f"order-{n}", "vacuous")]
-    assert rows[0].detail == f"raw sweep bounded to order {ENUMERATION_BOUND}"
+    rows = [(r.brace_id, r.check, r.verdict, r.detail) for r in run_catalog_checks([rec])]
+    past = f"enumeration bounded to order {DEFAULT_BOUND}"
+    assert rows == [
+        (f"order-{n}", "enumeration-raw-agreement", "vacuous",
+         f"raw sweep bounded to order {ENUMERATION_BOUND}"),
+        (f"order-{n}", "catalog-isomorphism-free", "vacuous", past),
+        ("catalog", "catalog-matches-enumeration", "vacuous", past),
+        ("catalog", "catalog-deterministic", "vacuous", past),
+    ]
 
 
 def test_summarize_orders_and_counts():
