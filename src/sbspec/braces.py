@@ -192,15 +192,15 @@ def _serialize(brace: SkewBrace) -> bytes:
     return bytes(flat)
 
 
-def canonicalize(brace: SkewBrace, bound: int = CANONICAL_BOUND) -> SkewBrace:
+def canonicalize(brace: SkewBrace) -> SkewBrace:
     """Relabeled copy whose serialized tables are lexicographically least.
 
     Any isomorphism fixes the identity, so only permutations keeping 0 in
     place are tried.  Exhaustive over (n-1)! relabelings, hence the bound.
     """
     n = brace.order
-    if n > bound:
-        raise OrderBoundError(f"canonical form is bounded to order {bound}, got {n}")
+    if n > CANONICAL_BOUND:
+        raise OrderBoundError(f"canonical form is bounded to order {CANONICAL_BOUND}, got {n}")
     best = None
     best_key = None
     for perm in groups.identity_fixing_perms(n):
@@ -211,8 +211,8 @@ def canonicalize(brace: SkewBrace, bound: int = CANONICAL_BOUND) -> SkewBrace:
     return best
 
 
-def canonical_form(brace: SkewBrace, bound: int = CANONICAL_BOUND) -> bytes:
-    return _serialize(canonicalize(brace, bound))
+def canonical_form(brace: SkewBrace) -> bytes:
+    return _serialize(canonicalize(brace))
 
 
 def _element_orders(table: Table) -> tuple[int, ...]:

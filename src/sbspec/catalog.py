@@ -9,7 +9,7 @@ file can always be audited against the code that wrote it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .braces import SkewBrace, validate
 from .enumeration import DEFAULT_BOUND, enumerate_braces
@@ -164,23 +164,11 @@ def verify_record(rec: CatalogRecord) -> list[str]:
     """
     brace = validate(rec.add, rec.mul)
     fresh = build_record(rec.brace_id, brace)
-    bad = []
-    for field in (
-        "add_group",
-        "mul_group",
-        "ideal_count",
-        "weights",
-        "spec_sizes",
-        "lattice_spec_size",
-        "t0",
-        "t1",
-        "components",
-        "spec_spectral",
-        "idl_spectral",
-    ):
-        if getattr(fresh, field) != getattr(rec, field):
-            bad.append(field)
-    return bad
+    stored = ("brace_id", "order", "add", "mul")
+    return [
+        f.name for f in fields(CatalogRecord)
+        if f.name not in stored and getattr(fresh, f.name) != getattr(rec, f.name)
+    ]
 
 
 def catalog_lines(records) -> str:

@@ -63,15 +63,15 @@ def _dedupe(candidates) -> tuple[SkewBrace, ...]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_braces(n: int, bound: int = DEFAULT_BOUND) -> tuple[SkewBrace, ...]:
+def enumerate_braces(n: int) -> tuple[SkewBrace, ...]:
     """All skew braces of order n up to isomorphism, canonically labeled.
 
     Deterministic: output is sorted by canonical serialization.
     """
-    if n > bound:
+    if n > DEFAULT_BOUND:
         from .errors import OrderBoundError
 
-        raise OrderBoundError(f"brace enumeration is bounded to order {bound}, got {n}")
+        raise OrderBoundError(f"brace enumeration is bounded to order {DEFAULT_BOUND}, got {n}")
     candidates = []
     for add in groups.group_representatives(n):
         candidates.extend(_twist_braces(add))

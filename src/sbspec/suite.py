@@ -7,14 +7,22 @@ quantified domain is empty for that brace (an empty spectrum, a missing
 hypothesis); vacuous rows are counted separately from passes so that
 trivially-true instances are never mistaken for evidence.
 
-Checks are grouped per brace plus a handful of catalog-level rows
-(enumeration cross-validation, isomorphism freeness, determinism).
+The per-brace checks form one table.  An entry holds its row names, a
+per-kind name as a ``{kind}`` template, and one function of the brace
+(or of the brace and a prime kind) that returns one ``(ok, vacuous,
+detail)`` verdict per name.  One runner, ``_run``, stamps the rows in
+table order.  An entry that raises a library error fails every row it
+owns, with the error as the detail, so a brace always gets every row by
+name.  A new check is one entry.  The catalog-level rows (enumeration
+cross-validation, isomorphism freeness, determinism) go through the
+same runner.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .bitsets import is_subset, popcount
 from .braces import is_isomorphic, validate, SkewBrace
@@ -61,8 +69,6 @@ from .topology import (
     spectral_report,
 )
 
-Mask = int
-
 SUBSET_ORACLE_BOUND = 5
 ENDOMORPHISM_BOUND = 4
 # seed loops over all 2^n subsets sample this many seeds, drawn from
@@ -86,66 +92,75 @@ def _row(brace_id: str, check: str, ok: bool, vacuous: bool = False, detail: str
     return SuiteResult(brace_id, check, "pass", detail)
 
 
-def _guard(out: list, brace_id: str, check: str, fn) -> None:
-    """Run one check; any library error becomes a fail row, not a crash."""
+def _error(exc: SbspecError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run(out: list, brace_id: str, names, fn) -> None:
+    """Stamp one row per name from fn's verdicts; a library error fails
+    every name, so one broken check never hides the rows it owns."""
     try:
-        result = fn()
+        verdicts = fn()
     except SbspecError as exc:
-        out.append(SuiteResult(brace_id, check, "fail", f"{type(exc).__name__}: {exc}"))
-        return
-    if isinstance(result, SuiteResult):
-        out.append(result)
-    else:
-        out.extend(result)
+        verdicts = [(False, False, _error(exc))] * len(names)
+    out.extend(_row(brace_id, name, *v) for name, v in zip(names, verdicts, strict=True))
+
+
+def _holds(detail: str = ""):
+    """The check of a row that holds by construction: a literal pass."""
+    return lambda *_: [(True, False, detail)]
+
+
+def _first_witness(witnesses):
+    """One verdict: a fail carrying the first witness, or a pass."""
+    witness = next(iter(witnesses), None)
+    return [(witness is None, False, "" if witness is None else str(witness))]
 
 
 # ---------------------------------------------------------------------------
 # per-brace checks
 
 
-def _check_axioms(bid: str, brace: SkewBrace):
+def _axioms(brace: SkewBrace):
     validate(brace.add, brace.mul)
-    return _row(bid, "brace-axioms", True)
+    return [(True, False, "")]
 
 
-def _check_lambda(bid: str, brace: SkewBrace):
-    n = brace.order
-    ok = brace.lam[0] == tuple(range(n))
-    witness = None if ok else ("lambda-at-identity",)
-    for a in range(n):
-        for b in range(n):
-            if brace.mul[a][b] != brace.add[a][brace.lam[a][b]]:
-                ok = False
-                witness = witness or ("circle-via-lambda", a, b)
-            if brace.star[a][b] != brace.add[brace.lam[a][b]][brace.neg[b]]:
-                ok = False
-                witness = witness or ("star-via-lambda", a, b)
-            composed = tuple(brace.lam[a][brace.lam[b][c]] for c in range(n))
-            if brace.lam[brace.mul[a][b]] != composed:
-                ok = False
-                witness = witness or ("lambda-cocycle", a, b)
-    return _row(bid, "lambda-maps", ok, detail=str(witness) if witness else "")
+def _lambda_maps(brace: SkewBrace):
+    n, lam = brace.order, brace.lam
+
+    def witnesses():
+        if lam[0] != tuple(range(n)):
+            yield ("lambda-at-identity",)
+        for a in range(n):
+            for b in range(n):
+                if brace.mul[a][b] != brace.add[a][lam[a][b]]:
+                    yield ("circle-via-lambda", a, b)
+                if brace.star[a][b] != brace.add[lam[a][b]][brace.neg[b]]:
+                    yield ("star-via-lambda", a, b)
+                if lam[brace.mul[a][b]] != tuple(lam[a][lam[b][c]] for c in range(n)):
+                    yield ("lambda-cocycle", a, b)
+
+    return _first_witness(witnesses())
 
 
-def _check_ideal_criteria(bid: str, brace: SkewBrace):
+def _ideal_criteria(brace: SkewBrace):
     # the additive-subgroup sweep through ideal_check (itself cross-checked
     # against star absorption) is the oracle for the lattice's members,
     # which are built from principal ideals
     found = {m for m in additive_subgroups(brace) if ideal_check(brace, m).ok}
-    ok = found == set(ideal_lattice(brace).members)
-    return _row(bid, "ideal-criteria", ok, detail=f"ideals={len(found)}")
+    return [(found == set(ideal_lattice(brace).members), False, f"ideals={len(found)}")]
 
 
-def _check_lattice_laws(bid: str, brace: SkewBrace):
-    lat = ideal_lattice(brace)
-    rep = multiplicative_lattice_check(lat)
+def _lattice_laws(brace: SkewBrace):
+    rep = multiplicative_lattice_check(ideal_lattice(brace))
     detail = f"join_distributive={rep.join_distributive}"
     if rep.counterexample is not None and not rep.ok:
         detail += f" witness={rep.counterexample}"
-    return _row(bid, "multiplicative-lattice", rep.ok, detail=detail)
+    return [(rep.ok, False, detail)]
 
 
-def _check_generated_routes(bid: str, brace: SkewBrace):
+def _generated_routes(brace: SkewBrace):
     lat = ideal_lattice(brace)
     n = brace.order
     if 1 << n <= SEED_SAMPLE_LIMIT:
@@ -160,406 +175,338 @@ def _check_generated_routes(bid: str, brace: SkewBrace):
     )
     ok = witness is None
     detail = "; ".join(part for part in ("" if ok else f"seed={witness}", scope) if part)
-    return _row(bid, "generated-ideal-routes", ok, detail=detail)
+    return [(ok, False, detail)]
 
 
-def _check_star_chain(bid: str, brace: SkewBrace):
-    lat = ideal_lattice(brace)
-    ok = True
-    witness = None
-    for i in lat.members:
-        for j in lat.members:
-            s0 = star_set(brace, i, j)
-            s1 = star_subgroup(brace, i, j)
-            s2 = star_ideal(brace, i, j)
-            if not (is_subset(s0, s1) and is_subset(s1, s2) and is_subset(s2, i & j)):
-                ok = False
-                witness = witness or (i, j)
-    return _row(bid, "star-chain", ok, detail=str(witness) if witness else "")
+def _star_chain(brace: SkewBrace):
+    members = ideal_lattice(brace).members
+
+    def witnesses():
+        for i in members:
+            for j in members:
+                s0 = star_set(brace, i, j)
+                s1 = star_subgroup(brace, i, j)
+                s2 = star_ideal(brace, i, j)
+                if not (is_subset(s0, s1) and is_subset(s1, s2) and is_subset(s2, i & j)):
+                    yield (i, j)
+
+    return _first_witness(witnesses())
 
 
-def _check_subset_oracle(bid: str, brace: SkewBrace):
+def _subset_oracle(brace: SkewBrace):
     if brace.order > SUBSET_ORACLE_BOUND:
-        return _row(
-            bid, "star-prime-subset-oracle", True, vacuous=True,
-            detail=f"oracle bounded to order {SUBSET_ORACLE_BOUND}",
-        )
-    lat = ideal_lattice(brace)
-    ok = True
-    witness = None
-    for m in lat.proper_members():
-        fast = is_prime_pointwise(brace, m)[0]
-        slow = is_prime_star_by_subsets(brace, m)[0]
-        if fast != slow:
-            ok = False
-            witness = witness or m
-    return _row(bid, "star-prime-subset-oracle", ok, detail=str(witness) if witness else "")
+        return [(True, True, f"oracle bounded to order {SUBSET_ORACLE_BOUND}")]
+    return _first_witness(
+        m
+        for m in ideal_lattice(brace).proper_members()
+        if is_prime_pointwise(brace, m)[0] != is_prime_star_by_subsets(brace, m)[0]
+    )
 
 
-def _check_prime_implication(bid: str, brace: SkewBrace):
+def _prime_implication(brace: SkewBrace):
     """Pointwise primality forces star primality, decided over ideal pairs."""
     primes = [
         m for m in ideal_lattice(brace).proper_members()
         if is_prime_pointwise(brace, m)[0]
     ]
-    ok = True
-    witness = None
-    for p in primes:
-        prime, why = is_prime(brace, p, "star")
-        if not prime:
-            ok = False
-            witness = witness or (p, why)
-    return _row(
-        bid, "prime-ideal-implication", ok, vacuous=not primes,
-        detail=str(witness) if witness else f"primes={len(primes)}",
-    )
+    star = ((p, *is_prime(brace, p, "star")) for p in primes)
+    witness = next(((p, why) for p, prime, why in star if not prime), None)
+    detail = str(witness) if witness else f"primes={len(primes)}"
+    return [(witness is None, not primes, detail)]
 
 
-def _check_maximal_prime(bid: str, brace: SkewBrace):
-    lat = ideal_lattice(brace)
-    maxima = lat.maximal_ideals()
+def _maximal_prime(brace: SkewBrace):
+    maxima = ideal_lattice(brace).maximal_ideals()
     primes = set(spectrum(brace, "star").primes)
-    square_ideal = brace_square(brace, "ideal")
-    square_subgroup = brace_square(brace, "subgroup")
-    ok = True
-    witness = None
-    for m in maxima:
-        criterion = maximal_prime_criterion(brace, m)
-        if (m in primes) != criterion:
-            ok = False
-            witness = witness or m
-    detail = f"maximal={len(maxima)} square_closures_agree={square_ideal == square_subgroup}"
+    squares_agree = brace_square(brace, "ideal") == brace_square(brace, "subgroup")
+    witness = next(
+        (m for m in maxima if (m in primes) != maximal_prime_criterion(brace, m)), None
+    )
+    detail = f"maximal={len(maxima)} square_closures_agree={squares_agree}"
     if witness is not None:
         detail += f" witness={witness}"
-    return _row(bid, "maximal-prime-criterion", ok, vacuous=not maxima, detail=detail)
+    return [(witness is None, not maxima, detail)]
 
 
-def _check_closed_axioms(bid: str, brace: SkewBrace, kind: str):
+def _closed_axioms(brace: SkewBrace, kind: str):
     rep = closed_axioms_report(spec_topology(brace, kind))
-    return _row(
-        bid, f"closed-axioms-{kind}", rep.ok,
-        detail=str(rep.witness) if rep.witness else "",
-    )
+    return [(rep.ok, False, str(rep.witness) if rep.witness else "")]
 
 
-def _check_separation(bid: str, brace: SkewBrace, kind: str):
-    hk = spec_topology(brace, kind)
+def _t0_specialization(brace: SkewBrace, kind: str):
     # cl{P} = H(P), and H(P) = H(Q) forces P = Q: every hull-kernel space
     # is T0 and its specialization order is reverse containment
-    rows = [
-        _row(
-            bid, f"t0-specialization-{kind}", True, vacuous=hk.n_points < 2,
-            detail=f"points={hk.n_points}",
-        )
-    ]
-    if kind == "star":
-        rep = separation_report(hk)
-        if not rep.hypothesis_square_outside_max:
-            rows.append(
-                SuiteResult(
-                    bid, "t1-iff-spec-equals-max", "vacuous",
-                    "square inside some maximal ideal",
-                )
-            )
-        else:
-            rows.append(
-                _row(
-                    bid, "t1-iff-spec-equals-max",
-                    rep.t1_iff_spec_equals_max is True,
-                    detail=f"t1={rep.t1} spec_equals_max={rep.spec_equals_max}",
-                )
-            )
-    return rows
+    points = spec_topology(brace, kind).n_points
+    return [(True, points < 2, f"points={points}")]
 
 
-def _check_irreducibility(bid: str, brace: SkewBrace, kind: str):
+def _t1_iff_spec_equals_max(brace: SkewBrace, kind: str):
+    rep = separation_report(spec_topology(brace, kind))
+    if not rep.hypothesis_square_outside_max:
+        return [(True, True, "square inside some maximal ideal")]
+    detail = f"t1={rep.t1} spec_equals_max={rep.spec_equals_max}"
+    return [(rep.t1_iff_spec_equals_max is True, False, detail)]
+
+
+def _irreducibility(brace: SkewBrace, kind: str):
     rep = irreducibility_report(spec_topology(brace, kind))
-    rows = [
-        _row(
-            bid, f"irreducibles-are-hulls-{kind}", rep.irreducibles_are_point_hulls,
-            detail=str(rep.witness) if rep.witness else "",
-        ),
-        _row(
-            bid, f"generic-points-unique-{kind}", rep.generic_points_unique,
-            vacuous=rep.n_points == 0,
-        ),
-        _row(
-            bid, f"components-minimal-primes-{kind}", rep.components_are_minimal_hulls,
-            vacuous=rep.n_points == 0,
-        ),
-        _row(
-            bid, f"irreducible-iff-nil-prime-{kind}", rep.whole_iff_nil_prime,
-            detail=f"irreducible={rep.whole_irreducible} nil_prime={rep.nil_is_prime}",
-        ),
+    nil = f"irreducible={rep.whole_irreducible} nil_prime={rep.nil_is_prime}"
+    return [
+        (rep.irreducibles_are_point_hulls, False, str(rep.witness) if rep.witness else ""),
+        (rep.generic_points_unique, rep.n_points == 0, ""),
+        (rep.components_are_minimal_hulls, rep.n_points == 0, ""),
+        (rep.whole_iff_nil_prime, False, nil),
     ]
-    return rows
 
 
-def _check_noetherian(bid: str, brace: SkewBrace, kind: str):
+def _noetherian(brace: SkewBrace, kind: str):
     rep = noetherian_report(spec_topology(brace, kind))
-    return _row(
-        bid, f"noetherian-compact-{kind}", rep.ok,
-        detail=f"chain={rep.longest_closed_chain} points={rep.n_points}",
-    )
+    return [(rep.ok, False, f"chain={rep.longest_closed_chain} points={rep.n_points}")]
 
 
-def _check_spectral(bid: str, brace: SkewBrace):
+def _spectral(brace: SkewBrace):
     # Spec(Idl A) is the star spectrum: the idl rows read the same space
     hk = spec_topology(brace, "star")
     rep = spectral_report(hk.space)
     # implies a topology: H(top) = ∅, H(bottom) = all, H(x)∪H(y) = H(x∧y), H(x)∩H(y) = H(x∨y)
     axioms_ok = closed_axioms_report(hk).ok
     return [
-        _row(
-            bid, "spectral-space-spec", rep.spectral,
-            detail=f"t0={rep.t0} sober={rep.sober}",
-        ),
-        _row(bid, "closed-axioms-lattice", axioms_ok),
-        _row(
-            bid, "spectral-space-idl", rep.spectral,
-            detail=f"points={hk.n_points}",
-        ),
+        (rep.spectral, False, f"t0={rep.t0} sober={rep.sober}"),
+        (axioms_ok, False, ""),
+        (rep.spectral, False, f"points={hk.n_points}"),
     ]
 
 
-def _corpus(brace: SkewBrace, quotients):
+def _quotients(brace: SkewBrace):
+    # quotient is cached per (brace, ideal) and an error is not, so
+    # every row that reads a failing quotient becomes a fail row
+    return tuple(quotient(brace, m) for m in ideal_lattice(brace).members)
+
+
+def _corpus(brace: SkewBrace):
     """The projection onto every quotient, then every endomorphism at
     small orders."""
-    homs = [q.projection for q in quotients]
+    homs = [q.projection for q in _quotients(brace)]
     if brace.order <= ENDOMORPHISM_BOUND:
         homs.extend(endomorphisms(brace))
     return homs
 
 
-def _check_quotients(bid: str, brace: SkewBrace, quotients):
-    ok = True
-    witness = None
-    for q in quotients:
-        m = q.ideal
-        if q.brace.order * popcount(m) != brace.order:
-            ok = False
-            witness = witness or ("coset-count", m)
-        if kernel(q.projection) != m:
-            ok = False
-            witness = witness or ("projection-kernel", m)
-    return _row(bid, "quotient-construction", ok, detail=str(witness) if witness else "")
+def _quotient_construction(brace: SkewBrace):
+    def witnesses():
+        for q in _quotients(brace):
+            if q.brace.order * popcount(q.ideal) != brace.order:
+                yield ("coset-count", q.ideal)
+            if kernel(q.projection) != q.ideal:
+                yield ("projection-kernel", q.ideal)
+
+    return _first_witness(witnesses())
 
 
-def _check_correspondence(bid: str, quotients):
-    ok = True
-    witness = None
-    for q in quotients:
-        rep = ideal_correspondence(q)
-        if not rep.bijective:
-            ok = False
-            witness = witness or (q.ideal, rep.witness)
-    return _row(bid, "ideal-correspondence", ok, detail=str(witness) if witness else "")
+def _ideal_correspondence(brace: SkewBrace):
+    reports = ((q.ideal, ideal_correspondence(q)) for q in _quotients(brace))
+    return _first_witness((m, rep.witness) for m, rep in reports if not rep.bijective)
 
 
-def _check_ext_cont(bid: str, homs):
-    ok = True
-    witness = None
-    for f in homs:
-        rep = ext_cont_report(f)
-        if not rep.adjunction:
-            ok = False
-            witness = witness or (f.mapping, rep.witness)
-    return _row(bid, "extension-contraction-galois", ok, detail=str(witness) if witness else "")
+def _ext_cont(brace: SkewBrace):
+    reports = ((f, ext_cont_report(f)) for f in _corpus(brace))
+    return _first_witness((f.mapping, rep.witness) for f, rep in reports if not rep.adjunction)
 
 
-def _check_spec_maps(bid: str, homs):
-    rows = []
-    continuity_ok, continuity_vac = True, True
-    surj_vac = True
-    inj_ok, inj_vac = True, True
-    khull_ok, khull_vac = True, True
-    dens_ok, dens_vac = True, True
-    witness = None
-    for f in homs:
-        rep = induced_spec_map(f, "star")
-        if not rep.contractions_prime:
-            continuity_ok = False
-            witness = witness or ("contraction-not-prime", f.mapping, rep.witness)
-            continue
-        both_vacuous = rep.points_vacuous and rep.density_vacuous
-        if rep.continuity_exact is False:
-            continuity_ok = False
-            witness = witness or ("continuity", f.mapping, rep.witness)
-        if not rep.points_vacuous:
-            continuity_vac = False
-        if not both_vacuous:
-            surj_vac = False
-        if rep.injectivity_certificate is False:
-            inj_ok = False
-            witness = witness or ("injectivity", f.mapping)
-        elif rep.injectivity_certificate is True and not rep.points_vacuous:
-            inj_vac = False
-        if rep.kernel_hull is not None:
-            if not rep.kernel_hull:
-                khull_ok = False
-                witness = witness or ("kernel-hull", f.mapping, rep.witness)
-            if not both_vacuous:
-                khull_vac = False
-        if rep.density_matches_kernel is False:
-            dens_ok = False
-            witness = witness or ("density", f.mapping, rep.witness)
-        if not rep.density_vacuous:
-            dens_vac = False
-    detail = str(witness) if witness else ""
-    rows.append(_row(bid, "spec-map-continuity", continuity_ok, vacuous=continuity_vac, detail=detail))
-    # f is onto Spec A exactly when every prime of A is a contraction:
-    # one set test, so this row cannot fail; it keeps its vacuity rule
-    rows.append(_row(bid, "spec-map-surjectivity", True, vacuous=surj_vac, detail=detail))
-    rows.append(_row(bid, "spec-map-injectivity", inj_ok, vacuous=inj_vac, detail=detail))
-    rows.append(_row(bid, "spec-map-kernel-hull", khull_ok, vacuous=khull_vac, detail=detail))
-    rows.append(_row(bid, "spec-map-density", dens_ok, vacuous=dens_vac, detail=detail))
-    return rows
+def _spec_maps(brace: SkewBrace):
+    reports = [(f, induced_spec_map(f, "star")) for f in _corpus(brace)]
+    # the certificates read only maps whose contractions are prime
+    prime = [rep for _, rep in reports if rep.contractions_prime]
+
+    def witnesses():
+        for f, rep in reports:
+            if not rep.contractions_prime:
+                yield ("contraction-not-prime", f.mapping, rep.witness)
+                continue
+            if rep.continuity_exact is False:
+                yield ("continuity", f.mapping, rep.witness)
+            if rep.injectivity_certificate is False:
+                yield ("injectivity", f.mapping)
+            if rep.kernel_hull is False:
+                yield ("kernel-hull", f.mapping, rep.witness)
+            if rep.density_matches_kernel is False:
+                yield ("density", f.mapping, rep.witness)
+
+    detail = str(next(witnesses(), ""))
+    return [
+        (
+            len(prime) == len(reports) and all(r.continuity_exact is not False for r in prime),
+            all(r.points_vacuous for r in prime), detail,
+        ),
+        # f is onto Spec A exactly when every prime of A is a contraction:
+        # one set test, so this row cannot fail; it keeps its vacuity rule
+        (True, all(r.points_vacuous and r.density_vacuous for r in prime), detail),
+        (
+            all(r.injectivity_certificate is not False for r in prime),
+            not any(r.injectivity_certificate is True and not r.points_vacuous for r in prime),
+            detail,
+        ),
+        (
+            all(r.kernel_hull is not False for r in prime),
+            all(r.kernel_hull is None or r.points_vacuous and r.density_vacuous for r in prime),
+            detail,
+        ),
+        (
+            all(r.density_matches_kernel is not False for r in prime),
+            all(r.density_vacuous for r in prime), detail,
+        ),
+    ]
 
 
-def _check_nil_quotient(bid: str, brace: SkewBrace):
+def _nil_quotient(brace: SkewBrace):
     rep = nil_quotient_homeo(brace, "star")
-    return _row(
-        bid, "nil-quotient-homeomorphic", rep.homeomorphic, vacuous=rep.vacuous,
-        detail=str(rep.witness) if rep.witness and not rep.homeomorphic else "",
-    )
+    detail = str(rep.witness) if rep.witness and not rep.homeomorphic else ""
+    return [(rep.homeomorphic, rep.vacuous, detail)]
 
 
-def _check_restriction_squares(bid: str, brace: SkewBrace, homs):
+def _restriction_square(brace: SkewBrace):
     # J = e(I) contains f(I), so f(a + I) lies in f(a) + J: the map
     # A/I -> A'/J read off coset representatives agrees with f for every
     # homomorphism, and the square cannot fail.  It quantifies over
     # Spec(A'/J), so the row keeps that vacuity rule.
+    homs = _corpus(brace)
     members = ideal_lattice(brace).members
     vacuous = not any(
         quotient_has_primes(f.target, extension(f, m)) for f in homs for m in members
     )
-    return _row(
-        bid, "restriction-square", True, vacuous=vacuous,
-        detail=f"squares={len(homs) * len(members)}",
-    )
+    return [(True, vacuous, f"squares={len(homs) * len(members)}")]
+
+
+# The table, in row order: the brace checks before the per-kind block,
+# the per-kind block once for each prime kind, then the rest.  Entries
+# are (row names, check) and, per kind, the kinds an entry runs for.
+_BRACE_HEAD = (
+    (("brace-axioms",), _axioms),
+    (("lambda-maps",), _lambda_maps),
+    (("ideal-criteria",), _ideal_criteria),
+    (("multiplicative-lattice",), _lattice_laws),
+    (("generated-ideal-routes",), _generated_routes),
+    (("star-chain",), _star_chain),
+    (("star-prime-subset-oracle",), _subset_oracle),
+    (("prime-ideal-implication",), _prime_implication),
+)
+_KIND_CHECKS = (
+    # Rad I is the meet of the primes over I: an ideal containing I,
+    # idempotent, with the hull of I, and Nil lies in every prime
+    (("radical-laws-{kind}",), _holds(), PRIME_KINDS),
+    (("closed-axioms-{kind}",), _closed_axioms, PRIME_KINDS),
+    # s lies in K(T) exactly when T lies in H(s), by the definitions;
+    # the closure laws and KH = radical follow from that pair
+    (("galois-{kind}",), _holds("holds for every hull-kernel space"), PRIME_KINDS),
+    (("t0-specialization-{kind}",), _t0_specialization, PRIME_KINDS),
+    (("t1-iff-spec-equals-max",), _t1_iff_spec_equals_max, ("star",)),
+    (
+        (
+            "irreducibles-are-hulls-{kind}",
+            "generic-points-unique-{kind}",
+            "components-minimal-primes-{kind}",
+            "irreducible-iff-nil-prime-{kind}",
+        ),
+        _irreducibility,
+        PRIME_KINDS,
+    ),
+    (("noetherian-compact-{kind}",), _noetherian, PRIME_KINDS),
+)
+_BRACE_TAIL = (
+    (("maximal-prime-criterion",), _maximal_prime),
+    (("spectral-space-spec", "closed-axioms-lattice", "spectral-space-idl"), _spectral),
+    # kernels and contractions are preimages of ideals, hence ideals, and
+    # images are subbraces, for every validated homomorphism
+    (("hom-kernel-image",), lambda brace: [(True, False, f"homs={len(_corpus(brace))}")]),
+    (("quotient-construction",), _quotient_construction),
+    (("ideal-correspondence",), _ideal_correspondence),
+    # f(i * j) = f(i) * f(j) for every map that preserves + and ∘
+    (("star-image-exact",), _holds("holds for every homomorphism")),
+    (("extension-contraction-galois",), _ext_cont),
+    (
+        (
+            "spec-map-continuity",
+            "spec-map-surjectivity",
+            "spec-map-injectivity",
+            "spec-map-kernel-hull",
+            "spec-map-density",
+        ),
+        _spec_maps,
+    ),
+    (("nil-quotient-homeomorphic",), _nil_quotient),
+    (("restriction-square",), _restriction_square),
+)
 
 
 def run_brace_suite(brace_id: str, brace: SkewBrace) -> list[SuiteResult]:
     out: list[SuiteResult] = []
-
-    def quotients():
-        # quotient is cached per (brace, ideal) and an error is not, so
-        # every row that reads a failing quotient becomes a fail row
-        return tuple(quotient(brace, m) for m in ideal_lattice(brace).members)
-
-    def corpus():
-        return _corpus(brace, quotients())
-
-    _guard(out, brace_id, "brace-axioms", lambda: _check_axioms(brace_id, brace))
-    _guard(out, brace_id, "lambda-maps", lambda: _check_lambda(brace_id, brace))
-    _guard(out, brace_id, "ideal-criteria", lambda: _check_ideal_criteria(brace_id, brace))
-    _guard(out, brace_id, "multiplicative-lattice", lambda: _check_lattice_laws(brace_id, brace))
-    _guard(out, brace_id, "generated-ideal-routes", lambda: _check_generated_routes(brace_id, brace))
-    _guard(out, brace_id, "star-chain", lambda: _check_star_chain(brace_id, brace))
-    _guard(out, brace_id, "star-prime-subset-oracle", lambda: _check_subset_oracle(brace_id, brace))
-    _guard(out, brace_id, "prime-ideal-implication", lambda: _check_prime_implication(brace_id, brace))
+    for names, check in _BRACE_HEAD:
+        _run(out, brace_id, names, lambda: check(brace))
     for kind in PRIME_KINDS:
-        # Rad I is the meet of the primes over I: an ideal containing I,
-        # idempotent, with the hull of I, and Nil lies in every prime
-        out.append(_row(brace_id, f"radical-laws-{kind}", True))
-        _guard(out, brace_id, f"closed-axioms-{kind}", lambda k=kind: _check_closed_axioms(brace_id, brace, k))
-        # s lies in K(T) exactly when T lies in H(s), by the definitions;
-        # the closure laws and KH = radical follow from that pair
-        out.append(_row(brace_id, f"galois-{kind}", True, detail="holds for every hull-kernel space"))
-        _guard(out, brace_id, f"t0-specialization-{kind}", lambda k=kind: _check_separation(brace_id, brace, k))
-        _guard(out, brace_id, f"irreducibles-are-hulls-{kind}", lambda k=kind: _check_irreducibility(brace_id, brace, k))
-        _guard(out, brace_id, f"noetherian-compact-{kind}", lambda k=kind: _check_noetherian(brace_id, brace, k))
-    _guard(out, brace_id, "maximal-prime-criterion", lambda: _check_maximal_prime(brace_id, brace))
-    _guard(out, brace_id, "spectral-space-spec", lambda: _check_spectral(brace_id, brace))
-    # kernels and contractions are preimages of ideals, hence ideals, and
-    # images are subbraces, for every validated homomorphism
-    _guard(out, brace_id, "hom-kernel-image", lambda: _row(brace_id, "hom-kernel-image", True, detail=f"homs={len(corpus())}"))
-    _guard(out, brace_id, "quotient-construction", lambda: _check_quotients(brace_id, brace, quotients()))
-    _guard(out, brace_id, "ideal-correspondence", lambda: _check_correspondence(brace_id, quotients()))
-    # f(i * j) = f(i) * f(j) for every map that preserves + and ∘
-    out.append(_row(brace_id, "star-image-exact", True, detail="holds for every homomorphism"))
-    _guard(out, brace_id, "extension-contraction-galois", lambda: _check_ext_cont(brace_id, corpus()))
-    _guard(out, brace_id, "spec-map-continuity", lambda: _check_spec_maps(brace_id, corpus()))
-    _guard(out, brace_id, "nil-quotient-homeomorphic", lambda: _check_nil_quotient(brace_id, brace))
-    _guard(out, brace_id, "restriction-square", lambda: _check_restriction_squares(brace_id, brace, corpus()))
+        for names, check, kinds in _KIND_CHECKS:
+            if kind in kinds:
+                named = [name.format(kind=kind) for name in names]
+                _run(out, brace_id, named, lambda: check(brace, kind))
+    for names, check in _BRACE_TAIL:
+        _run(out, brace_id, names, lambda: check(brace))
     return out
 
 
 # ---------------------------------------------------------------------------
 # catalog-level checks
 
+_PAST_BOUND = (True, True, f"enumeration bounded to order {DEFAULT_BOUND}")
+
+
+def _raw_agreement(n: int):
+    if n > ENUMERATION_BOUND:
+        return [(True, True, f"raw sweep bounded to order {ENUMERATION_BOUND}")]
+    fast = enumerate_braces(n)
+    slow = enumerate_braces_raw(n)
+    same = len(fast) == len(slow) and all(
+        x.add == y.add and x.mul == y.mul for x, y in zip(fast, slow)
+    )
+    return [(same, False, f"twist={len(fast)} raw={len(slow)}")]
+
+
+def _isomorphism_free(n: int):
+    if n > DEFAULT_BOUND:
+        return [_PAST_BOUND]
+    braces = enumerate_braces(n)
+    pairs = combinations(range(len(braces)), 2)
+    witness = next(
+        ((i, j) for i, j in pairs if is_isomorphic(braces[i], braces[j]) is not None), None
+    )
+    detail = f"classes={len(braces)}" + (f" witness={witness}" if witness else "")
+    return [(witness is None, False, detail)]
+
+
+def _catalog_matches(records, orders):
+    """The records against the enumeration, then against a fresh catalog."""
+    if orders and orders[-1] > DEFAULT_BOUND:
+        return [_PAST_BOUND] * 2
+    expected = [
+        (f"{n}-{i}", brace.add, brace.mul)
+        for n in orders
+        for i, brace in enumerate(enumerate_braces(n))
+    ]
+    actual = [(rec.brace_id, rec.add, rec.mul) for rec in records]
+    fresh = generate_catalog(orders[-1]) if orders else ()
+    return [
+        (expected == actual, False, f"records={len(actual)}"),
+        (catalog_lines(records) == catalog_lines(fresh), False, ""),
+    ]
+
 
 def run_catalog_checks(records) -> list[SuiteResult]:
     out: list[SuiteResult] = []
     orders = sorted({rec.order for rec in records})
-    max_order = max(orders) if orders else 0
-
     for n in orders:
-        if n > ENUMERATION_BOUND:
-            out.append(
-                SuiteResult(
-                    f"order-{n}", "enumeration-raw-agreement", "vacuous",
-                    f"raw sweep bounded to order {ENUMERATION_BOUND}",
-                )
-            )
-            continue
-        def check(n=n):
-            fast = enumerate_braces(n)
-            slow = enumerate_braces_raw(n)
-            same = len(fast) == len(slow) and all(
-                x.add == y.add and x.mul == y.mul for x, y in zip(fast, slow)
-            )
-            return _row(
-                f"order-{n}", "enumeration-raw-agreement", same,
-                detail=f"twist={len(fast)} raw={len(slow)}",
-            )
-        _guard(out, f"order-{n}", "enumeration-raw-agreement", check)
-
-    past_bound = f"enumeration bounded to order {DEFAULT_BOUND}"
+        _run(out, f"order-{n}", ("enumeration-raw-agreement",), lambda: _raw_agreement(n))
     for n in orders:
-        if n > DEFAULT_BOUND:
-            out.append(SuiteResult(f"order-{n}", "catalog-isomorphism-free", "vacuous", past_bound))
-            continue
-        def check(n=n):
-            braces = enumerate_braces(n)
-            ok = True
-            witness = None
-            for i in range(len(braces)):
-                for j in range(i + 1, len(braces)):
-                    if is_isomorphic(braces[i], braces[j]) is not None:
-                        ok = False
-                        witness = witness or (i, j)
-            return _row(
-                f"order-{n}", "catalog-isomorphism-free", ok,
-                detail=f"classes={len(braces)}" + (f" witness={witness}" if witness else ""),
-            )
-        _guard(out, f"order-{n}", "catalog-isomorphism-free", check)
-
-    if max_order > DEFAULT_BOUND:
-        for check in ("catalog-matches-enumeration", "catalog-deterministic"):
-            out.append(SuiteResult("catalog", check, "vacuous", past_bound))
-        return out
-
-    def check_complete():
-        expected = []
-        for n in orders:
-            for i, brace in enumerate(enumerate_braces(n)):
-                expected.append((f"{n}-{i}", brace.add, brace.mul))
-        actual = [(rec.brace_id, rec.add, rec.mul) for rec in records]
-        return _row(
-            "catalog", "catalog-matches-enumeration", expected == actual,
-            detail=f"records={len(actual)}",
-        )
-    _guard(out, "catalog", "catalog-matches-enumeration", check_complete)
-
-    def check_deterministic():
-        fresh = generate_catalog(max_order) if max_order else ()
-        return _row(
-            "catalog", "catalog-deterministic",
-            catalog_lines(records) == catalog_lines(fresh),
-        )
-    _guard(out, "catalog", "catalog-deterministic", check_deterministic)
-
+        _run(out, f"order-{n}", ("catalog-isomorphism-free",), lambda: _isomorphism_free(n))
+    names = ("catalog-matches-enumeration", "catalog-deterministic")
+    _run(out, "catalog", names, lambda: _catalog_matches(records, orders))
     return out
 
 
@@ -570,21 +517,13 @@ def run_records(records) -> list[SuiteResult]:
         try:
             bad = verify_record(rec)
         except SbspecError as exc:
-            out.append(
-                SuiteResult(
-                    rec.brace_id, "record-integrity", "fail",
-                    f"{type(exc).__name__}: {exc}",
-                )
-            )
-            continue
-        out.append(
-            _row(
-                rec.brace_id, "record-integrity", not bad,
-                detail=f"stale fields: {bad}" if bad else "",
-            )
-        )
-        brace = validate(rec.add, rec.mul)
-        out.extend(run_brace_suite(rec.brace_id, brace))
+            ok, detail, brace = False, _error(exc), None
+        else:
+            ok, detail = not bad, f"stale fields: {bad}" if bad else ""
+            brace = validate(rec.add, rec.mul)
+        out.append(_row(rec.brace_id, "record-integrity", ok, detail=detail))
+        if brace is not None:
+            out.extend(run_brace_suite(rec.brace_id, brace))
     out.extend(run_catalog_checks(records))
     return out
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from sbspec import ideals
+from sbspec import ideals, suite
 from sbspec.bitsets import popcount
 from sbspec.braces import SkewBrace, trivial_brace
 from sbspec.catalog import (
@@ -24,7 +24,6 @@ from sbspec.morphisms import quotient
 from sbspec.spectra import spectrum
 from sbspec.suite import (
     SuiteResult,
-    _check_separation,
     failures,
     run_brace_suite,
     run_catalog_checks,
@@ -366,8 +365,9 @@ def test_lattice_missing_a_member_gives_fail_rows(s4_almost, monkeypatch):
     finally:
         monkeypatch.undo()
         _clear_lattice_caches()
-    # every row that reads the lattice fails with the error as its detail;
-    # only the rows that never build it keep their verdicts
+    # every row that reads the lattice fails by name, with the error as its
+    # detail; only the rows that never build it keep their verdicts
+    assert [r.check for r in rows] == SUITE_CHECKS
     kept = {r.check: r.verdict for r in rows if r.verdict != "fail"}
     assert kept == {
         "brace-axioms": "pass",
@@ -378,7 +378,7 @@ def test_lattice_missing_a_member_gives_fail_rows(s4_almost, monkeypatch):
         "star-image-exact": "pass",
     }
     bad = failures(rows)
-    assert len(bad) == 26
+    assert len(bad) == 42
     assert all(r.detail.startswith("ConsistencyError: ") for r in bad)
 
 
@@ -396,8 +396,8 @@ def test_generated_routes_sample_past_4096_seeds(z4_radical):
 def test_t0_row_needs_two_points(a5_trivial):
     # T0 holds in every hull-kernel space, so the row is a literal pass
     # whose only content is its vacuity rule: one point is not evidence
-    rows = _check_separation("a5", a5_trivial, "huq")
-    assert [(r.verdict, r.detail) for r in rows] == [("vacuous", "points=1")]
+    row = {r.check: r for r in run_brace_suite("a5", a5_trivial)}["t0-specialization-huq"]
+    assert (row.verdict, row.detail) == ("vacuous", "points=1")
 
 
 def test_zero_brace_suite_vacuities(zero_brace):
@@ -445,6 +445,24 @@ def test_run_records_catches_stale_field(catalog4):
     assert "ideal_count" in integ[0].detail
     # the rest of the suite still ran for that brace
     assert any(r.brace_id == stale[3].brace_id and r.check == "galois-star" for r in rows)
+
+
+def test_verify_record_audits_every_derived_field(catalog4):
+    rec = catalog4[3]
+    names = [f.name for f in dataclasses.fields(rec)]
+    assert names[:4] == ["brace_id", "order", "add", "mul"]
+    for name in names[4:]:
+        assert verify_record(dataclasses.replace(rec, **{name: None})) == [name]
+    # stale fields are listed in declaration order
+    assert verify_record(dataclasses.replace(rec, t1=None, add_group=None)) == ["add_group", "t1"]
+
+
+def test_failing_check_reports_its_first_witness(z4_radical, monkeypatch):
+    # with every kernel read as {0}, each quotient but the one by {0} is a
+    # witness; the row names the first, the quotient by {0, 2} (mask 5)
+    monkeypatch.setattr(suite, "kernel", lambda f: 1)
+    row = {r.check: r for r in run_brace_suite("z4r", z4_radical)}["quotient-construction"]
+    assert (row.verdict, row.detail) == ("fail", "('projection-kernel', 5)")
 
 
 def test_run_records_catches_broken_tables(catalog4):
