@@ -37,17 +37,14 @@ def popcount(mask: int) -> int:
 
 
 def hasse_edges(masks) -> list[tuple[int, int]]:
-    """Covering pairs (x, y) with x strictly below y in the subset order."""
+    """Covering pairs (x, y) with x strictly below y in the subset order:
+    taken in size order, y covers x when no earlier cover of x lies in y."""
     items = sorted(set(masks), key=lambda m: (popcount(m), m))
     edges = []
     for i, x in enumerate(items):
-        for y in items:
-            if x == y or not is_subset(x, y):
-                continue
-            if any(
-                z != x and z != y and is_subset(x, z) and is_subset(z, y)
-                for z in items
-            ):
-                continue
-            edges.append((x, y))
+        covers: list[int] = []
+        for y in items[i + 1:]:
+            if is_subset(x, y) and not any(is_subset(c, y) for c in covers):
+                covers.append(y)
+        edges.extend((x, y) for y in covers)
     return edges

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .bitsets import bits, full_mask, is_subset
 from .braces import SkewBrace
@@ -55,6 +55,11 @@ class Hom:
             if mask >> self.mapping[a] & 1:
                 out |= 1 << a
         return out
+
+    @cached_property
+    def extensions(self) -> dict[Mask, Mask]:
+        """e(I) for every ideal I of the source, computed once per hom."""
+        return {i: extension(self, i) for i in ideal_lattice(self.source).members}
 
 
 def validate_hom(source: SkewBrace, target: SkewBrace, mapping) -> Hom:
@@ -245,8 +250,7 @@ class ExtContReport:
 def ext_cont_report(f: Hom) -> ExtContReport:
     tgt = ideal_lattice(f.target).members
     con = {j: contraction(f, j) for j in tgt}
-    for i in ideal_lattice(f.source).members:
-        e = extension(f, i)
+    for i, e in f.extensions.items():
         for j in tgt:
             if is_subset(e, j) != is_subset(i, con[j]):
                 return ExtContReport(False, ("adjunction", i, j))
@@ -298,11 +302,10 @@ def induced_spec_map(f: Hom, kind: str = "star") -> SpecMapReport:
             contractions_prime = False
             witness = witness or ("contraction-not-prime", p, c, why)
 
-    ext = {i: extension(f, i) for i in ideal_lattice(f.source).members}
     continuity = None
     if contractions_prime:
         continuity = True
-        for i, e in ext.items():
+        for i, e in f.extensions.items():
             lhs = frozenset(p for p, c in point_map if is_subset(i, c))
             rhs = frozenset(p for p in target_primes if is_subset(e, p))
             if lhs != rhs:
@@ -310,7 +313,7 @@ def induced_spec_map(f: Hom, kind: str = "star") -> SpecMapReport:
                 witness = witness or ("continuity", i, lhs, rhs)
 
     contracted = {c for _, c in point_map}
-    extensions = set(ext.values())
+    extensions = set(f.extensions.values())
     injectivity = None
     if contractions_prime and all(q in extensions for q in target_primes):
         injectivity = len(contracted) == len(point_map)

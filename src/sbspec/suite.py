@@ -20,7 +20,6 @@ same runner.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -36,14 +35,12 @@ from .ideals import (
     ideal_check,
     ideal_lattice,
     multiplicative_lattice_check,
+    sample_cases,
     star_ideal,
-    star_set,
-    star_subgroup,
 )
 from .morphisms import (
     endomorphisms,
     ext_cont_report,
-    extension,
     ideal_correspondence,
     induced_spec_map,
     kernel,
@@ -71,9 +68,6 @@ from .topology import (
 
 SUBSET_ORACLE_BOUND = 5
 ENDOMORPHISM_BOUND = 4
-# seed loops over all 2^n subsets sample this many seeds, drawn from
-# random.Random(7), once 2^n exceeds it
-SEED_SAMPLE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -111,10 +105,11 @@ def _holds(detail: str = ""):
     return lambda *_: [(True, False, detail)]
 
 
-def _first_witness(witnesses):
-    """One verdict: a fail carrying the first witness, or a pass."""
+def _first_witness(witnesses, scope: str = ""):
+    """One verdict: a fail carrying the first witness, or a pass; then the scope."""
     witness = next(iter(witnesses), None)
-    return [(witness is None, False, "" if witness is None else str(witness))]
+    ok = witness is None
+    return [(ok, False, "; ".join(p for p in ("" if ok else str(witness), scope) if p))]
 
 
 # ---------------------------------------------------------------------------
@@ -155,42 +150,34 @@ def _ideal_criteria(brace: SkewBrace):
 def _lattice_laws(brace: SkewBrace):
     rep = multiplicative_lattice_check(ideal_lattice(brace))
     detail = f"join_distributive={rep.join_distributive}"
-    if rep.counterexample is not None and not rep.ok:
+    if not rep.ok:
         detail += f" witness={rep.counterexample}"
-    return [(rep.ok, False, detail)]
+    return [(rep.ok, False, "; ".join(p for p in (detail, rep.scope) if p))]
 
 
 def _generated_routes(brace: SkewBrace):
     lat = ideal_lattice(brace)
-    n = brace.order
-    if 1 << n <= SEED_SAMPLE_LIMIT:
-        seeds, scope = range(1 << n), ""
-    else:
-        rng = random.Random(7)
-        seeds = [rng.randrange(1 << n) for _ in range(SEED_SAMPLE_LIMIT)]
-        scope = f"sampled {SEED_SAMPLE_LIMIT} of 2^{n}"
-    witness = next(
-        (s for s in seeds if generated_ideal(brace, s) != lat.generated(s | 1)),
-        None,
+    seeds, scope = sample_cases(1 << brace.order, f"2^{brace.order}")
+    return _first_witness(
+        (f"seed={s}" for s in seeds if generated_ideal(brace, s) != lat.generated(s | 1)),
+        scope,
     )
-    ok = witness is None
-    detail = "; ".join(part for part in ("" if ok else f"seed={witness}", scope) if part)
-    return [(ok, False, detail)]
 
 
 def _star_chain(brace: SkewBrace):
-    members = ideal_lattice(brace).members
+    # the lattice's generator route against the element route, inside i ∩ j
+    lat = ideal_lattice(brace)
+    members, k = lat.members, len(lat)
+    cases, scope = sample_cases(k * k, f"{k}^2")
 
     def witnesses():
-        for i in members:
-            for j in members:
-                s0 = star_set(brace, i, j)
-                s1 = star_subgroup(brace, i, j)
-                s2 = star_ideal(brace, i, j)
-                if not (is_subset(s0, s1) and is_subset(s1, s2) and is_subset(s2, i & j)):
-                    yield (i, j)
+        for c in cases:
+            i, j = members[c // k], members[c % k]
+            product = star_ideal(brace, i, j)
+            if product != lat.star(i, j) or not is_subset(product, i & j):
+                yield (i, j)
 
-    return _first_witness(witnesses())
+    return _first_witness(witnesses(), scope)
 
 
 def _subset_oracle(brace: SkewBrace):
@@ -372,7 +359,7 @@ def _restriction_square(brace: SkewBrace):
     homs = _corpus(brace)
     members = ideal_lattice(brace).members
     vacuous = not any(
-        quotient_has_primes(f.target, extension(f, m)) for f in homs for m in members
+        quotient_has_primes(f.target, f.extensions[m]) for f in homs for m in members
     )
     return [(True, vacuous, f"squares={len(homs) * len(members)}")]
 

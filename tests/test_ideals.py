@@ -1,11 +1,12 @@
 """Ideal layer: subset-sweep and seed-route oracles, frozen lattices, closures."""
 
+import copy
 import itertools
 
 import pytest
 
 from sbspec import ideals
-from sbspec.bitsets import bits, elements, full_mask, mask_of, popcount
+from sbspec.bitsets import bits, elements, full_mask, hasse_edges, is_subset, mask_of, popcount
 from sbspec.braces import almost_trivial_brace, relabel, trivial_brace
 from sbspec.enumeration import enumerate_braces
 from sbspec.errors import ConsistencyError
@@ -227,12 +228,87 @@ def test_join_is_smallest_containing_ideal(s3_almost):
                     assert lat.leq(j, z)
 
 
+def meets_are_glb(lat):
+    """Every meet lies in both arguments and above every common lower bound."""
+    ms = lat.members
+    for x in ms:
+        for y in ms:
+            mt = lat.meet(x, y)
+            if not (lat.leq(mt, x) and lat.leq(mt, y)):
+                return False
+            if any(lat.leq(z, x) and lat.leq(z, y) and not lat.leq(z, mt) for z in ms):
+                return False
+    return True
+
+
+def joins_are_lub(lat):
+    """Every join contains both arguments and lies in every common upper bound."""
+    ms = lat.members
+    for x in ms:
+        for y in ms:
+            jn = lat.join(x, y)
+            if not (lat.leq(x, jn) and lat.leq(y, jn)):
+                return False
+            if any(lat.leq(x, z) and lat.leq(y, z) and not lat.leq(jn, z) for z in ms):
+                return False
+    return True
+
+
+def star_monotone_everywhere(lat):
+    """x <= x2 and y <= y2 give x·y <= x2·y2, over every member quadruple."""
+    ms = lat.members
+    return all(
+        lat.leq(lat.star(x, y), lat.star(x2, y2))
+        for x in ms for y in ms for x2 in ms for y2 in ms
+        if lat.leq(x, x2) and lat.leq(y, y2)
+    )
+
+
+def star_below_meet_everywhere(lat):
+    ms = lat.members
+    return all(lat.leq(lat.star(x, y), x & y) for x in ms for y in ms)
+
+
 @pytest.mark.parametrize("brace", brace_corpus(), ids=lambda b: b.describe())
 def test_multiplicative_lattice_laws(brace):
-    report = multiplicative_lattice_check(ideal_lattice(brace))
-    assert report.ok
-    # informational flag, but at these orders it always holds
+    # the laws the check leaves to construction, and monotonicity over
+    # every quadruple against its Hasse-cover route
+    lat = ideal_lattice(brace)
+    report = multiplicative_lattice_check(lat)
+    assert meets_are_glb(lat) and joins_are_lub(lat)
+    assert lat.members[0] == 1 and lat.members[-1] == full_mask(brace.order)
+    assert report.star_monotone == star_monotone_everywhere(lat)
+    assert report.ok and report.counterexample is None and report.scope == ""
+    # informational flag, but distributivity over joins is a theorem
+    # (see multiplicative_lattice_check)
     assert report.join_distributive
+
+
+def test_lattice_check_rejects_every_broken_star_table(v4_trivial, z4_radical, s3_almost):
+    # every single-entry change of the star table: the cover route must
+    # agree with the quadruple oracle, and any break of either law must
+    # turn the report, with a witness
+    breaks_only_monotone = 0
+    for brace in (v4_trivial, z4_radical, s3_almost):
+        lat = ideal_lattice(brace)
+        k = len(lat)
+        for i, j in itertools.product(range(k), repeat=2):
+            for value in range(k):
+                if value == lat.star_table[i][j]:
+                    continue
+                table = [list(row) for row in lat.star_table]
+                table[i][j] = value
+                mutant = copy.copy(lat)
+                mutant.star_table = tuple(map(tuple, table))
+                report = multiplicative_lattice_check(mutant)
+                monotone = star_monotone_everywhere(mutant)
+                below = star_below_meet_everywhere(mutant)
+                assert report.star_monotone == monotone, (brace, i, j, value)
+                assert report.star_below_meet == below, (brace, i, j, value)
+                assert report.ok == (monotone and below)
+                assert report.ok or report.counterexample is not None
+                breaks_only_monotone += below and not monotone
+    assert breaks_only_monotone
 
 
 def test_star_monotone_and_below_meet(z4_radical, s3_almost):
@@ -477,6 +553,28 @@ def assert_lattice_matches_seed_route(brace):
 )
 def test_lattice_tables_match_seed_route(brace):
     assert_lattice_matches_seed_route(brace)
+
+
+def reference_hasse_edges(masks):
+    """(x, y) with x strictly inside y and no mask strictly between them."""
+    items = sorted(set(masks), key=lambda m: (popcount(m), m))
+    return [
+        (x, y)
+        for x in items
+        for y in items
+        if x != y and is_subset(x, y)
+        and not any(z not in (x, y) and is_subset(x, z) and is_subset(z, y) for z in items)
+    ]
+
+
+def test_hasse_edges_match_reference():
+    # the covers the lattice check reads, on lattices and on a mask family
+    # that is not closed under meets or joins
+    for brace in lattice_oracle_corpus():
+        members = ideal_lattice(brace).members
+        assert hasse_edges(members) == reference_hasse_edges(members)
+    family = list(range(1, 64, 3)) + [0b101, 0b11111]
+    assert hasse_edges(family) == reference_hasse_edges(family)
 
 
 def test_a5_lattice_tables_match_seed_route(a5_trivial, a5_almost):

@@ -88,6 +88,9 @@ def test_contraction_extension(z4_radical, z2_trivial):
     assert contraction(f, mask_of([0, 1])) == full_mask(4)
     assert extension(f, mask_of([0, 2])) == mask_of([0])
     assert extension(f, full_mask(4)) == mask_of([0, 1])
+    # the per-hom table the reports read: e(I) for every source ideal, once
+    assert f.extensions == {i: extension(f, i) for i in all_ideals(z4_radical)}
+    assert f.extensions is f.extensions
 
 
 def test_quotient_by_middle_ideal(z4_radical, z2_trivial):

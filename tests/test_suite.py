@@ -1,6 +1,7 @@
 """Catalog records and the property-suite verdict machinery."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -18,7 +19,7 @@ from sbspec.catalog import (
     write_catalog,
 )
 from sbspec.errors import ConsistencyError, ParseError
-from sbspec.groups import cyclic_table
+from sbspec.groups import cyclic_table, klein_table, product_table
 from sbspec.ideals import ideal_lattice
 from sbspec.morphisms import quotient
 from sbspec.spectra import spectrum
@@ -269,6 +270,19 @@ def test_catalog6_verdict_table(catalog6):
     assert summarize(rows) == CATALOG6_VERDICTS
 
 
+# sha256 of the catalog <=6 rows joined as brace_id|check|verdict|detail,
+# one per line: a change that should leave every row as it was, detail
+# included, keeps this digest
+CATALOG6_ROWS_SHA256 = "56ca1792ed9d76e83aae906248e30dc718990393f03457666cf84848d53eef02"
+
+
+def test_catalog6_row_bytes_pinned(catalog6):
+    joined = "\n".join(
+        f"{r.brace_id}|{r.check}|{r.verdict}|{r.detail}" for r in run_records(catalog6)
+    )
+    assert hashlib.sha256(joined.encode()).hexdigest() == CATALOG6_ROWS_SHA256
+
+
 # (check, pass, fail, vacuous) over run_brace_suite on trivial and
 # almost-trivial S4 and A5, the braces with non-empty spectra: {0} is
 # star, ksv and huq prime on almost-trivial A5 and huq prime on trivial
@@ -391,6 +405,19 @@ def test_generated_routes_sample_past_4096_seeds(z4_radical):
     assert failures(rows) == []
     row = {r.check: r for r in rows}["generated-ideal-routes"]
     assert (row.verdict, row.detail) == ("pass", "sampled 4096 of 2^13")
+
+
+def test_suite_samples_past_4096_cases_at_67_ideals():
+    # trivial Z2^4 has 67 ideals: the distributivity triples and the
+    # star-chain pairs past the bound are sampled, and the scope is named
+    brace = trivial_brace(product_table(klein_table(), klein_table()))
+    assert len(ideal_lattice(brace)) == 67
+    rows = run_brace_suite("z2^4", brace)
+    assert len(rows) == 52
+    assert failures(rows) == []
+    by_check = {r.check: r.detail for r in rows}
+    assert by_check["multiplicative-lattice"] == "join_distributive=True; sampled 4096 of 67^3"
+    assert by_check["star-chain"] == "sampled 4096 of 67^2"
 
 
 def test_t0_row_needs_two_points(a5_trivial):

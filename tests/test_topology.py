@@ -18,7 +18,9 @@ here therefore split into four groups:
    meet.
 """
 
+import itertools
 import math
+from functools import reduce
 
 import pytest
 
@@ -359,6 +361,16 @@ class MaskLattice:
         )
 
 
+class TopJoinLattice(MaskLattice):
+    """join answers the top for every incomparable pair: an upper bound
+    that is not the least one, so the hull intersection law can fail."""
+
+    def join(self, x, y):
+        if is_subset(x, y) or is_subset(y, x):
+            return x | y
+        return self.top
+
+
 def divisor_ideal(n, d):
     """The ideal dZ/n of Z/n, as a mask of residues."""
     return mask_of(range(0, n, d))
@@ -490,3 +502,60 @@ def test_hull_law_rejects_a_product_outside_the_primes():
     assert not rep.union_is_product_hull and not rep.ok
     fifteen = divisor_ideal(30, 15)
     assert rep.witness == ("union-product", fifteen, fifteen)
+
+
+def top_join_divisor_lattice(n):
+    lat = divisor_lattice(n)
+    return TopJoinLattice(lat.members, lat.star)
+
+
+def mask_lattice_spaces():
+    """Every hull-kernel space over a mask lattice in this file."""
+    spaces = []
+    for n in (8, 12, 30):
+        lat = divisor_lattice(n)
+        spaces.append(HullKernelSpace(lat, lat.primes(lat.star), lat.star))
+    for k in (3, 4):
+        lat = chain_lattice(k)
+        spaces.append(HullKernelSpace(lat, lat.primes(lat.star), lat.star))
+    lat = divisor_lattice(8)
+    spaces.append(HullKernelSpace(lat, lat.primes(lat.meet), lat.meet))
+    spaces.append(HullKernelSpace(lat, lat.primes(lat.meet), lat.star))
+    lat = divisor_lattice(30)
+    spaces.append(HullKernelSpace(lat, lat.primes(lat.star), lambda x, y: lat.bottom))
+    lat = top_join_divisor_lattice(30)
+    spaces.append(HullKernelSpace(lat, divisor_lattice(30).primes(lat.star), lat.star))
+    return spaces
+
+
+def family_law_oracle(hk):
+    """Intersections of up to three hulls against the hull of the family's join."""
+    lat = hk.lat
+    for r in range(4):
+        for fam in itertools.combinations(lat.members, r):
+            inter = full_mask(hk.n_points)
+            for m in fam:
+                inter &= hk.hull(m)
+            if inter != hk.hull(reduce(lat.join, fam, lat.bottom)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("hk", mask_lattice_spaces(), ids=lambda hk: f"{len(hk.lat.members)}m")
+def test_pair_law_matches_family_oracle(hk):
+    assert closed_axioms_report(hk).family_intersections == family_law_oracle(hk)
+
+
+def test_intersection_law_rejects_a_join_that_is_not_least():
+    # Z/30 with every incomparable join read as the top: the first such
+    # pair, 15Z and 10Z, both lie in 5Z, so H(15Z) & H(10Z) = {5Z}, but
+    # the hull of the top is empty
+    lat = top_join_divisor_lattice(30)
+    hk = HullKernelSpace(lat, divisor_lattice(30).primes(lat.star), lat.star)
+    rep = closed_axioms_report(hk)
+    assert rep.union_is_meet_hull and rep.union_is_product_hull
+    assert not rep.family_intersections and not rep.ok
+    fifteen, ten = divisor_ideal(30, 15), divisor_ideal(30, 10)
+    assert rep.witness == ("family", fifteen, ten)
+    assert hk.hull(fifteen) & hk.hull(ten) == 1 << hk.points.index(divisor_ideal(30, 5))
+    assert not family_law_oracle(hk)
