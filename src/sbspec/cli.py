@@ -16,7 +16,6 @@ from .catalog import generate_catalog, read_catalog, write_catalog
 from .enumeration import DEFAULT_BOUND
 from .errors import ParseError, SbspecError
 from .morphisms import (
-    ext_cont_report,
     ideal_correspondence,
     image,
     induced_spec_map,
@@ -197,7 +196,8 @@ def cmd_hom(args) -> int:
         "injective": is_injective(f),
         # f(i * j) = f(i) * f(j) for every map that preserves + and ∘
         "star_image_exact": True,
-        "extension_contraction_ok": ext_cont_report(f).adjunction,
+        # e(I) is the least ideal over f(I): e(I) ⊆ J ⇔ I ⊆ c(J) for every map
+        "extension_contraction_ok": True,
         "spec_map": {
             "kind": rep.kind,
             "points": len(rep.point_map),

@@ -234,29 +234,6 @@ def ideal_correspondence(q: Quotient) -> CorrespondenceReport:
     )
 
 
-@dataclass(frozen=True)
-class ExtContReport:
-    """Extension/contraction as a Galois pair on ideal lattices.
-
-    Only the adjunction e(I) ⊆ J ⇔ I ⊆ c(J) is checked, over every pair
-    of ideals: monotonicity of both maps, the unit I ⊆ c(e(I)), the
-    counit e(c(J)) ⊆ J and e∘c∘e = e all follow from it.
-    """
-
-    adjunction: bool
-    witness: tuple | None
-
-
-def ext_cont_report(f: Hom) -> ExtContReport:
-    tgt = ideal_lattice(f.target).members
-    con = {j: contraction(f, j) for j in tgt}
-    for i, e in f.extensions.items():
-        for j in tgt:
-            if is_subset(e, j) != is_subset(i, con[j]):
-                return ExtContReport(False, ("adjunction", i, j))
-    return ExtContReport(True, None)
-
-
 # ---------------------------------------------------------------------------
 # induced maps between spectra
 

@@ -45,11 +45,6 @@ def member_list(mask: Mask) -> list[int]:
     return list(elements(mask))
 
 
-def _plain(witness) -> str | None:
-    # witnesses can hold frozensets and nested tuples; reports stay JSON-safe
-    return None if witness is None else str(witness)
-
-
 # ---------------------------------------------------------------------------
 # braces
 

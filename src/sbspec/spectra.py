@@ -7,9 +7,13 @@ the ideal generated by the products i*j (the paper's primes, so
 Spec(Idl A) is this spectrum); ksv, the additive subgroup they generate,
 which decides every pair as star does; huq, the commutator ideal.
 
-is_prime_pointwise, no two elements outside P star-multiplying into P,
-is an oracle: it implies star primality, but not conversely (on the
-almost-trivial brace of A5, {0} is star prime).
+The pointwise notion, no two elements outside P star-multiplying into
+P, is empty on every finite skew brace, so it has no routine here.
+Suppose P is pointwise prime, and let Q = A/P, of order m >= 2.  Then
+a*b = λ_a(b) - b is nonzero for all nonzero a, b of Q, so λ_a fixes no
+nonzero b.  So (Q, ∘) acts through λ on the m - 1 nonzero elements
+with trivial stabilisers.  Every orbit then has size m, so m divides m - 1,
+which is impossible.
 
 A spectrum may well be empty; emptiness is a result, not an error.
 """
@@ -28,7 +32,6 @@ from .ideals import (
     huq_commutator,
     ideal_lattice,
     star_ideal,
-    star_set,
     star_subgroup,
 )
 
@@ -85,38 +88,6 @@ def ideal_pair_witness(
             if is_subset(product(x, y), mask):
                 return x, y
     return None
-
-
-def is_prime_pointwise(brace: SkewBrace, mask: Mask) -> tuple[bool, tuple | None]:
-    """Oracle: no two elements outside mask star-multiply into it, else
-    the witness ("elements", a, b).  It implies star primality: a in I
-    and b in J outside P give a*b in I*J outside P."""
-    if mask == full_mask(brace.order):
-        raise NotProperError("primality is only defined for proper ideals")
-    outside = [a for a in range(brace.order) if not mask >> a & 1]
-    for a in outside:
-        row = brace.star[a]
-        for b in outside:
-            if mask >> row[b] & 1:
-                return False, ("elements", a, b)
-    return True, None
-
-
-def is_prime_star_by_subsets(brace: SkewBrace, mask: Mask) -> tuple[bool, tuple | None]:
-    """Oracle for is_prime_pointwise: quantify over all subset pairs directly."""
-    n = brace.order
-    if mask == full_mask(n):
-        raise NotProperError("primality is only defined for proper ideals")
-    whole = 1 << n
-    for x in range(whole):
-        if is_subset(x, mask):
-            continue
-        for y in range(whole):
-            if is_subset(y, mask):
-                continue
-            if is_subset(star_set(brace, x, y), mask):
-                return False, ("subsets", x, y)
-    return True, None
 
 
 @dataclass(frozen=True)

@@ -32,15 +32,16 @@ from .groups import ENUMERATION_BOUND
 from .ideals import (
     additive_subgroups,
     generated_ideal,
+    huq_commutator,
     ideal_check,
     ideal_lattice,
     multiplicative_lattice_check,
+    principal_ideals,
     sample_cases,
     star_ideal,
 )
 from .morphisms import (
     endomorphisms,
-    ext_cont_report,
     ideal_correspondence,
     induced_spec_map,
     kernel,
@@ -51,9 +52,6 @@ from .morphisms import (
 from .spectra import (
     PRIME_KINDS,
     brace_square,
-    is_prime,
-    is_prime_pointwise,
-    is_prime_star_by_subsets,
     maximal_prime_criterion,
     spectrum,
 )
@@ -66,7 +64,6 @@ from .topology import (
     spectral_report,
 )
 
-SUBSET_ORACLE_BOUND = 5
 ENDOMORPHISM_BOUND = 4
 
 
@@ -180,26 +177,40 @@ def _star_chain(brace: SkewBrace):
     return _first_witness(witnesses(), scope)
 
 
-def _subset_oracle(brace: SkewBrace):
-    if brace.order > SUBSET_ORACLE_BOUND:
-        return [(True, True, f"oracle bounded to order {SUBSET_ORACLE_BOUND}")]
-    return _first_witness(
-        m
-        for m in ideal_lattice(brace).proper_members()
-        if is_prime_pointwise(brace, m)[0] != is_prime_star_by_subsets(brace, m)[0]
-    )
+def _principal_criterion(brace: SkewBrace):
+    """Primality by pairs of principal ideals, by the element routes,
+    against the spectrum's ideal-pair loop, for star and then huq.
 
+    Both products are monotone, and an ideal outside P holds an element
+    a outside P, so ideals I, J outside P with I·J in P give (a)·(b) in
+    P: P is prime exactly when no two principal ideals outside it do.
+    """
+    proper = ideal_lattice(brace).proper_members()
+    principal = sorted(set(principal_ideals(brace)) - {1})
+    verdicts = []
+    for kind, product in (("star", star_ideal), ("huq", huq_commutator)):
+        products = [(x, y, product(brace, x, y)) for x in principal for y in principal]
+        spec = spectrum(brace, kind)
+        rejected = dict(spec.rejected)
 
-def _prime_implication(brace: SkewBrace):
-    """Pointwise primality forces star primality, decided over ideal pairs."""
-    primes = [
-        m for m in ideal_lattice(brace).proper_members()
-        if is_prime_pointwise(brace, m)[0]
-    ]
-    star = ((p, *is_prime(brace, p, "star")) for p in primes)
-    witness = next(((p, why) for p, prime, why in star if not prime), None)
-    detail = str(witness) if witness else f"primes={len(primes)}"
-    return [(witness is None, not primes, detail)]
+        def witnesses():
+            # an ideal the routes disagree on, with the rejecting side's pair
+            for p in proper:
+                pair = next(
+                    (
+                        ("principal", x, y)
+                        for x, y, z in products
+                        if not is_subset(x, p) and not is_subset(y, p) and is_subset(z, p)
+                    ),
+                    None,
+                )
+                if (pair is None) == (p in rejected):
+                    yield p, pair or rejected[p]
+
+        witness = next(witnesses(), None)
+        counts = f"primes={len(spec.primes)} principal={len(principal)}"
+        verdicts.append((witness is None, not proper, str(witness) if witness else counts))
+    return verdicts
 
 
 def _maximal_prime(brace: SkewBrace):
@@ -295,11 +306,6 @@ def _ideal_correspondence(brace: SkewBrace):
     return _first_witness((m, rep.witness) for m, rep in reports if not rep.bijective)
 
 
-def _ext_cont(brace: SkewBrace):
-    reports = ((f, ext_cont_report(f)) for f in _corpus(brace))
-    return _first_witness((f.mapping, rep.witness) for f, rep in reports if not rep.adjunction)
-
-
 def _spec_maps(brace: SkewBrace):
     reports = [(f, induced_spec_map(f, "star")) for f in _corpus(brace)]
     # the certificates read only maps whose contractions are prime
@@ -374,8 +380,8 @@ _BRACE_HEAD = (
     (("multiplicative-lattice",), _lattice_laws),
     (("generated-ideal-routes",), _generated_routes),
     (("star-chain",), _star_chain),
-    (("star-prime-subset-oracle",), _subset_oracle),
-    (("prime-ideal-implication",), _prime_implication),
+    # the primes of spectrum for star and huq, by principal ideal pairs
+    (("principal-prime-criterion-star", "principal-prime-criterion-huq"), _principal_criterion),
 )
 _KIND_CHECKS = (
     # Rad I is the meet of the primes over I: an ideal containing I,
@@ -409,7 +415,9 @@ _BRACE_TAIL = (
     (("ideal-correspondence",), _ideal_correspondence),
     # f(i * j) = f(i) * f(j) for every map that preserves + and ∘
     (("star-image-exact",), _holds("holds for every homomorphism")),
-    (("extension-contraction-galois",), _ext_cont),
+    # e(I) is the least ideal over f(I), so for every ideal J,
+    # e(I) ⊆ J ⇔ f(I) ⊆ J ⇔ I ⊆ c(J)
+    (("extension-contraction-galois",), _holds("holds for every homomorphism")),
     (
         (
             "spec-map-continuity",

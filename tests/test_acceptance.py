@@ -14,8 +14,10 @@ from sbspec.enumeration import enumerate_braces, enumerate_braces_raw
 from sbspec.ideals import (
     all_ideals,
     generated_ideal,
+    huq_commutator,
     ideal_lattice,
     is_ideal,
+    principal_ideals,
     star_ideal,
     star_set,
     star_subgroup,
@@ -23,7 +25,7 @@ from sbspec.ideals import (
 from sbspec.morphisms import (
     contraction,
     endomorphisms,
-    ext_cont_report,
+    extension,
     ideal_correspondence,
     image,
     induced_spec_map,
@@ -33,7 +35,7 @@ from sbspec.morphisms import (
     quotient,
     quotient_projections,
 )
-from sbspec.spectra import is_prime_pointwise, is_prime_star_by_subsets, radical
+from sbspec.spectra import is_prime, radical
 from sbspec.suite import failures, run_records
 from sbspec.topology import (
     closed_axioms_report,
@@ -83,22 +85,27 @@ def test_criterion_1_closed_set_axioms():
     )
 
 
-def test_criterion_2_star_primality_subset_oracle():
+def test_criterion_2_principal_primality():
     ok = True
     checked = 0
     for _, brace in CORPUS:
-        if brace.order > 5:
-            continue
+        principal = set(principal_ideals(brace))
         for m in ideal_lattice(brace).proper_members():
             checked += 1
-            lhs, _ = is_prime_pointwise(brace, m)
-            rhs, _ = is_prime_star_by_subsets(brace, m)
-            ok = ok and lhs == rhs
+            outside = [a for a in range(brace.order) if not m >> a & 1]
+            ok = ok and any(m >> brace.star[a][b] & 1 for a in outside for b in outside)
+            above = [x for x in principal if not is_subset(x, m)]
+            for kind, product in (("star", star_ideal), ("huq", huq_commutator)):
+                by_principal = not any(
+                    is_subset(product(brace, x, y), m) for x in above for y in above
+                )
+                ok = ok and by_principal == is_prime(brace, m, kind)[0]
     _criterion(
         2,
-        "elementwise star primality equals the 2^n x 2^n subset-pair oracle",
+        "the pointwise notion is empty, and primality by principal ideal pairs "
+        "equals primality by ideal pairs (star and huq)",
         ok,
-        f"{checked} proper ideals at order <= 5",
+        f"{checked} proper ideals",
     )
 
 
@@ -202,7 +209,12 @@ def test_criterion_7_morphisms():
                 target_ideals[f.target] = all_ideals(f.target)
             for j in target_ideals[f.target]:
                 ok = ok and is_ideal(f.source, contraction(f, j))
-            ok = ok and ext_cont_report(f).adjunction
+            extended = {i: extension(f, i) for i in all_ideals(f.source)}
+            ok = ok and all(
+                is_subset(e, j) == is_subset(i, contraction(f, j))
+                for i, e in extended.items()
+                for j in target_ideals[f.target]
+            )
             rep = induced_spec_map(f)
             ok = ok and rep.contractions_prime
             ok = ok and rep.continuity_exact is True

@@ -64,6 +64,21 @@ def test_validate_agrees_with_naive_oracle(n):
         assert seen_failure
 
 
+def test_every_twist_is_an_additive_automorphism(
+    catalog6, s4_trivial, s4_almost, a5_trivial, a5_almost
+):
+    # validate checks only the skew law, which makes each lam[a] additive
+    # and bijective; here both are checked on the tables directly
+    braces = [SkewBrace(rec.add, rec.mul) for rec in catalog6]
+    braces += [s4_trivial, s4_almost, a5_trivial, a5_almost]
+    for brace in braces:
+        n, add = brace.order, brace.add
+        for lam_a in brace.lam:
+            assert sorted(lam_a) == list(range(n))
+            for b in range(n):
+                assert all(lam_a[add[b][c]] == add[lam_a[b]][lam_a[c]] for c in range(n))
+
+
 def test_z4_radical_star_is_2ab(z4_radical):
     for a in range(4):
         for b in range(4):

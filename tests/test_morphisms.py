@@ -2,7 +2,7 @@
 
 import pytest
 
-from sbspec.bitsets import full_mask, mask_of, popcount
+from sbspec.bitsets import full_mask, is_subset, mask_of, popcount
 from sbspec.braces import is_isomorphic, trivial_brace
 from sbspec.errors import (
     NotAHomomorphismError,
@@ -15,7 +15,6 @@ from sbspec.morphisms import (
     compose,
     contraction,
     endomorphisms,
-    ext_cont_report,
     extension,
     identity_hom,
     ideal_correspondence,
@@ -162,14 +161,30 @@ def test_quotient_projections_enumeration(z4_radical, v4_trivial):
     assert len(quotient_projections(v4_trivial)) == 5
 
 
+def _adjunction_witness(f):
+    """A source ideal I and target ideal J with e(I) ⊆ J but not I ⊆ c(J),
+    or the converse; None when extension and contraction are adjoint."""
+    targets = ideal_lattice(f.target).members
+    return next(
+        (
+            (i, j)
+            for i, e in f.extensions.items()
+            for j in targets
+            if is_subset(e, j) != is_subset(i, contraction(f, j))
+        ),
+        None,
+    )
+
+
 def test_ext_cont_reports(z4_radical, s3_almost, z2_trivial):
+    # e(I) ⊆ J ⇔ I ⊆ c(J) holds for every homomorphism, since e(I) is
+    # the least ideal over f(I); the suite row states it, this checks it
     homs = []
     for brace in (z4_radical, s3_almost):
         homs.extend(quotient_projections(brace))
     homs.append(validate_hom(z2_trivial, z4_radical, [0, 2]))
     for f in homs:
-        rep = ext_cont_report(f)
-        assert rep.adjunction, rep.witness
+        assert _adjunction_witness(f) is None
 
 
 def test_spec_map_on_projection(z4_radical):
@@ -265,7 +280,7 @@ def test_hom_roundtrip_through_quotient_tower(s3_almost):
     tower = compose(q2.projection, q1.projection)
     assert kernel(tower) == full_mask(6)
     assert is_surjective(tower)
-    assert ext_cont_report(tower).adjunction
+    assert _adjunction_witness(tower) is None
 
 
 def test_direct_checks_against_trivial_z2(z2_trivial):

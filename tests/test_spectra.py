@@ -1,4 +1,4 @@
-"""Prime ideals: definitions, witnesses, radicals, and the emptiness finding."""
+"""Prime ideals: definitions, witnesses, radicals, and the emptiness findings."""
 
 import pytest
 
@@ -11,8 +11,6 @@ from sbspec.spectra import (
     brace_square,
     compare_definitions,
     is_prime,
-    is_prime_pointwise,
-    is_prime_star_by_subsets,
     maximal_prime_criterion,
     nil_radical,
     radical,
@@ -32,6 +30,30 @@ def all_braces():
 CORPUS = all_braces()
 
 
+def _pointwise_witness(brace, mask):
+    """Elements a, b outside mask with a*b inside it, or None when mask is
+    pointwise prime; n^2 star products per ideal."""
+    outside = [a for a in range(brace.order) if not mask >> a & 1]
+    return next(
+        ((a, b) for a in outside for b in outside if mask >> brace.star[a][b] & 1), None
+    )
+
+
+def _subset_pair_witness(brace, mask):
+    """Oracle for _pointwise_witness: subsets x, y outside mask whose
+    pointwise star products lie inside it, over all 2^n x 2^n pairs."""
+    subsets = [x for x in range(1 << brace.order) if not is_subset(x, mask)]
+    return next(
+        (
+            (x, y)
+            for x in subsets
+            for y in subsets
+            if is_subset(star_set(brace, x, y), mask)
+        ),
+        None,
+    )
+
+
 def test_brace_squares(z4_radical, s3_almost, v4_trivial):
     assert brace_square(z4_radical) == mask_of([0, 2])
     assert brace_square(z4_radical, "subgroup") == mask_of([0, 2])
@@ -43,10 +65,7 @@ def test_star_prime_witness_is_checkable(s3_almost):
     # the alternating ideal is not pointwise prime: the witness elements
     # lie outside it yet their star product lands inside
     a3 = mask_of([0, 3, 4])
-    ok, witness = is_prime_pointwise(s3_almost, a3)
-    assert not ok
-    tag, a, b = witness
-    assert tag == "elements"
+    a, b = _pointwise_witness(s3_almost, a3)
     assert not a3 >> a & 1 and not a3 >> b & 1
     assert a3 >> s3_almost.star[a][b] & 1
 
@@ -76,10 +95,6 @@ def test_ideal_witness_for_ksv_and_huq(z4_radical):
 def test_not_proper(z4_radical):
     with pytest.raises(NotProperError):
         is_prime(z4_radical, full_mask(4), "star")
-    with pytest.raises(NotProperError):
-        is_prime_pointwise(z4_radical, full_mask(4))
-    with pytest.raises(NotProperError):
-        is_prime_star_by_subsets(z4_radical, full_mask(4))
 
 
 def test_unknown_kind(z4_radical):
@@ -110,18 +125,26 @@ SMALL = [t for t in CORPUS if t[1].order <= 5]
 
 @pytest.mark.parametrize("bid,brace", SMALL, ids=[bid for bid, _ in SMALL])
 def test_star_prime_subset_oracle_agreement(bid, brace):
+    # the element test of the theorem below against all subset pairs
     for m in ideal_lattice(brace).proper_members():
-        lhs, _ = is_prime_pointwise(brace, m)
-        rhs, _ = is_prime_star_by_subsets(brace, m)
+        lhs = _pointwise_witness(brace, m) is None
+        rhs = _subset_pair_witness(brace, m) is None
         assert lhs == rhs
 
 
-def test_subset_oracle_witness_shape(z4_radical):
-    ok, witness = is_prime_star_by_subsets(z4_radical, mask_of([0, 2]))
-    assert not ok
-    tag, x, y = witness
-    assert tag == "subsets"
-    assert is_subset(star_set(z4_radical, x, y), mask_of([0, 2]))
+def test_no_proper_ideal_is_pointwise_prime(s4_trivial, s4_almost, a5_trivial, a5_almost):
+    # the theorem in the spectra docstring: lambda of A/P would act freely
+    # on the |A/P| - 1 nonzero elements, so the pointwise notion is empty
+    braces = [b for _, b in CORPUS] + [s4_trivial, s4_almost, a5_trivial, a5_almost]
+    checked = 0
+    for brace in braces:
+        for m in ideal_lattice(brace).proper_members():
+            witness = _pointwise_witness(brace, m)
+            assert witness is not None, m
+            a, b = witness
+            assert not m >> a & 1 and not m >> b & 1 and m >> brace.star[a][b] & 1
+            checked += 1
+    assert checked == 34
 
 
 def test_radical_with_no_primes_is_whole(z4_radical):
@@ -208,7 +231,7 @@ def test_a5_almost_star_spectrum_is_zero(a5_almost, a5_trivial):
     # A5 is perfect, so A*A = A lies outside {0}: {0} is star prime on the
     # almost-trivial brace, although commuting elements multiply into it
     assert spectrum(a5_almost, "star").primes == (1,)
-    assert not is_prime_pointwise(a5_almost, 1)[0]
+    assert _pointwise_witness(a5_almost, 1) is not None
     # on the trivial brace A*A = {0}
     assert spectrum(a5_trivial, "star").primes == ()
 

@@ -5,9 +5,9 @@ import hashlib
 
 import pytest
 
-from sbspec import ideals, suite
+from sbspec import ideals, spectra, suite
 from sbspec.bitsets import popcount
-from sbspec.braces import SkewBrace, trivial_brace
+from sbspec.braces import direct_product, trivial_brace
 from sbspec.catalog import (
     build_record,
     catalog_lines,
@@ -141,7 +141,8 @@ def test_run_brace_suite_clean(z4_radical):
     by_check = {r.check: r for r in rows}
     assert by_check["t1-iff-spec-equals-max"].verdict == "vacuous"
     assert "square inside some maximal ideal" in by_check["t1-iff-spec-equals-max"].detail
-    assert by_check["star-prime-subset-oracle"].verdict == "pass"
+    row = by_check["principal-prime-criterion-star"]
+    assert (row.verdict, row.detail) == ("pass", "primes=0 principal=2")
     assert by_check["maximal-prime-criterion"].verdict == "pass"
 
 
@@ -167,8 +168,8 @@ SUITE_CHECKS = [
     "multiplicative-lattice",
     "generated-ideal-routes",
     "star-chain",
-    "star-prime-subset-oracle",
-    "prime-ideal-implication",
+    "principal-prime-criterion-star",
+    "principal-prime-criterion-huq",
     *_kind_checks("star"),
     *_kind_checks("ksv"),
     *_kind_checks("huq"),
@@ -211,8 +212,8 @@ CATALOG6_VERDICTS = [
     ('multiplicative-lattice', 14, 0, 0),
     ('generated-ideal-routes', 14, 0, 0),
     ('star-chain', 14, 0, 0),
-    ('star-prime-subset-oracle', 8, 0, 6),
-    ('prime-ideal-implication', 0, 0, 14),
+    ('principal-prime-criterion-star', 13, 0, 1),
+    ('principal-prime-criterion-huq', 13, 0, 1),
     ('radical-laws-star', 14, 0, 0),
     ('closed-axioms-star', 14, 0, 0),
     ('galois-star', 14, 0, 0),
@@ -273,7 +274,7 @@ def test_catalog6_verdict_table(catalog6):
 # sha256 of the catalog <=6 rows joined as brace_id|check|verdict|detail,
 # one per line: a change that should leave every row as it was, detail
 # included, keeps this digest
-CATALOG6_ROWS_SHA256 = "56ca1792ed9d76e83aae906248e30dc718990393f03457666cf84848d53eef02"
+CATALOG6_ROWS_SHA256 = "5acd3a5cce271036cf1c67a1718cadf04a236c0063481c88c0c86b83b137bb79"
 
 
 def test_catalog6_row_bytes_pinned(catalog6):
@@ -294,8 +295,8 @@ LARGE_VERDICTS = [
     ('multiplicative-lattice', 4, 0, 0),
     ('generated-ideal-routes', 4, 0, 0),
     ('star-chain', 4, 0, 0),
-    ('star-prime-subset-oracle', 0, 0, 4),
-    ('prime-ideal-implication', 0, 0, 4),
+    ('principal-prime-criterion-star', 4, 0, 0),
+    ('principal-prime-criterion-huq', 4, 0, 0),
     ('radical-laws-star', 4, 0, 0),
     ('closed-axioms-star', 4, 0, 0),
     ('galois-star', 4, 0, 0),
@@ -386,10 +387,10 @@ def test_lattice_missing_a_member_gives_fail_rows(s4_almost, monkeypatch):
     assert kept == {
         "brace-axioms": "pass",
         "lambda-maps": "pass",
-        "star-prime-subset-oracle": "vacuous",
         **{f"radical-laws-{kind}": "pass" for kind in ("star", "ksv", "huq")},
         **{f"galois-{kind}": "pass" for kind in ("star", "ksv", "huq")},
         "star-image-exact": "pass",
+        "extension-contraction-galois": "pass",
     }
     bad = failures(rows)
     assert len(bad) == 42
@@ -437,14 +438,43 @@ def test_zero_brace_suite_vacuities(zero_brace):
     assert by_check["t1-iff-spec-equals-max"].verdict == "pass"
 
 
-def test_subset_oracle_becomes_vacuous_at_order_six(catalog6):
-    braces = {rec.brace_id: SkewBrace(rec.add, rec.mul) for rec in catalog6}
-    rows = run_brace_suite("6-0", braces["6-0"])
-    by_check = {r.check: r for r in rows}
-    assert by_check["star-prime-subset-oracle"].verdict == "vacuous"
-    rows = run_brace_suite("5-0", braces["5-0"])
-    by_check = {r.check: r for r in rows}
-    assert by_check["star-prime-subset-oracle"].verdict == "pass"
+def test_principal_criterion_catches_a_wrong_spectrum(a5_almost, z4_radical, monkeypatch):
+    # spectrum decides with a broken product: for huq every pair lands in
+    # {0}, which drops {0}, the huq prime of almost-trivial A5; for star no
+    # pair lands in a proper ideal, which makes every ideal of z4_radical
+    # prime.  The principal route still has the true products, so each row
+    # fails on the first ideal, naming the rejecting side's pair.
+    monkeypatch.setattr(
+        spectra,
+        "kind_product",
+        lambda lat, kind: (lambda x, y: 1) if kind == "huq" else (lambda x, y: lat.top),
+    )
+    _clear_lattice_caches()
+    try:
+        assert spectrum(a5_almost, "huq").primes == ()
+        assert spectrum(z4_radical, "star").primes == (1, 5)
+        a5 = {r.check: r for r in run_brace_suite("a5-almost", a5_almost)}
+        z4 = {r.check: r for r in run_brace_suite("z4r", z4_radical)}
+    finally:
+        monkeypatch.undo()
+        _clear_lattice_caches()
+    whole = ideal_lattice(a5_almost).top
+    row = a5["principal-prime-criterion-huq"]
+    assert (row.verdict, row.detail) == ("fail", str((1, ("ideals", whole, whole))))
+    row = z4["principal-prime-criterion-star"]
+    assert (row.verdict, row.detail) == ("fail", str((1, ("principal", 5, 5))))
+
+
+def test_principal_criterion_keeps_a_nonzero_prime(a5_trivial, z2_trivial):
+    # {0} x Z2 is huq prime in trivial A5 x Z2: the principal ideal pairs
+    # run over ideals outside P only.  The entry is called alone, since
+    # the whole suite on this order-120 brace takes seconds.
+    brace = direct_product(a5_trivial, z2_trivial)
+    assert spectrum(brace, "huq").primes == (3,)
+    assert suite._principal_criterion(brace) == [
+        (True, False, "primes=0 principal=3"),
+        (True, False, "primes=1 principal=3"),
+    ]
 
 
 def test_run_records_full(catalog4):
