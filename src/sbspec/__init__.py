@@ -33,14 +33,11 @@ from .errors import (
 from .ideals import (
     all_ideals,
     generated_ideal,
-    huq_commutator,
     ideal_check,
     ideal_lattice,
     ideal_weight,
     is_ideal,
-    star_ideal,
     star_set,
-    star_subgroup,
 )
 from .morphisms import (
     Hom,

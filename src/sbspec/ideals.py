@@ -15,10 +15,12 @@ invariance on the same masks.
 The lattice is built from ideals and their generators: all_ideals closes
 the principal ideals (one generated_ideal per element orbit) under set
 sums, IdealLattice reads joins off the size-sorted member list and takes
-star products of ideals from generator pairs (the proof is on the
-class).  additive_subgroups, add_closure and star_ideal sweep subgroups
-and element pairs; they stay as the oracles the suite and tests compare
-the lattice against.
+the star and huq products of ideals from generator pairs (the proofs are
+on the class).  Every ideal product the library decides with is a
+lattice table.  additive_subgroups, add_closure, star_ideal,
+star_subgroup and huq_commutator sweep subgroups and element pairs; they
+are only oracles, which the suite's cross-check rows and the tests
+compare the lattice against.
 """
 
 from __future__ import annotations
@@ -293,25 +295,15 @@ def _greedy_generators(table, mask: Mask) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def sum_ideals(brace: SkewBrace, x: Mask, y: Mask) -> Mask:
-    """Join of two ideals: the additive subgroup generated by their union."""
-    return family_sum(brace, (x, y))
-
-
-def family_sum(brace: SkewBrace, masks) -> Mask:
-    """Join of a family of ideals, read off the lattice's join table.
-
-    The empty family sums to the zero ideal; a mask that is not an ideal
-    raises ConsistencyError.
-    """
-    lat = ideal_lattice(brace)
-    pos = 0
-    for m in masks:
-        i = lat.index.get(m)
-        if i is None:
-            raise ConsistencyError(f"mask {m:#x} is not an ideal")
-        pos = lat.join_table[pos][i]
-    return lat.members[pos]
+def _words_by_left(table, hs) -> list[Mask]:
+    """Entry g: the mask of table[g][h] over the elements h of hs."""
+    out = []
+    for row in table:
+        m = 0
+        for h in hs:
+            m |= 1 << row[h]
+        out.append(m)
+    return out
 
 
 def star_set(brace: SkewBrace, x: Mask, y: Mask) -> Mask:
@@ -380,21 +372,27 @@ def ideal_weight(brace: SkewBrace, mask: Mask) -> int:
 
 
 class IdealLattice:
-    """All ideals of one brace with meet, join and star product tables.
+    """All ideals of one brace with meet, join, star and huq product tables.
 
     Members are kept sorted by size then mask; tables are indexed by the
     member positions.  No table entry runs a closure over a pair:
 
     - meets are intersections, looked up in the member index (a meet or
-      star product outside it raises ConsistencyError naming the pair);
+      product outside it raises ConsistencyError naming the pair);
     - the join of x and y is their set sum, of size |x||y|/|x ∩ y|.  Every
       upper bound contains it, so it is the first member, in size order,
       above both; a first upper bound of another size means the member
       list is not closed under sums and raises ConsistencyError;
     - the star product x·y, the ideal generated by the pointwise products,
       is generated by g·h with g over ∘-generators of x and h over
-      +-generators of y (greedy, add_generators and mul_generators), and
-      each distinct generator seed is closed once.
+      +-generators of y (greedy, add_generators and mul_generators);
+    - the huq product, the ideal generated by i + j − i − j,
+      i ∘ j ∘ i' ∘ j' and i ∘ j − j − i over i in x and j in y
+      (huq_commutator), is generated by the +-commutators of +-generator
+      pairs, the ∘-commutators of ∘-generator pairs and the member x·y.
+
+    Both tables share one seed-to-member memo, which starts from the
+    members themselves, so each distinct seed is closed at most once.
 
     Proof of the star rule.  Let K be the ideal generated by those g·h.
     It lies in the ideal generated by all of x·y, so it remains to show
@@ -406,6 +404,16 @@ class IdealLattice:
     and K is twist invariant), the a with a·y ⊆ K form a set closed
     under ∘ that contains 0, hence a multiplicative subgroup; it holds
     the ∘-generators of x, so all of x.
+
+    Proof of the huq rule.  Since i ∘ j = i + (i*j) + j, the mixed word
+    i ∘ j − j − i is i + (i*j) − i, an additive conjugate of i*j, so the
+    mixed words generate the ideal x·y.  Let K be the ideal generated by
+    the generator commutators and x·y; it lies in the huq product.  K is
+    normal in (A, +), and in A/K each +-generator of y commutes with the
+    +-generators of x; a centraliser is a subgroup, so it commutes with
+    all of x, and then each element of x commutes with all of y.  So
+    every i + j − i − j lies in K, and likewise, K being normal in
+    (A, ∘), every i ∘ j ∘ i' ∘ j'.
 
     Instances are immutable after construction; weights, which are
     combinatorial in the generator count, are computed on first read.
@@ -452,28 +460,41 @@ class IdealLattice:
 
         self.add_generators = tuple(_greedy_generators(brace.add, m) for m in members)
         self.mul_generators = tuple(_greedy_generators(brace.mul, m) for m in members)
-        star = brace.star
-        ideal_of_seed: dict[Mask, int] = {}
-        table = []
-        for y, hs in zip(members, self.add_generators):
-            # by_g[g]: the products g·h over the +-generators h of this member
-            by_g = [0] * brace.order
-            for g in range(brace.order):
-                row = star[g]
-                for h in hs:
-                    by_g[g] |= 1 << row[h]
-            column = []
-            for x, gs in zip(members, self.mul_generators):
+        add, mul, neg, inv, n = brace.add, brace.mul, brace.neg, brace.inv, brace.order
+        add_comm = [[add[add[add[g][h]][neg[g]]][neg[h]] for h in range(n)] for g in range(n)]
+        mul_comm = [[mul[mul[mul[g][h]][inv[g]]][inv[h]] for h in range(n)] for g in range(n)]
+        ideal_of_seed = dict(index)  # an ideal generates itself
+
+        def close(seed: Mask, what: str, x: Mask, y: Mask) -> int:
+            pos = ideal_of_seed.get(seed)
+            if pos is None:
+                product = generated_ideal(brace, seed)
+                pos = ideal_of_seed[seed] = position(product, what, x, y)
+            return pos
+
+        star_columns, huq_columns = [], []
+        gens = tuple(zip(members, self.add_generators, self.mul_generators))
+        for y, add_h, mul_h in gens:
+            # *_by[g]: g·h, [g, h]₊ or [g, h]∘ over the generators h of y
+            star_by = _words_by_left(brace.star, add_h)
+            add_by = _words_by_left(add_comm, add_h)
+            mul_by = _words_by_left(mul_comm, mul_h)
+            star_column, huq_column = [], []
+            for x, add_g, mul_g in gens:
                 seed = 1
-                for g in gs:
-                    seed |= by_g[g]
-                pos = ideal_of_seed.get(seed)
-                if pos is None:
-                    product = generated_ideal(brace, seed)
-                    pos = ideal_of_seed[seed] = position(product, "star product", x, y)
-                column.append(pos)
-            table.append(column)
-        self.star_table = tuple(zip(*table))
+                commutators = 0
+                for g in mul_g:
+                    seed |= star_by[g]
+                    commutators |= mul_by[g]
+                for g in add_g:
+                    commutators |= add_by[g]
+                pos = close(seed, "star product", x, y)
+                star_column.append(pos)
+                huq_column.append(close(members[pos] | commutators, "huq product", x, y))
+            star_columns.append(star_column)
+            huq_columns.append(huq_column)
+        self.star_table = tuple(zip(*star_columns))
+        self.huq_table = tuple(zip(*huq_columns))
 
     @cached_property
     def weights(self) -> tuple[int, ...]:
@@ -493,6 +514,9 @@ class IdealLattice:
 
     def star(self, x: Mask, y: Mask) -> Mask:
         return self.members[self.star_table[self.index[x]][self.index[y]]]
+
+    def huq(self, x: Mask, y: Mask) -> Mask:
+        return self.members[self.huq_table[self.index[x]][self.index[y]]]
 
     def generated(self, seed: Mask) -> Mask:
         """Least member containing the seed: the first one in size order."""

@@ -2,10 +2,11 @@
 
 A proper ideal P is prime for an ideal product when no two ideals
 outside P have their product in P.  One loop, ideal_pair_witness,
-decides this for every kind, with the product kind_product names: star,
-the ideal generated by the products i*j (the paper's primes, so
+decides this for every kind, with the lattice table kind_product names:
+star, the ideal generated by the products i*j (the paper's primes, so
 Spec(Idl A) is this spectrum); ksv, the additive subgroup they generate,
-which decides every pair as star does; huq, the commutator ideal.
+which decides every pair as star does; huq, the commutator ideal.  The
+loop reads tables only; the element-pair routes in ideals are oracles.
 
 The pointwise notion, no two elements outside P star-multiplying into
 P, is empty on every finite skew brace, so it has no routine here.
@@ -27,13 +28,7 @@ from functools import lru_cache
 from .bitsets import full_mask, is_subset
 from .braces import SkewBrace
 from .errors import NotMaximalError, NotProperError
-from .ideals import (
-    IdealLattice,
-    huq_commutator,
-    ideal_lattice,
-    star_ideal,
-    star_subgroup,
-)
+from .ideals import IdealLattice, ideal_lattice
 
 Mask = int
 
@@ -46,18 +41,17 @@ def _check_kind(kind: str) -> None:
 
 
 def kind_product(lat: IdealLattice, kind: str) -> Callable[[Mask, Mask], Mask]:
-    """The ideal product that decides primality of one kind.
+    """The ideal product that decides primality of one kind: a lattice table.
 
     star and ksv get the lattice's star table.  For ksv that is a theorem:
     an ideal P contains the products i*j exactly when it contains the
     additive subgroup they generate (P is a subgroup), and exactly when it
     contains the ideal they generate (P is an ideal).  So both tests agree
-    on every pair, witnesses included.  huq gets the commutator ideal.
+    on every pair, witnesses included.  huq gets the lattice's commutator
+    ideal table.
     """
     _check_kind(kind)
-    if kind == "huq":
-        return lambda x, y: huq_commutator(lat.brace, x, y)
-    return lat.star
+    return lat.huq if kind == "huq" else lat.star
 
 
 def is_prime(brace: SkewBrace, mask: Mask, kind: str) -> tuple[bool, tuple | None]:
@@ -145,18 +139,7 @@ def maximal_prime_criterion(brace: SkewBrace, mask: Mask) -> bool:
     lat = ideal_lattice(brace)
     if mask not in lat.maximal_ideals():
         raise NotMaximalError(f"mask {mask:#x} is not a maximal ideal")
-    whole = full_mask(brace.order)
-    return not is_subset(star_ideal(brace, whole, whole), mask)
-
-
-def brace_square(brace: SkewBrace, closure: str = "ideal") -> Mask:
-    """Star product of the brace with itself under the named closure."""
-    whole = full_mask(brace.order)
-    if closure == "ideal":
-        return star_ideal(brace, whole, whole)
-    if closure == "subgroup":
-        return star_subgroup(brace, whole, whole)
-    raise ValueError(f"unknown closure {closure!r}")
+    return not is_subset(lat.star(lat.top, lat.top), mask)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .ideals import (
     principal_ideals,
     sample_cases,
     star_ideal,
+    star_subgroup,
 )
 from .morphisms import (
     endomorphisms,
@@ -51,7 +52,6 @@ from .morphisms import (
 )
 from .spectra import (
     PRIME_KINDS,
-    brace_square,
     maximal_prime_criterion,
     spectrum,
 )
@@ -214,9 +214,11 @@ def _principal_criterion(brace: SkewBrace):
 
 
 def _maximal_prime(brace: SkewBrace):
-    maxima = ideal_lattice(brace).maximal_ideals()
+    lat = ideal_lattice(brace)
+    maxima = lat.maximal_ideals()
     primes = set(spectrum(brace, "star").primes)
-    squares_agree = brace_square(brace, "ideal") == brace_square(brace, "subgroup")
+    # the lattice's star square against the element route's subgroup closure
+    squares_agree = lat.star(lat.top, lat.top) == star_subgroup(brace, lat.top, lat.top)
     witness = next(
         (m for m in maxima if (m in primes) != maximal_prime_criterion(brace, m)), None
     )

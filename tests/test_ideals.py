@@ -9,14 +9,12 @@ from sbspec import ideals
 from sbspec.bitsets import bits, elements, full_mask, hasse_edges, is_subset, mask_of, popcount
 from sbspec.braces import almost_trivial_brace, relabel, trivial_brace
 from sbspec.enumeration import enumerate_braces
-from sbspec.errors import ConsistencyError
 from sbspec.groups import cyclic_table, product_table, symmetric_table
 from sbspec.ideals import (
     IdealCheck,
     add_closure,
     additive_subgroups,
     all_ideals,
-    family_sum,
     generated_ideal,
     huq_commutator,
     ideal_check,
@@ -27,7 +25,6 @@ from sbspec.ideals import (
     star_ideal,
     star_set,
     star_subgroup,
-    sum_ideals,
 )
 from sbspec.spectra import PRIME_KINDS, spectrum
 
@@ -209,7 +206,6 @@ def test_lattice_ops(v4_trivial):
     b = mask_of([0, 2])
     assert lat.meet(a, b) == mask_of([0])
     assert lat.join(a, b) == full_mask(4)
-    assert lat.join(a, b) == sum_ideals(v4_trivial, a, b)
     assert lat.star(a, b) == mask_of([0])
     assert lat.leq(a, full_mask(4))
     assert not lat.leq(a, b)
@@ -479,19 +475,17 @@ def test_joins_reject_non_ideals(s3_trivial):
     # {0, 1} is a non-normal order-2 subgroup, so it is not a lattice member
     two = mask_of([0, 1])
     assert add_closure(s3_trivial, two) == two
-    with pytest.raises(ConsistencyError):
-        sum_ideals(s3_trivial, two, 1)
-    with pytest.raises(ConsistencyError):
-        family_sum(s3_trivial, [two, 1])
+    lat = ideal_lattice(s3_trivial)
+    assert two not in lat.index
     # genuine ideals still join
     a3 = generated_ideal(s3_trivial, mask_of([3]))
-    assert sum_ideals(s3_trivial, a3, 1) == a3
-    assert family_sum(s3_trivial, [a3, full_mask(6)]) == full_mask(6)
+    assert lat.join(a3, 1) == a3
+    assert lat.join(a3, full_mask(6)) == full_mask(6)
 
 
 # ---------------------------------------------------------------------------
 # the lattice's generator routes against the seed route: subgroup sweep,
-# additive-closure joins and element-pair star products
+# additive-closure joins and element-pair star and huq products
 
 
 def seed_route_tables(brace):
@@ -504,7 +498,10 @@ def seed_route_tables(brace):
     star = tuple(
         tuple(index[star_ideal(brace, x, y)] for y in members) for x in members
     )
-    return members, meet, join, star
+    huq = tuple(
+        tuple(index[huq_commutator(brace, x, y)] for y in members) for x in members
+    )
+    return members, meet, join, star, huq
 
 
 def reference_closure(table, mask):
@@ -538,11 +535,12 @@ def lattice_oracle_corpus():
 
 def assert_lattice_matches_seed_route(brace):
     lat = ideal_lattice(brace)
-    members, meet, join, star = seed_route_tables(brace)
+    members, meet, join, star, huq = seed_route_tables(brace)
     assert lat.members == members
     assert lat.meet_table == meet
     assert lat.join_table == join
     assert lat.star_table == star
+    assert lat.huq_table == huq
     for m, add_gens, mul_gens in zip(members, lat.add_generators, lat.mul_generators):
         assert reference_closure(brace.add, mask_of(add_gens)) == m
         assert reference_closure(brace.mul, mask_of(mul_gens)) == m

@@ -3,13 +3,12 @@
 import pytest
 
 from sbspec.bitsets import full_mask, is_subset, mask_of, popcount
-from sbspec.braces import is_isomorphic, trivial_brace
+from sbspec.braces import is_isomorphic
 from sbspec.errors import (
     NotAHomomorphismError,
     NotAnIdealError,
     ParseError,
 )
-from sbspec.groups import cyclic_table
 from sbspec.ideals import all_ideals, ideal_lattice, is_ideal
 from sbspec.morphisms import (
     compose,

@@ -8,7 +8,6 @@ from sbspec.errors import NotMaximalError, NotProperError
 from sbspec.ideals import ideal_lattice, star_set, star_subgroup
 from sbspec.spectra import (
     PRIME_KINDS,
-    brace_square,
     compare_definitions,
     is_prime,
     maximal_prime_criterion,
@@ -55,10 +54,15 @@ def _subset_pair_witness(brace, mask):
 
 
 def test_brace_squares(z4_radical, s3_almost, v4_trivial):
-    assert brace_square(z4_radical) == mask_of([0, 2])
-    assert brace_square(z4_radical, "subgroup") == mask_of([0, 2])
-    assert brace_square(s3_almost) == mask_of([0, 3, 4])
-    assert brace_square(v4_trivial) == mask_of([0])
+    def square(brace):
+        lat = ideal_lattice(brace)
+        return lat.star(lat.top, lat.top)
+
+    whole = full_mask(4)
+    assert square(z4_radical) == mask_of([0, 2])
+    assert star_subgroup(z4_radical, whole, whole) == mask_of([0, 2])
+    assert square(s3_almost) == mask_of([0, 3, 4])
+    assert square(v4_trivial) == mask_of([0])
 
 
 def test_star_prime_witness_is_checkable(s3_almost):

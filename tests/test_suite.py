@@ -11,7 +11,6 @@ from sbspec.braces import direct_product, trivial_brace
 from sbspec.catalog import (
     build_record,
     catalog_lines,
-    generate_catalog,
     read_catalog,
     record_from_dict,
     record_to_dict,
@@ -475,6 +474,23 @@ def test_principal_criterion_keeps_a_nonzero_prime(a5_trivial, z2_trivial):
         (True, False, "primes=0 principal=3"),
         (True, False, "primes=1 principal=3"),
     ]
+
+
+def test_principal_criterion_checks_the_huq_table(a5_trivial, monkeypatch):
+    # the huq spectrum reads the lattice's huq table, and the huq row checks
+    # it by the element route: it passes on trivial A5 with the prime {0},
+    # and a table that squares A5 into {0} drops that prime and fails it
+    lat = ideal_lattice(a5_trivial)
+    assert lat.huq_table == ((0, 0), (0, 1))
+    assert suite._principal_criterion(a5_trivial)[1] == (True, False, "primes=1 principal=1")
+    monkeypatch.setattr(lat, "huq_table", ((0, 0), (0, 0)))
+    spectrum.cache_clear()
+    try:
+        verdict = suite._principal_criterion(a5_trivial)[1]
+    finally:
+        monkeypatch.undo()
+        spectrum.cache_clear()
+    assert verdict == (False, False, str((1, ("ideals", lat.top, lat.top))))
 
 
 def test_run_records_full(catalog4):
