@@ -222,3 +222,50 @@ def test_errors_share_base():
         OrderBoundError(9, 8),
     ):
         assert isinstance(exc, SbspecError)
+
+
+def _opposite(t):
+    return tuple(tuple(t[b][a] for b in range(len(t))) for a in range(len(t)))
+
+
+def test_constructors_equal_validate(s4_trivial, a5_trivial):
+    # the constructors check the table once as a group and skip the skew
+    # law, which holds when ∘ is + or its opposite; validate still agrees
+    tables = [t for n in range(1, 7) for t in group_representatives(n)]
+    for t in tables + [s4_trivial.add, a5_trivial.add]:
+        assert trivial_brace(t) == validate(t, t)
+        assert almost_trivial_brace(t) == validate(t, _opposite(t))
+
+
+NON_BRACE_TABLES = [
+    # no inverse of 1: not a group
+    (((0, 1), (1, 1)), NotAGroupError),
+    # a Latin square with identity 0 that is not associative
+    (
+        ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0)),
+        NotAGroupError,
+    ),
+    # no two-sided identity at all
+    (((1, 0), (1, 0)), NotAGroupError),
+    # Z2 with its identity at position 1
+    (((1, 0), (0, 1)), IdentityMismatchError),
+    # ragged rows, where an opposite table built before the shape check
+    # raises IndexError, and an entry out of range
+    (((0, 1), (1,)), ParseError),
+    (((0, 1), (1, 2)), ParseError),
+]
+
+
+@pytest.mark.parametrize("table, error", NON_BRACE_TABLES)
+def test_constructors_raise_what_validate_raises(table, error):
+    with pytest.raises(error) as expected:
+        validate(table, table)
+    with pytest.raises(error) as got:
+        trivial_brace(table)
+    assert str(got.value) == str(expected.value)
+    with pytest.raises(error) as got:
+        almost_trivial_brace(table)
+    if error is not ParseError:
+        with pytest.raises(error) as expected:
+            validate(table, _opposite(table))
+    assert str(got.value) == str(expected.value)

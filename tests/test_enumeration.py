@@ -8,8 +8,9 @@ from sbspec.braces import (
     canonicalize,
     is_isomorphic,
     trivial_brace,
+    validate,
 )
-from sbspec.enumeration import enumerate_braces, enumerate_braces_raw
+from sbspec.enumeration import _twist_braces, enumerate_braces, enumerate_braces_raw
 from sbspec.errors import OrderBoundError
 from sbspec.groups import (
     cyclic_table,
@@ -43,6 +44,17 @@ def test_results_are_canonical_valid_and_sorted(n):
     assert forms == sorted(forms)
     for b in braces:
         assert canonicalize(b) == b
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_twist_braces_pass_validate(n):
+    # the twist search builds its braces without validate: a twist map
+    # that composes along a ∘ b = a + t_a(b) is a skew brace
+    for add in group_representatives(n):
+        found = _twist_braces(add)
+        assert found
+        for brace in found:
+            assert validate(brace.add, brace.mul) == brace
 
 
 @pytest.mark.parametrize("n", [4, 6])

@@ -213,6 +213,22 @@ def test_lattice_ops(v4_trivial):
     assert len(lat.proper_members()) == 4
 
 
+def test_maximal_ideals_are_the_coatoms(s4_almost, a5_almost):
+    # the lattice reads its maximal ideals off the containment bitsets;
+    # the scan over pairs of proper members is the oracle, order included
+    v4 = product_table(cyclic_table(2), cyclic_table(2))
+    z2_4 = trivial_brace(product_table(v4, v4))
+    for brace in closure_corpus() + [s4_almost, a5_almost, z2_4]:
+        lat = ideal_lattice(brace)
+        proper = lat.proper_members()
+        scan = tuple(
+            m for m in proper if not any(m != o and is_subset(m, o) for o in proper)
+        )
+        assert lat.maximal_ideals() == scan
+    # the maximal ideals of trivial Z2^4 are its 15 hyperplanes
+    assert len(lat.maximal_ideals()) == 15
+
+
 def test_join_is_smallest_containing_ideal(s3_almost):
     lat = ideal_lattice(s3_almost)
     for x in lat.members:
@@ -265,6 +281,17 @@ def star_below_meet_everywhere(lat):
     return all(lat.leq(lat.star(x, y), x & y) for x in ms for y in ms)
 
 
+def join_distributive_everywhere(lat):
+    ms, star, join = lat.members, lat.star, lat.join
+    return all(
+        star(join(x, y), z) == join(star(x, z), star(y, z))
+        and star(z, join(x, y)) == join(star(z, x), star(z, y))
+        for x in ms
+        for y in ms
+        for z in ms
+    )
+
+
 @pytest.mark.parametrize("brace", brace_corpus(), ids=lambda b: b.describe())
 def test_multiplicative_lattice_laws(brace):
     # the laws the check leaves to construction, and monotonicity over
@@ -275,16 +302,15 @@ def test_multiplicative_lattice_laws(brace):
     assert lat.members[0] == 1 and lat.members[-1] == full_mask(brace.order)
     assert report.star_monotone == star_monotone_everywhere(lat)
     assert report.ok and report.counterexample is None and report.scope == ""
-    # informational flag, but distributivity over joins is a theorem
-    # (see multiplicative_lattice_check)
+    # distributivity over joins is a theorem (see multiplicative_lattice_check)
     assert report.join_distributive
 
 
 def test_lattice_check_rejects_every_broken_star_table(v4_trivial, z4_radical, s3_almost):
     # every single-entry change of the star table: the cover route must
-    # agree with the quadruple oracle, and any break of either law must
-    # turn the report, with a witness
-    breaks_only_monotone = 0
+    # agree with the quadruple oracle, and any break of a law must turn
+    # the report, with a witness
+    breaks_only_monotone = breaks_only_distributivity = 0
     for brace in (v4_trivial, z4_radical, s3_almost):
         lat = ideal_lattice(brace)
         k = len(lat)
@@ -301,10 +327,13 @@ def test_lattice_check_rejects_every_broken_star_table(v4_trivial, z4_radical, s
                 below = star_below_meet_everywhere(mutant)
                 assert report.star_monotone == monotone, (brace, i, j, value)
                 assert report.star_below_meet == below, (brace, i, j, value)
-                assert report.ok == (monotone and below)
+                distributive = join_distributive_everywhere(mutant)
+                assert report.join_distributive == distributive, (brace, i, j, value)
+                assert report.ok == (monotone and below and distributive)
                 assert report.ok or report.counterexample is not None
                 breaks_only_monotone += below and not monotone
-    assert breaks_only_monotone
+                breaks_only_distributivity += monotone and below and not distributive
+    assert breaks_only_monotone and breaks_only_distributivity
 
 
 def test_star_monotone_and_below_meet(z4_radical, s3_almost):
@@ -457,6 +486,24 @@ def test_closures_match_round_based_reference(brace):
 def test_ideal_check_matches_reference_scan(brace):
     for mask in range(1 << brace.order):
         assert ideal_check(brace, mask) == reference_ideal_check(brace, mask), mask
+
+
+def test_ideal_check_agrees_with_star_absorption(s4_trivial, s4_almost, a5_almost):
+    # for an additively normal subgroup, being an ideal is absorbing star
+    # products on both sides; ideal_check tests the definition alone, and
+    # the suite checks absorption on the lattice members only
+    seen = {True: 0, False: 0}
+    for brace in closure_corpus() + [s4_trivial, s4_almost, a5_almost]:
+        whole = full_mask(brace.order)
+        for m in additive_subgroups(brace):
+            check = ideal_check(brace, m)
+            if not check.add_normal:
+                continue
+            absorbs = is_subset(star_set(brace, whole, m) | star_set(brace, m, whole), m)
+            assert check.ok == absorbs, (brace.describe(), m)
+            seen[absorbs] += 1
+    # both sides of the equivalence are exercised
+    assert seen[True] and seen[False]
 
 
 def test_orbit_masks(s3_almost):

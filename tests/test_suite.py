@@ -19,7 +19,7 @@ from sbspec.catalog import (
 )
 from sbspec.errors import ConsistencyError, ParseError
 from sbspec.groups import cyclic_table, klein_table, product_table
-from sbspec.ideals import ideal_lattice
+from sbspec.ideals import IdealCheck, ideal_lattice
 from sbspec.morphisms import quotient
 from sbspec.spectra import spectrum
 from sbspec.suite import (
@@ -491,6 +491,86 @@ def test_principal_criterion_checks_the_huq_table(a5_trivial, monkeypatch):
         monkeypatch.undo()
         spectrum.cache_clear()
     assert verdict == (False, False, str((1, ("ideals", lat.top, lat.top))))
+
+
+def test_ideal_criteria_names_a_member_that_is_no_ideal(z4_radical, monkeypatch):
+    # ideal_check rejecting the member {0, 2} fails the row with its witness
+    real = suite.ideal_check
+    broken = IdealCheck(True, True, True, True, False, ("twist", 1, 2))
+    monkeypatch.setattr(
+        suite, "ideal_check", lambda brace, m: broken if m == 5 else real(brace, m)
+    )
+    assert suite._ideal_criteria(z4_radical) == [
+        (False, False, "('not-ideal', 5, ('twist', 1, 2)); ideals=3")
+    ]
+
+
+def test_ideal_criteria_names_a_closure_outside_the_members(z4_radical, monkeypatch):
+    # the ideal generated by {0} and 1 read as {0, 1}, which is no member
+    real = suite.generated_ideal
+    monkeypatch.setattr(
+        suite, "generated_ideal", lambda brace, seed: 3 if seed == 3 else real(brace, seed)
+    )
+    assert suite._ideal_criteria(z4_radical) == [
+        (False, False, "('closure', 1, 1); ideals=3")
+    ]
+
+
+def test_ideal_criteria_finds_a_missing_ideal(v4_trivial, monkeypatch):
+    # with {0, 2} dropped the lattice still builds, since every join and
+    # star product of the rest is a member; the closure from {0} by 2 is
+    # the missing ideal, and the certificate names it
+    real = ideals.all_ideals(v4_trivial)
+    monkeypatch.setattr(ideals, "all_ideals", lambda brace: tuple(m for m in real if m != 5))
+    _clear_lattice_caches()
+    try:
+        assert len(ideal_lattice(v4_trivial)) == 4
+        verdict = suite._ideal_criteria(v4_trivial)
+    finally:
+        monkeypatch.undo()
+        _clear_lattice_caches()
+    assert verdict == [(False, False, "('closure', 1, 2); ideals=4")]
+
+
+def test_ideal_criteria_at_order_360(a5_almost, s3_almost):
+    # the certificate is k·n closures, 6 ideals at order 360: a member
+    # check exponential in the generators would take minutes here
+    brace = direct_product(a5_almost, s3_almost)
+    assert brace.order == 360
+    assert suite._ideal_criteria(brace) == [(True, False, "ideals=6")]
+
+
+def test_maximal_prime_row_counts_the_square_closures(z4_radical, monkeypatch):
+    # the element route's A*A closure disagreeing with the lattice's star
+    # square fails the row
+    assert suite._maximal_prime(z4_radical) == [
+        (True, False, "maximal=1 square_closures_agree=True")
+    ]
+    monkeypatch.setattr(suite, "star_subgroup", lambda brace, x, y: x)
+    assert suite._maximal_prime(z4_radical) == [
+        (False, False, "maximal=1 square_closures_agree=False")
+    ]
+
+
+class DiamondLattice:
+    """{0} < {0, 1}, {0, 2} < {0, 1, 2} with a star product that is
+    monotone and below the meet, but A·A = A while every other product is
+    {0}, so it does not distribute over {0, 1} + {0, 2} = A."""
+
+    members = (1, 3, 5, 7)
+
+    def join(self, x, y):
+        return x | y
+
+    def star(self, x, y):
+        return 7 if x == y == 7 else 1
+
+
+def test_lattice_row_counts_distributivity(monkeypatch):
+    monkeypatch.setattr(suite, "ideal_lattice", lambda brace: DiamondLattice())
+    assert suite._lattice_laws(None) == [
+        (False, False, "join_distributive=False witness=('distributive', 3, 5, 7)")
+    ]
 
 
 def test_run_records_full(catalog4):
