@@ -209,19 +209,18 @@ def canonicalize(brace: SkewBrace) -> SkewBrace:
     """Relabeled copy whose serialized tables are lexicographically least.
 
     Any isomorphism fixes the identity, so only permutations keeping 0 in
-    place are tried.  Exhaustive over (n-1)! relabelings, hence the bound.
+    place count.  The serialization starts with the additive table, so a
+    least relabeling carries add onto its least relabeling,
+    groups.canonical_group_table(add); those permutations are the
+    isomorphisms onto it, |Aut(A, +)| of them, and the least relabeled
+    mul among them decides.
     """
     n = brace.order
     if n > CANONICAL_BOUND:
         raise OrderBoundError(f"canonical form is bounded to order {CANONICAL_BOUND}, got {n}")
-    best = None
-    best_key = None
-    for perm in groups.identity_fixing_perms(n):
-        cand = relabel(brace, perm)
-        key = _serialize(cand)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    return best
+    add = groups.canonical_group_table(brace.add)
+    perms = groups.isomorphisms(brace.add, add)
+    return SkewBrace(add, min(groups.relabel_table(brace.mul, p) for p in perms))
 
 
 def canonical_form(brace: SkewBrace) -> bytes:

@@ -12,9 +12,9 @@ import json
 from dataclasses import dataclass, fields
 
 from .braces import SkewBrace, validate
-from .enumeration import DEFAULT_BOUND, enumerate_braces
+from .enumeration import enumerate_braces
 from .errors import ParseError
-from .groups import group_fingerprint
+from .groups import ENUMERATION_BOUND, group_fingerprint
 from .ideals import ideal_lattice
 from .serialize import dumps
 from .spectra import PRIME_KINDS, spectrum
@@ -73,7 +73,7 @@ def build_record(brace_id: str, brace: SkewBrace) -> CatalogRecord:
     )
 
 
-def generate_catalog(max_order: int = DEFAULT_BOUND) -> tuple[CatalogRecord, ...]:
+def generate_catalog(max_order: int = ENUMERATION_BOUND) -> tuple[CatalogRecord, ...]:
     records = []
     for n in range(1, max_order + 1):
         for i, brace in enumerate(enumerate_braces(n)):

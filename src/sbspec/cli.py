@@ -13,8 +13,8 @@ import sys
 from .bitsets import mask_of
 from .braces import validate as validate_tables
 from .catalog import generate_catalog, read_catalog, write_catalog
-from .enumeration import DEFAULT_BOUND
 from .errors import ParseError, SbspecError
+from .groups import ENUMERATION_BOUND
 from .morphisms import (
     ideal_correspondence,
     image,
@@ -61,8 +61,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    if not 1 <= args.max_order <= DEFAULT_BOUND:
-        raise ParseError(f"--max-order must lie in 1..{DEFAULT_BOUND}, got {args.max_order}")
+    if not 1 <= args.max_order <= ENUMERATION_BOUND:
+        raise ParseError(f"--max-order must lie in 1..{ENUMERATION_BOUND}, got {args.max_order}")
     records = generate_catalog(args.max_order)
     write_catalog(records, args.out)
     print(f"wrote {len(records)} records for orders 1..{args.max_order} to {args.out}")
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("catalog", help="enumerate braces and write a JSONL catalog")
-    p.add_argument("--max-order", type=int, default=DEFAULT_BOUND)
+    p.add_argument("--max-order", type=int, default=ENUMERATION_BOUND)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_catalog)
 

@@ -1,22 +1,24 @@
 """Exhaustive catalogs of skew braces of a given order, up to isomorphism.
 
 The production route fixes one additive group per isomorphism class and
-searches assignments of an additive automorphism to every element; the
-multiplication a ∘ b := a + t_a(b) is a group exactly when the assigned
-twists compose along it, which the search checks directly.  A slower
-route that sweeps every multiplication table outright is kept as an
-independent oracle for small orders.
+searches, depth first, for an additive automorphism t_a at every element;
+the multiplication a ∘ b := a + t_a(b) is a group exactly when the twists
+compose along it, t_{a∘b} = t_a t_b.  After each new assignment the search
+tests that law on the pairs (a, b) whose last-assigned element among a,
+b and a ∘ b is the new one, so every pair is tested once and a branch
+is cut at its first conflict.  Candidates are deduplicated by canonical
+form, which searches only the isomorphisms onto the canonical additive
+table.  A slower route that sweeps every multiplication table outright is
+kept as an independent oracle for small orders.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from . import braces, groups
 from .braces import SkewBrace
-
-DEFAULT_BOUND = 6
+from .groups import ENUMERATION_BOUND
 
 
 def _twist_braces(add: groups.Table) -> list[SkewBrace]:
@@ -31,37 +33,58 @@ def _twist_braces(add: groups.Table) -> list[SkewBrace]:
     has a ∘-inverse; and a ∘ (b + c) = a + t_a(b) + t_a(c)
     = a ∘ b - a + a ∘ c is the skew law.  tests/test_enumeration.py
     compares every brace found up to order 6 with validate.
+
+    The twists are assigned depth first to 1, 2, ..., n-1, each trying the
+    automorphisms in index order, so the maps come out in lex order of
+    their index tuples.  Once t_k is assigned, the law is tested on the
+    pairs (a, b) with max(a, b, a ∘ b) = k: a = k; or b = k and a < k; or
+    a, b < k and a ∘ b = k, that is b = t_a^-1(-a + k).  a ∘ b is known
+    as soon as t_a is, so each pair is tested at exactly one depth, and a
+    complete assignment has passed the law on every pair.
     """
     n = len(add)
-    auts = groups.automorphisms(add)
-    found = []
     if n == 1:
         return [SkewBrace(add, add)]
-    identity = tuple(range(n))
-    assert auts[0] == identity
-    for assign in itertools.product(range(len(auts)), repeat=n - 1):
-        # element 0 always carries the identity twist
-        choice = [identity] + [auts[i] for i in assign]
-        ok = True
-        for a in range(n):
+    auts = groups.automorphisms(add)
+    assert auts[0] == tuple(range(n))
+    index = {t: i for i, t in enumerate(auts)}
+    # comp[i][j]: the index of t_i t_j (t_j applied first)
+    comp = [[index[tuple(ti[c] for c in tj)] for tj in auts] for ti in auts]
+    inverse = [auts[row.index(0)] for row in comp]
+    neg = tuple(add[a].index(0) for a in range(n))
+    choice = [0] * n
+    found = []
+
+    def consistent(k: int) -> bool:
+        tk = choice[k]
+        aut_k = auts[tk]
+        for b in range(k + 1):
+            ab = add[k][aut_k[b]]
+            if ab <= k and choice[ab] != comp[tk][choice[b]]:
+                return False
+        for a in range(k):
             ta = choice[a]
-            for b in range(n):
-                ab = add[a][ta[b]]
-                tab = choice[ab]
-                tb = choice[b]
-                # composing twists must match the twist of the product
-                for c in range(n):
-                    if tab[c] != ta[tb[c]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        mul = tuple(tuple(add[a][choice[a][b]] for b in range(n)) for a in range(n))
-        found.append(SkewBrace(add, mul))
+            ab = add[a][auts[ta][k]]
+            if ab <= k and choice[ab] != comp[ta][tk]:
+                return False
+            b = inverse[ta][add[neg[a]][k]]
+            if b < k and tk != comp[ta][choice[b]]:
+                return False
+        return True
+
+    def assign(k: int) -> None:
+        if k == n:
+            mul = tuple(
+                tuple(add[a][auts[choice[a]][b]] for b in range(n)) for a in range(n)
+            )
+            found.append(SkewBrace(add, mul))
+            return
+        for t in range(len(auts)):
+            choice[k] = t
+            if consistent(k):
+                assign(k + 1)
+
+    assign(1)
     return found
 
 
@@ -79,10 +102,10 @@ def enumerate_braces(n: int) -> tuple[SkewBrace, ...]:
 
     Deterministic: output is sorted by canonical serialization.
     """
-    if n > DEFAULT_BOUND:
+    if n > ENUMERATION_BOUND:
         from .errors import OrderBoundError
 
-        raise OrderBoundError(f"brace enumeration is bounded to order {DEFAULT_BOUND}, got {n}")
+        raise OrderBoundError(f"brace enumeration is bounded to order {ENUMERATION_BOUND}, got {n}")
     candidates = []
     for add in groups.group_representatives(n):
         candidates.extend(_twist_braces(add))

@@ -145,13 +145,25 @@ def canonical_group_table(table: Table) -> Table:
     return min(relabel_table(table, p) for p in identity_fixing_perms(len(table)))
 
 
-def automorphisms(table: Table) -> tuple[tuple[int, ...], ...]:
+@lru_cache(maxsize=None)
+def isomorphisms(table: Table, target: Table) -> tuple[tuple[int, ...], ...]:
+    """Every identity-fixing p with relabel_table(table, p) == target, in lex order.
+
+    Brute force over the (n-1)! candidates, each abandoned at its first
+    product that p does not carry onto target.
+    """
     n = len(table)
+    if len(target) != n:
+        return ()
     found = []
     for p in identity_fixing_perms(n):
-        if all(p[table[a][b]] == table[p[a]][p[b]] for a in range(n) for b in range(n)):
+        if all(p[table[a][b]] == target[p[a]][p[b]] for a in range(n) for b in range(n)):
             found.append(p)
     return tuple(found)
+
+
+def automorphisms(table: Table) -> tuple[tuple[int, ...], ...]:
+    return isomorphisms(table, table)
 
 
 def _row_candidates(partial: list[tuple[int, ...]], r: int, n: int):

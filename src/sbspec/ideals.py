@@ -381,8 +381,9 @@ class IdealLattice:
       (huq_commutator), is generated by the +-commutators of +-generator
       pairs, the ∘-commutators of ∘-generator pairs and the member x·y.
 
-    Both tables share one seed-to-member memo, which starts from the
-    members themselves, so each distinct seed is closed at most once.
+    The huq table is built on first read.  Both tables share one
+    seed-to-member memo, which starts from the members themselves, so each
+    distinct seed is closed at most once.
 
     Proof of the star rule.  Let K be the ideal generated by those g·h.
     It lies in the ideal generated by all of x·y, so it remains to show
@@ -406,7 +407,8 @@ class IdealLattice:
     (A, ∘), every i ∘ j ∘ i' ∘ j'.
 
     Instances are immutable after construction; weights, which are
-    combinatorial in the generator count, are computed on first read.
+    combinatorial in the generator count, and the huq table are computed
+    on first read.
     """
 
     def __init__(self, brace: SkewBrace):
@@ -417,14 +419,9 @@ class IdealLattice:
         self.top: Mask = full_mask(brace.order)
         if self.members[0] != self.bottom or self.members[-1] != self.top:
             raise ConsistencyError("ideal lattice lacks bottom or top")
-        members, index = self.members, self.index
+        members, position = self.members, self._position
         k = len(members)
         sizes = [popcount(m) for m in members]
-
-        def position(m: Mask, what: str, x: Mask, y: Mask) -> int:
-            if m not in index:
-                raise ConsistencyError(f"{what} of {x:#x} and {y:#x} is not a member")
-            return index[m]
 
         meet = []
         above = [0] * k  # bit j of above[i]: member j contains member i
@@ -455,41 +452,56 @@ class IdealLattice:
 
         self.add_generators = tuple(_greedy_generators(brace.add, m) for m in members)
         self.mul_generators = tuple(_greedy_generators(brace.mul, m) for m in members)
+        self._ideal_of_seed = dict(self.index)  # an ideal generates itself
+        star_columns = []
+        for y, add_h in zip(members, self.add_generators):
+            star_by = _words_by_left(brace.star, add_h)  # g·h over the generators h of y
+            column = []
+            for x, mul_g in zip(members, self.mul_generators):
+                seed = 1
+                for g in mul_g:
+                    seed |= star_by[g]
+                column.append(self._close(seed, "star product", x, y))
+            star_columns.append(column)
+        self.star_table = tuple(zip(*star_columns))
+
+    def _position(self, m: Mask, what: str, x: Mask, y: Mask) -> int:
+        pos = self.index.get(m)
+        if pos is None:
+            raise ConsistencyError(f"{what} of {x:#x} and {y:#x} is not a member")
+        return pos
+
+    def _close(self, seed: Mask, what: str, x: Mask, y: Mask) -> int:
+        """Position of the ideal the seed generates, closed once per seed."""
+        pos = self._ideal_of_seed.get(seed)
+        if pos is None:
+            product = generated_ideal(self.brace, seed)
+            pos = self._ideal_of_seed[seed] = self._position(product, what, x, y)
+        return pos
+
+    @cached_property
+    def huq_table(self) -> tuple[tuple[int, ...], ...]:
+        brace, members = self.brace, self.members
         add, mul, neg, inv, n = brace.add, brace.mul, brace.neg, brace.inv, brace.order
         add_comm = [[add[add[add[g][h]][neg[g]]][neg[h]] for h in range(n)] for g in range(n)]
         mul_comm = [[mul[mul[mul[g][h]][inv[g]]][inv[h]] for h in range(n)] for g in range(n)]
-        ideal_of_seed = dict(index)  # an ideal generates itself
-
-        def close(seed: Mask, what: str, x: Mask, y: Mask) -> int:
-            pos = ideal_of_seed.get(seed)
-            if pos is None:
-                product = generated_ideal(brace, seed)
-                pos = ideal_of_seed[seed] = position(product, what, x, y)
-            return pos
-
-        star_columns, huq_columns = [], []
         gens = tuple(zip(members, self.add_generators, self.mul_generators))
-        for y, add_h, mul_h in gens:
-            # *_by[g]: g·h, [g, h]₊ or [g, h]∘ over the generators h of y
-            star_by = _words_by_left(brace.star, add_h)
+        columns = []
+        for j, (y, add_h, mul_h) in enumerate(gens):
+            # *_by[g]: [g, h]₊ or [g, h]∘ over the generators h of y
             add_by = _words_by_left(add_comm, add_h)
             mul_by = _words_by_left(mul_comm, mul_h)
-            star_column, huq_column = [], []
-            for x, add_g, mul_g in gens:
-                seed = 1
+            column = []
+            for i, (x, add_g, mul_g) in enumerate(gens):
                 commutators = 0
                 for g in mul_g:
-                    seed |= star_by[g]
                     commutators |= mul_by[g]
                 for g in add_g:
                     commutators |= add_by[g]
-                pos = close(seed, "star product", x, y)
-                star_column.append(pos)
-                huq_column.append(close(members[pos] | commutators, "huq product", x, y))
-            star_columns.append(star_column)
-            huq_columns.append(huq_column)
-        self.star_table = tuple(zip(*star_columns))
-        self.huq_table = tuple(zip(*huq_columns))
+                seed = members[self.star_table[i][j]] | commutators
+                column.append(self._close(seed, "huq product", x, y))
+            columns.append(column)
+        return tuple(zip(*columns))
 
     @cached_property
     def weights(self) -> tuple[int, ...]:

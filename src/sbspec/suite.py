@@ -26,7 +26,7 @@ from itertools import combinations
 from .bitsets import bits, is_subset, popcount
 from .braces import is_isomorphic, validate, SkewBrace
 from .catalog import catalog_lines, generate_catalog, verify_record
-from .enumeration import DEFAULT_BOUND, enumerate_braces, enumerate_braces_raw
+from .enumeration import enumerate_braces, enumerate_braces_raw
 from .errors import SbspecError
 from .groups import ENUMERATION_BOUND
 from .ideals import (
@@ -458,7 +458,7 @@ def run_brace_suite(brace_id: str, brace: SkewBrace) -> list[SuiteResult]:
 # ---------------------------------------------------------------------------
 # catalog-level checks
 
-_PAST_BOUND = (True, True, f"enumeration bounded to order {DEFAULT_BOUND}")
+_PAST_BOUND = (True, True, f"enumeration bounded to order {ENUMERATION_BOUND}")
 
 
 def _raw_agreement(n: int):
@@ -473,7 +473,7 @@ def _raw_agreement(n: int):
 
 
 def _isomorphism_free(n: int):
-    if n > DEFAULT_BOUND:
+    if n > ENUMERATION_BOUND:
         return [_PAST_BOUND]
     braces = enumerate_braces(n)
     pairs = combinations(range(len(braces)), 2)
@@ -486,7 +486,7 @@ def _isomorphism_free(n: int):
 
 def _catalog_matches(records, orders):
     """The records against the enumeration, then against a fresh catalog."""
-    if orders and orders[-1] > DEFAULT_BOUND:
+    if orders and orders[-1] > ENUMERATION_BOUND:
         return [_PAST_BOUND] * 2
     expected = [
         (f"{n}-{i}", brace.add, brace.mul)

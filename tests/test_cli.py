@@ -7,8 +7,7 @@ import pytest
 from sbspec.braces import trivial_brace, validate
 from sbspec.catalog import build_record, read_catalog, write_catalog
 from sbspec.cli import main
-from sbspec.enumeration import DEFAULT_BOUND
-from sbspec.groups import cyclic_table
+from sbspec.groups import ENUMERATION_BOUND, cyclic_table
 from sbspec.serialize import brace_to_dict, dumps, hom_to_dict
 from sbspec.morphisms import validate_hom
 from sbspec.suite import run_records
@@ -269,7 +268,7 @@ def test_catalog_order_out_of_range_exits_2(tmp_path, capsys, order):
     path = tmp_path / "catalog.jsonl"
     assert main(["catalog", "--max-order", str(order), "--out", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "input error" in err and f"1..{DEFAULT_BOUND}" in err
+    assert "input error" in err and f"1..{ENUMERATION_BOUND}" in err
     assert not path.exists()
 
 
@@ -290,6 +289,6 @@ def test_check_past_the_enumeration_bound_is_vacuous(tmp_path, capsys):
     }
     for r in rows.values():
         assert r.verdict == "vacuous"
-        assert r.detail == f"enumeration bounded to order {DEFAULT_BOUND}"
+        assert r.detail == f"enumeration bounded to order {ENUMERATION_BOUND}"
     assert main(["check", str(path)]) == 0
     assert "0 fail" in capsys.readouterr().out

@@ -1,21 +1,29 @@
 """Brace enumeration: twist-based search versus raw sweep, counts, determinism."""
 
+import itertools
+import random
+
 import pytest
 
 from sbspec.braces import (
+    SkewBrace,
+    _serialize,
     almost_trivial_brace,
     canonical_form,
     canonicalize,
     is_isomorphic,
+    relabel,
     trivial_brace,
     validate,
 )
 from sbspec.enumeration import _twist_braces, enumerate_braces, enumerate_braces_raw
 from sbspec.errors import OrderBoundError
 from sbspec.groups import (
+    automorphisms,
     cyclic_table,
     group_fingerprint,
     group_representatives,
+    identity_fixing_perms,
     klein_table,
     symmetric_table,
 )
@@ -55,6 +63,57 @@ def test_twist_braces_pass_validate(n):
         assert found
         for brace in found:
             assert validate(brace.add, brace.mul) == brace
+
+
+def twist_sweep(add):
+    """Oracle: every assignment of automorphisms to 1..n-1, each tested on
+    every pair, in itertools.product order."""
+    n = len(add)
+    auts = automorphisms(add)
+    found = []
+    for assign in itertools.product(auts, repeat=n - 1):
+        choice = (auts[0], *assign)
+        if all(
+            choice[add[a][choice[a][b]]][c] == choice[a][choice[b][c]]
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+        ):
+            mul = tuple(tuple(add[a][choice[a][b]] for b in range(n)) for a in range(n))
+            found.append(SkewBrace(add, mul))
+    return found
+
+
+def canonical_sweep(brace):
+    """Oracle: the least serialization over all (n-1)! relabellings."""
+    return min(
+        (relabel(brace, p) for p in identity_fixing_perms(brace.order)), key=_serialize
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_twist_search_matches_the_sweep(n):
+    # the depth-first search prunes, the sweep does not: same list, same order
+    for add in group_representatives(n):
+        assert _twist_braces(add) == twist_sweep(add)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_canonicalize_matches_the_sweep(n):
+    rng = random.Random(n)
+    for brace in enumerate_braces(n):
+        for _ in range(3):
+            rest = list(range(1, n))
+            rng.shuffle(rest)
+            moved = relabel(brace, (0, *rest))
+            assert canonicalize(moved) == canonical_sweep(moved) == brace
+
+
+def test_canonicalize_matches_the_sweep_at_order_8():
+    z8 = trivial_brace(cyclic_table(8))
+    moved = relabel(z8, (0, 2, 4, 6, 1, 3, 5, 7))
+    assert moved != z8
+    assert canonicalize(moved) == canonical_sweep(moved) == canonicalize(z8)
 
 
 @pytest.mark.parametrize("n", [4, 6])

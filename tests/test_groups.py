@@ -1,5 +1,6 @@
 """Group-table layer: enumeration counts, canonical forms, automorphisms."""
 
+import random
 from functools import lru_cache
 
 import pytest
@@ -19,6 +20,7 @@ from sbspec.groups import (
     group_violation,
     identity_fixing_perms,
     is_group_table,
+    isomorphisms,
     klein_table,
     product_table,
     relabel_table,
@@ -83,6 +85,34 @@ def test_automorphism_counts(table, expected):
         for a in range(len(table)):
             for b in range(len(table)):
                 assert perm[table[a][b]] == table[perm[a]][perm[b]]
+
+
+@pytest.mark.parametrize(
+    "table",
+    [cyclic_table(4), klein_table(), cyclic_table(6), symmetric_table(3), cyclic_table(7)],
+)
+def test_isomorphisms_onto_a_relabelled_table(table):
+    # every isomorphism onto a relabelled copy is p composed with an
+    # automorphism, so there are |Aut| of them, p among them, in lex order
+    n = len(table)
+    rng = random.Random(n)
+    for _ in range(3):
+        rest = list(range(1, n))
+        rng.shuffle(rest)
+        p = (0, *rest)
+        target = relabel_table(table, p)
+        found = isomorphisms(table, target)
+        assert p in found
+        assert len(found) == len(automorphisms(table))
+        assert list(found) == sorted(found)
+        assert all(relabel_table(table, q) == target for q in found)
+    assert isomorphisms(table, table) == automorphisms(table)
+
+
+def test_no_isomorphism_between_distinct_classes():
+    assert isomorphisms(cyclic_table(4), klein_table()) == ()
+    assert isomorphisms(cyclic_table(6), symmetric_table(3)) == ()
+    assert isomorphisms(cyclic_table(4), cyclic_table(5)) == ()
 
 
 def test_constructors_are_groups():

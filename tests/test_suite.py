@@ -650,13 +650,12 @@ def test_catalog_checks_past_enumeration_bound():
     # with a detail naming the bound
     from types import SimpleNamespace
 
-    from sbspec.enumeration import DEFAULT_BOUND
     from sbspec.groups import ENUMERATION_BOUND
 
     n = ENUMERATION_BOUND + 1
     rec = SimpleNamespace(order=n, brace_id=f"{n}-0", add=None, mul=None)
     rows = [(r.brace_id, r.check, r.verdict, r.detail) for r in run_catalog_checks([rec])]
-    past = f"enumeration bounded to order {DEFAULT_BOUND}"
+    past = f"enumeration bounded to order {ENUMERATION_BOUND}"
     assert rows == [
         (f"order-{n}", "enumeration-raw-agreement", "vacuous",
          f"raw sweep bounded to order {ENUMERATION_BOUND}"),
