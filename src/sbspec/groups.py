@@ -1,12 +1,13 @@
 """Finite groups as Cayley tables over {0, ..., n-1} with identity 0.
 
 A table is a tuple of n row tuples; table[a][b] is the product of a and b.
-All exhaustive searches in this module are bounded to order 6.  The table
-search fills a normalized Latin square row by row and tests associativity
-on the rows fixed so far after each new row, so it never completes a
-Latin square that is not a group and checks no complete table again;
-isomorphism classes are read off the lex-sorted table list by one sweep
-over relabelling orbits.
+The table search is bounded to ENUMERATION_BOUND, the one bound that the
+brace enumeration, the catalog and the CLI read as well.  It fills a
+normalized Latin square row by row and tests associativity on the rows
+fixed so far after each new row, so it never completes a Latin square
+that is not a group and checks no complete table again; isomorphism
+classes are read off the lex-sorted table list by one sweep over
+relabelling orbits.
 """
 
 from __future__ import annotations
@@ -153,8 +154,6 @@ def isomorphisms(table: Table, target: Table) -> tuple[tuple[int, ...], ...]:
     product that p does not carry onto target.
     """
     n = len(table)
-    if len(target) != n:
-        return ()
     found = []
     for p in identity_fixing_perms(n):
         if all(p[table[a][b]] == target[p[a]][p[b]] for a in range(n) for b in range(n)):

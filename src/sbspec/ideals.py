@@ -381,9 +381,9 @@ class IdealLattice:
       (huq_commutator), is generated by the +-commutators of +-generator
       pairs, the ∘-commutators of ∘-generator pairs and the member x·y.
 
-    The huq table is built on first read.  Both tables share one
-    seed-to-member memo, which starts from the members themselves, so each
-    distinct seed is closed at most once.
+    The star and huq tables share one seed-to-member memo, which starts
+    from the members themselves, so each distinct seed is closed at most
+    once.
 
     Proof of the star rule.  Let K be the ideal generated by those g·h.
     It lies in the ideal generated by all of x·y, so it remains to show

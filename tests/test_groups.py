@@ -112,7 +112,6 @@ def test_isomorphisms_onto_a_relabelled_table(table):
 def test_no_isomorphism_between_distinct_classes():
     assert isomorphisms(cyclic_table(4), klein_table()) == ()
     assert isomorphisms(cyclic_table(6), symmetric_table(3)) == ()
-    assert isomorphisms(cyclic_table(4), cyclic_table(5)) == ()
 
 
 def test_constructors_are_groups():
