@@ -453,6 +453,7 @@ class IdealLattice:
         self.add_generators = tuple(_greedy_generators(brace.add, m) for m in members)
         self.mul_generators = tuple(_greedy_generators(brace.mul, m) for m in members)
         self._ideal_of_seed = dict(self.index)  # an ideal generates itself
+        close = self._close
         star_columns = []
         for y, add_h in zip(members, self.add_generators):
             star_by = _words_by_left(brace.star, add_h)  # g·h over the generators h of y
@@ -461,7 +462,7 @@ class IdealLattice:
                 seed = 1
                 for g in mul_g:
                     seed |= star_by[g]
-                column.append(self._close(seed, "star product", x, y))
+                column.append(close(seed, "star product", x, y))
             star_columns.append(column)
         self.star_table = tuple(zip(*star_columns))
 
@@ -485,21 +486,21 @@ class IdealLattice:
         add, mul, neg, inv, n = brace.add, brace.mul, brace.neg, brace.inv, brace.order
         add_comm = [[add[add[add[g][h]][neg[g]]][neg[h]] for h in range(n)] for g in range(n)]
         mul_comm = [[mul[mul[mul[g][h]][inv[g]]][inv[h]] for h in range(n)] for g in range(n)]
-        gens = tuple(zip(members, self.add_generators, self.mul_generators))
+        gens = tuple(zip(members, self.add_generators, self.mul_generators, self.star_table))
+        close = self._close
         columns = []
-        for j, (y, add_h, mul_h) in enumerate(gens):
+        for j, (y, add_h, mul_h, _) in enumerate(gens):
             # *_by[g]: [g, h]₊ or [g, h]∘ over the generators h of y
             add_by = _words_by_left(add_comm, add_h)
             mul_by = _words_by_left(mul_comm, mul_h)
             column = []
-            for i, (x, add_g, mul_g) in enumerate(gens):
+            for x, add_g, mul_g, star_row in gens:
                 commutators = 0
                 for g in mul_g:
                     commutators |= mul_by[g]
                 for g in add_g:
                     commutators |= add_by[g]
-                seed = members[self.star_table[i][j]] | commutators
-                column.append(self._close(seed, "huq product", x, y))
+                column.append(close(members[star_row[j]] | commutators, "huq product", x, y))
             columns.append(column)
         return tuple(zip(*columns))
 
