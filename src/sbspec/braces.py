@@ -10,7 +10,7 @@ safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import groups
 from .errors import (
@@ -111,7 +111,10 @@ def _orbits(n: int, act) -> tuple[int, ...]:
 
 
 def validate(add, mul) -> SkewBrace:
-    """Check every axiom and return the brace, or raise with a witness."""
+    """Check every axiom and return the brace, or raise with a witness.
+
+    Past the shape checks a pass is memoised on the pair of tables.
+    """
     add = groups.as_table(add)
     mul = groups.as_table(mul)
     msg = groups.table_shape_error(add)
@@ -121,7 +124,12 @@ def validate(add, mul) -> SkewBrace:
         msg = groups.table_shape_error(mul)
     if msg is not None:
         raise ParseError(msg)
+    _check_axioms(add, mul)
+    return SkewBrace(add, mul)
 
+
+@lru_cache(maxsize=None)
+def _check_axioms(add: Table, mul: Table) -> None:
     e_add = groups.find_identity(add)
     e_mul = groups.find_identity(mul)
     if e_add is None:
@@ -147,7 +155,6 @@ def validate(add, mul) -> SkewBrace:
 
     # the skew law gives λ_a(b + c) = -a + a∘b - a + a∘c = λ_a(b) + λ_a(c), and
     # λ_a = -a + a∘· is a bijection, so each λ_a is an additive automorphism
-    return SkewBrace(add, mul)
 
 
 def _group_gate(table) -> Table:
@@ -227,45 +234,11 @@ def canonical_form(brace: SkewBrace) -> bytes:
     return _serialize(canonicalize(brace))
 
 
-def _element_orders(table: Table) -> tuple[int, ...]:
-    n = len(table)
-    orders = []
-    for a in range(n):
-        k, x = 1, a
-        while x != 0:
-            x = table[x][a]
-            k += 1
-        orders.append(k)
-    return tuple(orders)
-
-
 def is_isomorphic(x: SkewBrace, y: SkewBrace) -> tuple[int, ...] | None:
-    """A bijection carrying both tables of x onto y, or None.
-
-    Brute force over identity-fixing permutations with an order-profile
-    prefilter; fine for the catalog sizes this package targets.
-    """
-    if x.order != y.order:
-        return None
-    if sorted(_element_orders(x.add)) != sorted(_element_orders(y.add)):
-        return None
-    if sorted(_element_orders(x.mul)) != sorted(_element_orders(y.mul)):
-        return None
+    """The lex-least bijection carrying both tables of x onto y, or None:
+    the first isomorphism of the additive tables that also carries mul."""
     n = x.order
-    x_add, x_mul, y_add, y_mul = x.add, x.mul, y.add, y.mul
-    for perm in groups.identity_fixing_perms(n):
-        ok = True
-        for a in range(n):
-            pa = perm[a]
-            xa_row, xm_row = x_add[a], x_mul[a]
-            ya_row, ym_row = y_add[pa], y_mul[pa]
-            for b in range(n):
-                pb = perm[b]
-                if perm[xa_row[b]] != ya_row[pb] or perm[xm_row[b]] != ym_row[pb]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    for perm in groups.isomorphisms(x.add, y.add):
+        if all(perm[x.mul[a][b]] == y.mul[perm[a]][perm[b]] for a in range(n) for b in range(n)):
             return perm
     return None

@@ -5,9 +5,11 @@ The table search is bounded to ENUMERATION_BOUND, the one bound that the
 brace enumeration, the catalog and the CLI read as well.  It fills a
 normalized Latin square row by row and tests associativity on the rows
 fixed so far after each new row, so it never completes a Latin square
-that is not a group and checks no complete table again; isomorphism
-classes are read off the lex-sorted table list by one sweep over
-relabelling orbits.
+that is not a group and checks no complete table again.  Maps between
+tables come from one search, `homomorphisms`, over the images of a
+generating set; isomorphisms, automorphisms and the isomorphism classes
+of the lex-sorted table list are read off it.  `canonical_group_table`
+is the one sweep over all (n-1)! relabellings.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from .bitsets import bits, full_mask
 from .errors import NotAGroupError, OrderBoundError
 
 Table = tuple[tuple[int, ...], ...]
@@ -146,19 +149,93 @@ def canonical_group_table(table: Table) -> Table:
     return min(relabel_table(table, p) for p in identity_fixing_perms(len(table)))
 
 
+def _sum_closure(table, closed: int, orbits) -> int:
+    """Least superset of closed under the table and each per-element orbit mask.
+
+    Worklist: pop the lowest unprocessed element i, OR in orbit[i], i·i,
+    and i·j, j·i for every processed j (· the table's operation), so each
+    pair is touched once.
+    A finite subset closed under a group operation is a subgroup, so
+    inverses need no step of their own.
+    """
+    full = full_mask(len(table))
+    done: list[int] = []
+    processed = 0
+    todo = closed
+    while todo:
+        i = (todo & -todo).bit_length() - 1
+        row = table[i]
+        closed |= 1 << row[i]
+        for orbit in orbits:
+            closed |= orbit[i]
+        for j in done:
+            closed |= 1 << row[j] | 1 << table[j][i]
+        if closed == full:
+            return full
+        done.append(i)
+        processed |= 1 << i
+        todo = closed & ~processed
+    return closed
+
+
+def _greedy_generators(table, mask: int) -> tuple[int, ...]:
+    """Elements of mask, in order, each outside the closure of those before.
+
+    For a subgroup mask they generate it under the table's operation.
+    """
+    gens = []
+    closed = 1
+    for x in bits(mask):
+        if not closed >> x & 1:
+            gens.append(x)
+            closed = _sum_closure(table, closed | 1 << x, ())
+    return tuple(gens)
+
+
+def homomorphisms(table: Table, target: Table) -> tuple[tuple[int, ...], ...]:
+    """Every homomorphism f from table to target, as (f(0), ..., f(n-1)), in lex order.
+
+    Each tuple of images of the greedy generators g_1 < ... < g_d extends
+    along a breadth-first word tree (each x != 0 reached once, as parent·g)
+    to one map f, kept when f(x·g) = f(x)·f(g) for every x and generator
+    g; the tree edges hold by construction.  That suffices: in a finite
+    group every w is a positive word in the g_i, and induction on its
+    length gives f(x·w·g) = f(x·w)·f(g) = f(x)·f(w)·f(g) = f(x)·f(w·g).
+    The maps come out in lex order because every element below g_k lies
+    in the closure of g_1, ..., g_{k-1}.
+    """
+    n, m = len(table), len(target)
+    gens = _greedy_generators(table, full_mask(n))
+    order, tree, rest = [0], [], []
+    reached = 1
+    for x in order:
+        for k, g in enumerate(gens):
+            y = table[x][g]
+            if reached >> y & 1:
+                rest.append((y, x, k))
+            else:
+                reached |= 1 << y
+                order.append(y)
+                tree.append((y, x, k))
+    found = []
+    for images in itertools.product(range(m), repeat=len(gens)):
+        f = [0] * n
+        for y, x, k in tree:
+            f[y] = target[f[x]][images[k]]
+        if all(f[y] == target[f[x]][images[k]] for y, x, k in rest):
+            found.append(tuple(f))
+    return tuple(found)
+
+
 @lru_cache(maxsize=None)
 def isomorphisms(table: Table, target: Table) -> tuple[tuple[int, ...], ...]:
     """Every identity-fixing p with relabel_table(table, p) == target, in lex order.
 
-    Brute force over the (n-1)! candidates, each abandoned at its first
-    product that p does not carry onto target.
+    These are the bijective homomorphisms from table onto target.
     """
-    n = len(table)
-    found = []
-    for p in identity_fixing_perms(n):
-        if all(p[table[a][b]] == target[p[a]][p[b]] for a in range(n) for b in range(n)):
-            found.append(p)
-    return tuple(found)
+    if len(target) != len(table):
+        return ()
+    return tuple(f for f in homomorphisms(table, target) if len(set(f)) == len(f))
 
 
 def automorphisms(table: Table) -> tuple[tuple[int, ...], ...]:
@@ -261,20 +338,15 @@ def group_representatives(n: int) -> tuple[Table, ...]:
     """One canonical table per isomorphism class of groups of order n.
 
     `all_group_tables(n)` is complete, closed under identity-fixing
-    relabelling and lex-sorted, so the first table met in each relabelling
-    orbit is the orbit's lex-minimum, i.e. its `canonical_group_table`.
-    One sweep keeps every table not seen yet and marks its whole orbit as
-    seen; the result comes out sorted.
+    relabelling and lex-sorted, so the first table met in each class is
+    the class's lex-minimum, i.e. its `canonical_group_table`.  A table is
+    kept when it has no isomorphism onto a table kept before it; the
+    result comes out sorted.
     """
-    tables = all_group_tables(n)
-    perms = tuple(identity_fixing_perms(n))
-    seen: set[Table] = set()
-    reps = []
-    for table in tables:
-        if table in seen:
-            continue
-        reps.append(table)
-        seen.update(relabel_table(table, p) for p in perms)
+    reps: list[Table] = []
+    for table in all_group_tables(n):
+        if not any(isomorphisms(table, rep) for rep in reps):
+            reps.append(table)
     return tuple(reps)
 
 

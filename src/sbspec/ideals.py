@@ -36,6 +36,7 @@ from functools import cached_property, lru_cache
 from .bitsets import bits, full_mask, hasse_edges, is_subset, popcount
 from .braces import SkewBrace
 from .errors import ConsistencyError
+from .groups import _greedy_generators, _sum_closure
 
 Mask = int
 
@@ -153,35 +154,6 @@ def is_ideal(brace: SkewBrace, mask: Mask) -> bool:
     return ideal_check(brace, mask).ok
 
 
-def _sum_closure(table, closed: Mask, orbits) -> Mask:
-    """Least superset of closed under the table and each per-element orbit mask.
-
-    Worklist: pop the lowest unprocessed element i, OR in orbit[i], i·i,
-    and i·j, j·i for every processed j (· the table's operation), so each
-    pair is touched once.
-    A finite subset closed under a group operation is a subgroup, so
-    inverses need no step of their own.
-    """
-    full = full_mask(len(table))
-    done: list[int] = []
-    processed = 0
-    todo = closed
-    while todo:
-        i = (todo & -todo).bit_length() - 1
-        row = table[i]
-        closed |= 1 << row[i]
-        for orbit in orbits:
-            closed |= orbit[i]
-        for j in done:
-            closed |= 1 << row[j] | 1 << table[j][i]
-        if closed == full:
-            return full
-        done.append(i)
-        processed |= 1 << i
-        todo = closed & ~processed
-    return closed
-
-
 def add_closure(brace: SkewBrace, mask: Mask) -> Mask:
     """Least additive subgroup containing the masked set (and 0).
 
@@ -269,20 +241,6 @@ def all_ideals(brace: SkewBrace) -> tuple[Mask, ...]:
                     found.add(total)
                     frontier.append(total)
     return tuple(sorted(found, key=lambda m: (popcount(m), m)))
-
-
-def _greedy_generators(table, mask: Mask) -> tuple[int, ...]:
-    """Elements of mask, in order, each outside the closure of those before.
-
-    For a subgroup mask they generate it under the table's operation.
-    """
-    gens = []
-    closed = 1
-    for x in bits(mask):
-        if not closed >> x & 1:
-            gens.append(x)
-            closed = _sum_closure(table, closed | 1 << x, ())
-    return tuple(gens)
 
 
 def _words_by_left(table, hs) -> list[Mask]:

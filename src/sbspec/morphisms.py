@@ -18,13 +18,13 @@ silently folded into a pass.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .bitsets import bits, full_mask, is_subset
 from .braces import SkewBrace
 from .errors import NotAHomomorphismError, NotAnIdealError, ParseError
+from .groups import homomorphisms
 from .ideals import generated_ideal, ideal_lattice, is_ideal
 from .spectra import is_prime, nil_radical, spectrum
 from .topology import spec_topology
@@ -378,16 +378,12 @@ def quotient_projections(brace: SkewBrace) -> tuple[Hom, ...]:
 
 @lru_cache(maxsize=None)
 def endomorphisms(brace: SkewBrace) -> tuple[Hom, ...]:
-    """Every self-map preserving both operations, found by brute force."""
+    """Every self-map preserving both operations, in lex order of mappings:
+    the additive endomorphisms (groups.homomorphisms) that also carry mul."""
     n = brace.order
-    add, mul = brace.add, brace.mul
-    out = []
-    for tail in itertools.product(range(n), repeat=n - 1):
-        m = (0,) + tail
-        if all(
-            m[add[a][b]] == add[m[a]][m[b]] and m[mul[a][b]] == mul[m[a]][m[b]]
-            for a in range(n)
-            for b in range(n)
-        ):
-            out.append(Hom(brace, brace, m))
-    return tuple(out)
+    mul = brace.mul
+    return tuple(
+        Hom(brace, brace, m)
+        for m in homomorphisms(brace.add, brace.add)
+        if all(m[mul[a][b]] == mul[m[a]][m[b]] for a in range(n) for b in range(n))
+    )

@@ -1,5 +1,7 @@
 """Brace axioms checked against a naive in-test oracle, plus constructors."""
 
+import random
+
 import pytest
 
 from sbspec.braces import (
@@ -21,7 +23,13 @@ from sbspec.errors import (
     SbspecError,
     SkewLawError,
 )
-from sbspec.groups import all_group_tables, cyclic_table, group_representatives
+from sbspec.enumeration import enumerate_braces
+from sbspec.groups import (
+    all_group_tables,
+    cyclic_table,
+    group_representatives,
+    identity_fixing_perms,
+)
 
 
 def naive_skew_holds(add, mul) -> bool:
@@ -164,6 +172,30 @@ def test_is_isomorphic_returns_checked_perm(z4_radical):
         for b in range(4):
             assert found[z4_radical.add[a][b]] == moved.add[found[a]][found[b]]
             assert found[z4_radical.mul[a][b]] == moved.mul[found[a]][found[b]]
+
+
+def is_isomorphic_loop(x, y):
+    """Oracle: the first identity-fixing permutation, over all (n-1)!, that
+    carries both tables of x onto y."""
+    if x.order != y.order:
+        return None
+    return next(
+        (p for p in identity_fixing_perms(x.order) if relabel(x, p) == y), None
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_is_isomorphic_matches_the_relabelling_loop(n):
+    # every pair among the classes of order n and a relabelled copy of each
+    rng = random.Random(n)
+    corpus = list(enumerate_braces(n))
+    for brace in list(corpus):
+        rest = list(range(1, n))
+        rng.shuffle(rest)
+        corpus.append(relabel(brace, (0, *rest)))
+    for x in corpus:
+        for y in corpus:
+            assert is_isomorphic(x, y) == is_isomorphic_loop(x, y)
 
 
 def test_not_isomorphic(z4_trivial, z4_radical, v4_trivial):

@@ -1,5 +1,6 @@
-"""Group-table layer: enumeration counts, canonical forms, automorphisms."""
+"""Group-table layer: enumeration counts, canonical forms, maps between tables."""
 
+import itertools
 import random
 from functools import lru_cache
 
@@ -18,6 +19,7 @@ from sbspec.groups import (
     group_fingerprint,
     group_representatives,
     group_violation,
+    homomorphisms,
     identity_fixing_perms,
     is_group_table,
     isomorphisms,
@@ -107,6 +109,103 @@ def test_isomorphisms_onto_a_relabelled_table(table):
         assert list(found) == sorted(found)
         assert all(relabel_table(table, q) == target for q in found)
     assert isomorphisms(table, table) == automorphisms(table)
+
+
+# oracles: the sweep over all maps and over all (n-1)! relabellings
+
+
+def isomorphism_loop(table, target):
+    """Every identity-fixing p carrying table onto target, over all (n-1)!."""
+    n = len(table)
+    return tuple(
+        p
+        for p in identity_fixing_perms(n)
+        if all(p[table[a][b]] == target[p[a]][p[b]] for a in range(n) for b in range(n))
+    )
+
+
+def homomorphism_loop(table, target):
+    """Every map fixing 0 that preserves the product, over all m^(n-1)."""
+    n = len(table)
+    return tuple(
+        f
+        for tail in itertools.product(range(len(target)), repeat=n - 1)
+        for f in [(0, *tail)]
+        if all(f[table[a][b]] == target[f[a]][f[b]] for a in range(n) for b in range(n))
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_isomorphisms_match_the_relabelling_loop(n):
+    for rep in group_representatives(n):
+        for table in all_group_tables(n):
+            assert isomorphisms(rep, table) == isomorphism_loop(rep, table)
+
+
+@pytest.mark.parametrize("name", ["Z8", "Z4xZ2", "Z2^3", "D4", "Q8"])
+def test_isomorphisms_match_the_relabelling_loop_at_order_8(groups8, name):
+    table = groups8[name]
+    rng = random.Random(8)
+    rest = list(range(1, 8))
+    rng.shuffle(rest)
+    target = relabel_table(table, (0, *rest))
+    assert isomorphisms(table, target) == isomorphism_loop(table, target)
+
+
+def test_homomorphisms_match_the_map_sweep():
+    # every pair of representatives up to order 5, and into S3 and Z6
+    sources = [rep for n in range(1, 6) for rep in group_representatives(n)]
+    for table in sources:
+        for target in sources + list(group_representatives(6)):
+            assert homomorphisms(table, target) == homomorphism_loop(table, target)
+
+
+def test_generator_images_that_are_no_homomorphism_are_rejected():
+    # V4 = <1, 2>: two distinct transpositions of S3 as the images of the
+    # generators extend along the word tree, but do not commute, so the
+    # map fails on an edge outside the tree
+    v4, s3 = klein_table(), symmetric_table(3)
+    a, b = 1, 2  # the permutations (0, 2, 1) and (1, 0, 2)
+    assert s3[a][a] == s3[b][b] == 0 and s3[a][b] != s3[b][a]
+    homs = homomorphisms(v4, s3)
+    assert not any(f[1] == a and f[2] == b for f in homs)
+    # the commuting pairs of involutions are left: (0, 0), three (t, 0),
+    # three (0, t) and three (t, t)
+    assert len(homs) == 10
+    # Z3 -> Z2: 1 -> 1 extends to f(2) = 0, then f(2 + 1) = 0 != f(2) + f(1)
+    assert homomorphisms(cyclic_table(3), cyclic_table(2)) == ((0, 0, 0),)
+
+
+@pytest.mark.parametrize(
+    "order,name,expected",
+    [
+        (8, "Z8", 4),
+        (8, "Z4xZ2", 8),
+        (8, "Z2^3", 168),
+        (8, "D4", 8),
+        (8, "Q8", 24),
+        # out of reach of the relabelling loop: 11! = 4·10^7 candidates
+        (12, "Z12", 4),
+        (12, "Z2xZ6", 12),
+        (12, "A4", 24),
+        (12, "D6", 12),
+        (12, "Dic3", 12),
+    ],
+)
+def test_automorphism_group_orders_at_orders_8_and_12(request, order, name, expected):
+    table = request.getfixturevalue(f"groups{order}")[name]
+    auts = automorphisms(table)
+    assert len(auts) == expected
+    assert all(relabel_table(table, p) == table for p in auts)
+
+
+@pytest.mark.parametrize(
+    "name,expected", [("Z8", 8), ("Z4xZ2", 32), ("Z2^3", 512), ("D4", 36), ("Q8", 28)]
+)
+def test_endomorphism_counts_at_order_8(groups8, name, expected):
+    # Z4xZ2: 4·2·2·2 maps between cyclic factors; Z2^3: 8^3; Q8: the
+    # trivial map, three onto its centre and the 24 automorphisms
+    assert len(homomorphisms(groups8[name], groups8[name])) == expected
 
 
 def test_no_isomorphism_between_distinct_classes():

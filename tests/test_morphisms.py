@@ -1,9 +1,12 @@
 """Homomorphisms, quotients, and the induced maps on spectra."""
 
+import itertools
+
 import pytest
 
 from sbspec.bitsets import full_mask, is_subset, mask_of, popcount
 from sbspec.braces import is_isomorphic
+from sbspec.enumeration import enumerate_braces
 from sbspec.errors import (
     NotAHomomorphismError,
     NotAnIdealError,
@@ -151,6 +154,30 @@ def test_endomorphism_counts(z2_trivial, z3_trivial, z4_trivial, z4_radical, v4_
     assert len(endomorphisms(z4_trivial)) == 4
     assert len(endomorphisms(z4_radical)) == 4
     assert len(endomorphisms(v4_trivial)) == 16
+
+
+def endomorphism_loop(brace):
+    """Oracle: every map fixing 0 that preserves both tables, over all n^(n-1)."""
+    n = brace.order
+    add, mul = brace.add, brace.mul
+    return tuple(
+        m
+        for tail in itertools.product(range(n), repeat=n - 1)
+        for m in [(0, *tail)]
+        if all(
+            m[add[a][b]] == add[m[a]][m[b]] and m[mul[a][b]] == mul[m[a]][m[b]]
+            for a in range(n)
+            for b in range(n)
+        )
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_endomorphisms_match_the_map_sweep(n):
+    for brace in enumerate_braces(n):
+        found = endomorphisms(brace)
+        assert tuple(f.mapping for f in found) == endomorphism_loop(brace)
+        assert all(f.source == brace == f.target for f in found)
 
 
 def test_quotient_projections_enumeration(z4_radical, v4_trivial):
