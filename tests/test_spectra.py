@@ -5,7 +5,7 @@ import pytest
 from sbspec.bitsets import full_mask, is_subset, mask_of
 from sbspec.enumeration import enumerate_braces
 from sbspec.errors import NotMaximalError, NotProperError
-from sbspec.ideals import ideal_lattice, star_subgroup
+from sbspec.ideals import ideal_lattice, star_set, star_subgroup
 from sbspec.spectra import (
     PRIME_KINDS,
     compare_definitions,
@@ -35,6 +35,21 @@ def _pointwise_witness(brace, mask):
     outside = [a for a in range(brace.order) if not mask >> a & 1]
     return next(
         ((a, b) for a in outside for b in outside if mask >> brace.star[a][b] & 1), None
+    )
+
+
+def _subset_pair_witness(brace, mask):
+    """Oracle for _pointwise_witness: subsets x, y outside mask whose
+    pointwise star products lie inside it, over all 2^n x 2^n pairs."""
+    subsets = [x for x in range(1 << brace.order) if not is_subset(x, mask)]
+    return next(
+        (
+            (x, y)
+            for x in subsets
+            for y in subsets
+            if is_subset(star_set(brace, x, y), mask)
+        ),
+        None,
     )
 
 
@@ -109,12 +124,25 @@ def test_all_spectra_empty_up_to_order_six(bid, brace):
     assert lattice_spectrum(brace).primes == ()
 
 
+SMALL = [t for t in CORPUS if t[1].order <= 5]
+
+
+@pytest.mark.parametrize("bid,brace", SMALL, ids=[bid for bid, _ in SMALL])
+def test_star_prime_subset_oracle_agreement(bid, brace):
+    # the element test of the theorem below against all subset pairs
+    for m in ideal_lattice(brace).proper_members():
+        lhs = _pointwise_witness(brace, m) is None
+        rhs = _subset_pair_witness(brace, m) is None
+        assert lhs == rhs
+
+
 def test_no_proper_ideal_is_pointwise_prime(s4_trivial, s4_almost, a5_trivial, a5_almost):
     # the theorem in the spectra docstring: lambda of A/P would act freely
     # on the |A/P| - 1 nonzero elements, so the pointwise notion is empty.
     # Subsets x, y outside m with x * y inside m exist exactly when such
     # elements do (take singletons; conversely any a in x - m, b in y - m),
-    # so the element witness decides the subset form as well.
+    # so the element witness decides the subset form as well (checked
+    # against all subset pairs up to order 5 in the test above).
     braces = [b for _, b in CORPUS] + [s4_trivial, s4_almost, a5_trivial, a5_almost]
     checked = 0
     for brace in braces:
