@@ -193,7 +193,12 @@ def _greedy_generators(table, mask: int) -> tuple[int, ...]:
 
 
 def homomorphisms(table: Table, target: Table) -> tuple[tuple[int, ...], ...]:
-    """Every homomorphism f from table to target, as (f(0), ..., f(n-1)), in lex order.
+    """Every homomorphism f from table to target, as (f(0), ..., f(n-1)), in lex order."""
+    return tuple(_homomorphism_maps(table, target))
+
+
+def _homomorphism_maps(table: Table, target: Table):
+    """Yield the homomorphisms from table to target, in lex order.
 
     Each tuple of images of the greedy generators g_1 < ... < g_d extends
     along a breadth-first word tree (each x != 0 reached once, as parent·g)
@@ -217,14 +222,12 @@ def homomorphisms(table: Table, target: Table) -> tuple[tuple[int, ...], ...]:
                 reached |= 1 << y
                 order.append(y)
                 tree.append((y, x, k))
-    found = []
     for images in itertools.product(range(m), repeat=len(gens)):
         f = [0] * n
         for y, x, k in tree:
             f[y] = target[f[x]][images[k]]
         if all(f[y] == target[f[x]][images[k]] for y, x, k in rest):
-            found.append(tuple(f))
-    return tuple(found)
+            yield tuple(f)
 
 
 @lru_cache(maxsize=None)
@@ -341,11 +344,12 @@ def group_representatives(n: int) -> tuple[Table, ...]:
     relabelling and lex-sorted, so the first table met in each class is
     the class's lex-minimum, i.e. its `canonical_group_table`.  A table is
     kept when it has no isomorphism onto a table kept before it; the
-    result comes out sorted.
+    search for one stops at the first bijective homomorphism.  The result
+    comes out sorted.
     """
     reps: list[Table] = []
     for table in all_group_tables(n):
-        if not any(isomorphisms(table, rep) for rep in reps):
+        if not any(len(set(f)) == n for rep in reps for f in _homomorphism_maps(table, rep)):
             reps.append(table)
     return tuple(reps)
 

@@ -486,7 +486,9 @@ class IdealLattice:
 
     def generated(self, seed: Mask) -> Mask:
         """Least member containing the seed: the first one in size order."""
-        return next(m for m in self.members if is_subset(seed, m))
+        for m in self.members:
+            if not seed & ~m:
+                return m
 
     def proper_members(self) -> tuple[Mask, ...]:
         return tuple(m for m in self.members if m != self.top)
@@ -531,7 +533,7 @@ def multiplicative_lattice_check(lat: IdealLattice) -> LatticeLawReport:
     (I + J)·K ⊆ I·K + J·K, and a·(b + c) = a·b + b + a·c − b with K·I + K·J
     normal in (A, +) gives K·(I + J) ⊆ K·I + K·J; monotonicity gives ⊇.
     """
-    members, star, join = lat.members, lat.star, lat.join
+    members, star = lat.members, lat.star
     witness = None
 
     monotone = True
@@ -548,14 +550,16 @@ def multiplicative_lattice_check(lat: IdealLattice) -> LatticeLawReport:
                 below_meet = False
                 witness = witness or ("below-meet", x, y)
 
+    # on positions: distinct members have distinct positions
     k = len(members)
+    star_t, join_t = lat.star_table, lat.join_table
     cases, scope = sample_cases(k**3, f"{k}^3")
-    triples = ((members[c // (k * k)], members[c // k % k], members[c % k]) for c in cases)
+    triples = ((c // (k * k), c // k % k, c % k) for c in cases)
     undistributed = (
-        ("distributive", x, y, z)
+        ("distributive", members[x], members[y], members[z])
         for x, y, z in triples
-        if star(join(x, y), z) != join(star(x, z), star(y, z))
-        or star(z, join(x, y)) != join(star(z, x), star(z, y))
+        if star_t[join_t[x][y]][z] != join_t[star_t[x][z]][star_t[y][z]]
+        or star_t[z][join_t[x][y]] != join_t[star_t[z][x]][star_t[z][y]]
     )
     bad = next(undistributed, None)
     return LatticeLawReport(monotone, below_meet, bad is None, witness or bad, scope)

@@ -64,6 +64,8 @@ from .topology import (
     spectral_report,
 )
 
+Mask = int
+
 ENDOMORPHISM_BOUND = 4
 
 
@@ -154,11 +156,39 @@ def _lattice_laws(brace: SkewBrace):
     return [(rep.ok, False, "; ".join(p for p in (detail, rep.scope) if p))]
 
 
+def _chained_closure(brace: SkewBrace, seed: Mask, steps: dict) -> Mask:
+    """The ideal generated by seed and 0, folded from one-element closures.
+
+    Start from I = {0} and take the seed's elements lowest first, skipping
+    those already in I; each step is I -> generated_ideal(I + {a}), read
+    from steps, keyed by (I, a), when an earlier seed took it.  ⟨ ⟩ is a
+    closure operator (extensive, monotone, idempotent), so
+    ⟨S ∪ {a}⟩ = ⟨⟨S⟩ ∪ {a}⟩: S ∪ {a} ⊆ ⟨S⟩ ∪ {a} gives ⊆ by
+    monotonicity, and ⟨S⟩ ∪ {a} ⊆ ⟨S ∪ {a}⟩ gives ⊇ by monotonicity and
+    idempotence.  By induction over the steps the fold is ⟨seed ∪ {0}⟩,
+    and an element already in I leaves it unchanged.  So a brace costs at
+    most (#ideals reached) · n closures, not one per seed.  Each step
+    clears a from the to-do mask with the result, so even a closure that
+    leaves a out cannot loop: the fold then returns a set without a, and
+    the row names the seed.
+    """
+    ideal, todo = 1, seed & ~1
+    while todo:
+        a = (todo & -todo).bit_length() - 1
+        key = (ideal, a)
+        if key not in steps:
+            steps[key] = generated_ideal(brace, ideal | 1 << a)
+        ideal = steps[key]
+        todo &= ~(ideal | 1 << a)
+    return ideal
+
+
 def _generated_routes(brace: SkewBrace):
     lat = ideal_lattice(brace)
     seeds, scope = sample_cases(1 << brace.order, f"2^{brace.order}")
+    steps: dict[tuple[Mask, int], Mask] = {}
     return _first_witness(
-        (f"seed={s}" for s in seeds if generated_ideal(brace, s) != lat.generated(s | 1)),
+        (f"seed={s}" for s in seeds if _chained_closure(brace, s, steps) != lat.generated(s | 1)),
         scope,
     )
 

@@ -7,7 +7,7 @@ import pytest
 
 from sbspec import ideals, spectra, suite
 from sbspec.bitsets import popcount
-from sbspec.braces import direct_product, trivial_brace
+from sbspec.braces import direct_product, trivial_brace, validate
 from sbspec.catalog import (
     build_record,
     catalog_lines,
@@ -18,8 +18,8 @@ from sbspec.catalog import (
     write_catalog,
 )
 from sbspec.errors import ConsistencyError, ParseError
-from sbspec.groups import cyclic_table, klein_table, product_table
-from sbspec.ideals import IdealCheck, ideal_lattice
+from sbspec.groups import _sum_closure, cyclic_table, klein_table, product_table
+from sbspec.ideals import IdealCheck, generated_ideal, ideal_lattice
 from sbspec.morphisms import quotient
 from sbspec.spectra import spectrum
 from sbspec.suite import (
@@ -532,12 +532,96 @@ def test_ideal_criteria_finds_a_missing_ideal(v4_trivial, monkeypatch):
     assert verdict == [(False, False, "('closure', 1, 2); ideals=4")]
 
 
-def test_ideal_criteria_at_order_360(a5_almost, s3_almost):
-    # the certificate is k·n closures, 6 ideals at order 360: a member
-    # check exponential in the generators would take minutes here
+@pytest.fixture(scope="module")
+def a5_s3_almost(a5_almost, s3_almost):
     brace = direct_product(a5_almost, s3_almost)
     assert brace.order == 360
-    assert suite._ideal_criteria(brace) == [(True, False, "ideals=6")]
+    return brace
+
+
+def test_ideal_criteria_at_order_360(a5_s3_almost):
+    # the certificate is k·n closures, 6 ideals at order 360: a member
+    # check exponential in the generators would take minutes here
+    assert suite._ideal_criteria(a5_s3_almost) == [(True, False, "ideals=6")]
+
+
+def test_generated_routes_at_order_360(a5_s3_almost):
+    # 4096 sampled seeds fold into a few dozen one-element closures
+    assert suite._generated_routes(a5_s3_almost) == [(True, False, "sampled 4096 of 2^360")]
+
+
+def assert_chained_closures_match(brace):
+    steps = {}
+    for seed in range(1 << brace.order):
+        assert suite._chained_closure(brace, seed, steps) == generated_ideal(brace, seed), seed
+
+
+def test_chained_closure_matches_generated_ideal_on_catalog6(catalog6):
+    # every seed of every brace of order <= 6, one step memo per brace
+    for rec in catalog6:
+        assert_chained_closures_match(validate(rec.add, rec.mul))
+
+
+def test_chained_closure_matches_generated_ideal(z4_radical, s3_almost):
+    for brace in (z4_radical, s3_almost):
+        assert_chained_closures_match(brace)
+
+
+def test_generated_routes_close_at_most_k_n_steps(a4_almost, monkeypatch):
+    # one closure per (ideal, element) step, not one per seed
+    real = suite.generated_ideal
+    for brace in (trivial_brace(product_table(klein_table(), cyclic_table(2))), a4_almost):
+        calls = []
+        monkeypatch.setattr(
+            suite, "generated_ideal", lambda b, seed: calls.append(seed) or real(b, seed)
+        )
+        assert suite._generated_routes(brace) == [(True, False, "")]
+        k, n = len(ideal_lattice(brace)), brace.order
+        assert len(calls) == len(set(calls)) <= k * n
+
+
+class CappedSteps(dict):
+    """A step memo that fails the test past 100 reads instead of looping."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        assert self.reads < 100, "the fold does not terminate"
+        return super().__getitem__(key)
+
+
+def test_generated_routes_survive_a_closure_that_drops_its_new_element(
+    z4_radical, monkeypatch
+):
+    # the closure leaves out the lowest nonzero element of its seed, which
+    # is the new element on each seed's first step; a to-do mask cleared
+    # only by the result would revisit that element for ever
+    real = suite.generated_ideal
+
+    def dropping(brace, seed):
+        rest = seed & ~1
+        return real(brace, seed) & ~(rest & -rest)
+
+    monkeypatch.setattr(suite, "generated_ideal", dropping)
+    # seed {1}: the closure of {0, 1} is all of Z4, less the element 1
+    assert suite._chained_closure(z4_radical, 2, CappedSteps()) == 0b1101
+    assert suite._generated_routes(z4_radical) == [(False, False, "seed=2")]
+
+
+def test_generated_routes_fail_on_a_closure_without_the_twist(catalog6, monkeypatch):
+    # 4-1 (additive Klein four, multiplicative Z4): λ_2 swaps 2 and 3, so
+    # closing under the two conjugations alone leaves {0, 2} λ-open, and
+    # the fold misses the lattice at seed 4
+    brace = next(validate(r.add, r.mul) for r in catalog6 if r.brace_id == "4-1")
+    assert any(brace.lam[a][x] != x for a in range(4) for x in range(4))
+    assert suite._generated_routes(brace) == [(True, False, "")]
+    monkeypatch.setattr(
+        suite,
+        "generated_ideal",
+        lambda b, seed: _sum_closure(b.add, seed | 1, (b.add_conj_orbit, b.mul_conj_orbit)),
+    )
+    assert suite._generated_routes(brace) == [(False, False, "seed=4")]
 
 
 def test_maximal_prime_row_counts_the_square_closures(z4_radical, monkeypatch):
@@ -564,6 +648,18 @@ class DiamondLattice:
 
     def star(self, x, y):
         return 7 if x == y == 7 else 1
+
+    def _table(self, op):
+        ms = self.members
+        return tuple(tuple(ms.index(op(x, y)) for y in ms) for x in ms)
+
+    @property
+    def join_table(self):
+        return self._table(self.join)
+
+    @property
+    def star_table(self):
+        return self._table(self.star)
 
 
 def test_lattice_row_counts_distributivity(monkeypatch):
