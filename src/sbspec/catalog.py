@@ -134,6 +134,8 @@ def record_from_dict(obj) -> CatalogRecord:
     sizes = _require(obj, "spec_sizes", dict)
     if sorted(sizes) != sorted(PRIME_KINDS):
         raise ParseError(f"spec_sizes must cover {PRIME_KINDS}, got {sorted(sizes)}")
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in sizes.values()):
+        raise ParseError("catalog field 'spec_sizes' must map each kind to an integer")
     weights = _require(obj, "weights", list)
     if any(not isinstance(w, int) or isinstance(w, bool) for w in weights):
         raise ParseError("catalog field 'weights' must be a list of integers")
@@ -146,7 +148,7 @@ def record_from_dict(obj) -> CatalogRecord:
         mul_group=str(_require(obj, "mul_group", str)),
         ideal_count=int(_require(obj, "ideal_count", int)),
         weights=tuple(int(w) for w in weights),
-        spec_sizes=tuple((kind, int(sizes[kind])) for kind in PRIME_KINDS),
+        spec_sizes=tuple((kind, sizes[kind]) for kind in PRIME_KINDS),
         lattice_spec_size=int(_require(obj, "lattice_spec_size", int)),
         t0=bool(_require(obj, "t0", bool)),
         t1=bool(_require(obj, "t1", bool)),

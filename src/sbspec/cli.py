@@ -92,12 +92,16 @@ def cmd_check(args) -> int:
     return EXIT_PROPERTY if bad else EXIT_OK
 
 
-def _match_predicate(predicate: str, brace, brace_id: str):
-    """Return (matched, evidence) or None when the predicate is unknown."""
+PREDICATES = (
+    *(f"nonempty-spec:{kind}" for kind in PRIME_KINDS),
+    *("defs-disagree", "spec-connected", "spec-disconnected", "t1"),
+)
+
+
+def _match_predicate(predicate: str, brace):
+    """Return (matched, evidence) for one of PREDICATES."""
     if predicate.startswith("nonempty-spec:"):
         kind = predicate.split(":", 1)[1]
-        if kind not in PRIME_KINDS:
-            return None
         primes = spectrum(brace, kind).primes
         return bool(primes), f"{kind} primes: {[member_list(p) for p in primes]}"
     if predicate == "defs-disagree":
@@ -112,23 +116,21 @@ def _match_predicate(predicate: str, brace, brace_id: str):
         count = connected_component_count(spec_topology(brace, "star").space)
         matched = count <= 1 if predicate == "spec-connected" else count >= 2
         return matched, f"components={count}"
-    if predicate == "t1":
-        rep = separation_report(spec_topology(brace, "star"))
-        note = " (vacuous: empty spectrum)" if rep.n_points == 0 else ""
-        return rep.t1, f"points={rep.n_points}{note}"
-    return None
+    # t1, the last of PREDICATES
+    rep = separation_report(spec_topology(brace, "star"))
+    note = " (vacuous: empty spectrum)" if rep.n_points == 0 else ""
+    return rep.t1, f"points={rep.n_points}{note}"
 
 
 def cmd_search(args) -> int:
+    if args.where not in PREDICATES:
+        print(f"unknown predicate: {args.where}", file=sys.stderr)
+        return EXIT_INPUT
     records = read_catalog(args.catalog)
     matches = 0
     for rec in records:
         brace = validate_tables(rec.add, rec.mul)
-        outcome = _match_predicate(args.where, brace, rec.brace_id)
-        if outcome is None:
-            print(f"unknown predicate: {args.where}", file=sys.stderr)
-            return EXIT_INPUT
-        matched, evidence = outcome
+        matched, evidence = _match_predicate(args.where, brace)
         if matched:
             matches += 1
             print(f"{rec.brace_id}: {evidence}")
@@ -194,10 +196,6 @@ def cmd_hom(args) -> int:
         "image": member_list(image(f)),
         "surjective": is_surjective(f),
         "injective": is_injective(f),
-        # f(i * j) = f(i) * f(j) for every map that preserves + and ∘
-        "star_image_exact": True,
-        # e(I) is the least ideal over f(I): e(I) ⊆ J ⇔ I ⊆ c(J) for every map
-        "extension_contraction_ok": True,
         "spec_map": {
             "kind": rep.kind,
             "points": len(rep.point_map),
@@ -238,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--where",
         required=True,
-        help="nonempty-spec:star|ksv|huq, defs-disagree, "
-        "spec-connected, spec-disconnected, t1",
+        help=", ".join(PREDICATES),
     )
     p.set_defaults(fn=cmd_search)
 

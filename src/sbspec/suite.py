@@ -23,13 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bitsets import bits, is_subset, popcount
+from .bitsets import is_subset, popcount
 from .braces import is_isomorphic, validate, SkewBrace
 from .catalog import catalog_lines, generate_catalog, verify_record
 from .enumeration import enumerate_braces, enumerate_braces_raw
 from .errors import SbspecError
 from .groups import ENUMERATION_BOUND
 from .ideals import (
+    _set_sum,
     generated_ideal,
     huq_commutator,
     ideal_check,
@@ -63,8 +64,6 @@ from .topology import (
     spec_topology,
     spectral_report,
 )
-
-Mask = int
 
 ENDOMORPHISM_BOUND = 4
 
@@ -120,6 +119,25 @@ def _axioms(brace: SkewBrace):
     return [(True, False, "")]
 
 
+def _closure_seeds(brace: SkewBrace, lat):
+    """(M, a) for each member M: a = 0 for the seed M itself, then the
+    lowest a of each class outside M, for the seed M ∪ {a}.
+
+    The class of a is M + (a's additive-conjugation, multiplicative-
+    conjugation and twist orbits).  Each b = i + j in it, with i in M and
+    j in an orbit of a, gives ⟨M ∪ {b}⟩ = ⟨M ∪ {a}⟩: the actions are group
+    actions, so an ideal holds j exactly when it holds a, and j = -i + b.
+    """
+    orbits = (brace.add_conj_orbit, brace.mul_conj_orbit, brace.lam_orbit)
+    for m in lat.members:
+        yield m, 0
+        todo = lat.top & ~m
+        while todo:
+            a = (todo & -todo).bit_length() - 1
+            yield m, a
+            todo &= ~_set_sum(brace, m, orbits[0][a] | orbits[1][a] | orbits[2][a])
+
+
 def _ideal_criteria(brace: SkewBrace):
     """Certify the member list: every member is an ideal that absorbs star
     products on both sides, and for every member M and element a outside
@@ -127,23 +145,22 @@ def _ideal_criteria(brace: SkewBrace):
 
     Then every ideal I is a member.  {0} is one, and from a member M ⊊ I
     and some a in I outside M, the ideal generated by M and a is a member
-    inside I and larger than M.  That is k·n closures, where the additive
-    subgroup sweep it replaces was exponential; the sweep stays the
-    oracle in tests/test_ideals.py.
+    inside I and larger than M.  One closure per class (_closure_seeds)
+    serves all of its elements; the additive subgroup sweep this replaces
+    was exponential and stays the oracle in tests/test_ideals.py.
     """
     lat = ideal_lattice(brace)
-    whole = lat.top
 
     def witnesses():
-        for m in lat.members:
-            check = ideal_check(brace, m)
-            if not check.ok:
-                yield ("not-ideal", m, check.witness)
-            if not is_subset(star_set(brace, whole, m) | star_set(brace, m, whole), m):
-                yield ("not-absorbing", m)
-            for a in bits(whole & ~m):
-                if generated_ideal(brace, m | 1 << a) not in lat.index:
-                    yield ("closure", m, a)
+        for m, a in _closure_seeds(brace, lat):
+            if a == 0:  # the member's own seed: the ideal test and absorption
+                check = ideal_check(brace, m)
+                if not check.ok:
+                    yield ("not-ideal", m, check.witness)
+                if not is_subset(star_set(brace, lat.top, m) | star_set(brace, m, lat.top), m):
+                    yield ("not-absorbing", m)
+            elif generated_ideal(brace, m | 1 << a) not in lat.index:
+                yield ("closure", m, a)
 
     return _first_witness(witnesses(), f"ideals={len(lat)}")
 
@@ -156,40 +173,23 @@ def _lattice_laws(brace: SkewBrace):
     return [(rep.ok, False, "; ".join(p for p in (detail, rep.scope) if p))]
 
 
-def _chained_closure(brace: SkewBrace, seed: Mask, steps: dict) -> Mask:
-    """The ideal generated by seed and 0, folded from one-element closures.
-
-    Start from I = {0} and take the seed's elements lowest first, skipping
-    those already in I; each step is I -> generated_ideal(I + {a}), read
-    from steps, keyed by (I, a), when an earlier seed took it.  ⟨ ⟩ is a
-    closure operator (extensive, monotone, idempotent), so
-    ⟨S ∪ {a}⟩ = ⟨⟨S⟩ ∪ {a}⟩: S ∪ {a} ⊆ ⟨S⟩ ∪ {a} gives ⊆ by
-    monotonicity, and ⟨S⟩ ∪ {a} ⊆ ⟨S ∪ {a}⟩ gives ⊇ by monotonicity and
-    idempotence.  By induction over the steps the fold is ⟨seed ∪ {0}⟩,
-    and an element already in I leaves it unchanged.  So a brace costs at
-    most (#ideals reached) · n closures, not one per seed.  Each step
-    clears a from the to-do mask with the result, so even a closure that
-    leaves a out cannot loop: the fold then returns a set without a, and
-    the row names the seed.
-    """
-    ideal, todo = 1, seed & ~1
-    while todo:
-        a = (todo & -todo).bit_length() - 1
-        key = (ideal, a)
-        if key not in steps:
-            steps[key] = generated_ideal(brace, ideal | 1 << a)
-        ideal = steps[key]
-        todo &= ~(ideal | 1 << a)
-    return ideal
-
-
 def _generated_routes(brace: SkewBrace):
+    """generated_ideal against lat.generated, the least member above the
+    seed, on the seeds of _closure_seeds, which covers all 2^n seeds.
+
+    Both routes are closure operators onto ideals, so each has
+    ⟨S ∪ {a}⟩ = ⟨⟨S⟩ ∪ {a}⟩ (⊆ by monotonicity, ⊇ by monotonicity and
+    idempotence).  Induct on |S| from ⟨{0}⟩ = bottom, the seed of {0}:
+    with M = ⟨S⟩, both routes send S ∪ {a} where they send M ∪ {a}.  For
+    a in M that is the seed M, and those seeds show every member closed;
+    for a outside M, M ∪ {a} generates what the seed of a's class does.
+    So the row is exhaustive at every order, at most k·n closures.
+    """
     lat = ideal_lattice(brace)
-    seeds, scope = sample_cases(1 << brace.order, f"2^{brace.order}")
-    steps: dict[tuple[Mask, int], Mask] = {}
+    # a seed can come from two members of size at most 2: each is closed once
+    seeds = dict.fromkeys(m | 1 << a for m, a in _closure_seeds(brace, lat))
     return _first_witness(
-        (f"seed={s}" for s in seeds if _chained_closure(brace, s, steps) != lat.generated(s | 1)),
-        scope,
+        f"seed={s & ~1}" for s in seeds if generated_ideal(brace, s) != lat.generated(s)
     )
 
 

@@ -147,11 +147,19 @@ def test_search_predicates(catalog_file, capsys):
     assert "vacuous: empty spectrum" in out
 
 
-def test_search_unknown_predicate(catalog_file, capsys):
+def test_search_unknown_predicate(catalog_file, tmp_path, capsys):
     assert main(["search", catalog_file, "--where", "nonempty-spec:odd"]) == 2
     assert "unknown predicate" in capsys.readouterr().err
     assert main(["search", catalog_file, "--where", "junk"]) == 2
     capsys.readouterr()
+    # with no record to match against, the predicate is still checked
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(["search", str(empty), "--where", "junk"]) == 2
+    assert capsys.readouterr().err == "unknown predicate: junk\n"
+    assert main(["search", str(empty), "--where", "t1"]) == 0
+    assert capsys.readouterr().out == "0 of 0 records match t1\n"
+
 
 
 def test_report_dot_kinds(brace_file, capsys):
@@ -227,11 +235,11 @@ def test_hom_command(tmp_path, capsys):
     assert main(["hom", str(path)]) == 0
     # the whole line is pinned, keys and bytes
     assert capsys.readouterr().out == (
-        '{"extension_contraction_ok":true,"image":[0,1],"injective":false,'
+        '{"image":[0,1],"injective":false,'
         '"kernel":[0,2],"spec_map":{"continuity_exact":true,'
         '"continuity_vacuous":true,"contractions_prime":true,'
         '"density_matches_kernel":true,"kind":"star","points":0},'
-        '"star_image_exact":true,"surjective":true}\n'
+        '"surjective":true}\n'
     )
 
 

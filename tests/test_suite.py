@@ -7,7 +7,7 @@ import pytest
 
 from sbspec import ideals, spectra, suite
 from sbspec.bitsets import popcount
-from sbspec.braces import direct_product, trivial_brace, validate
+from sbspec.braces import almost_trivial_brace, direct_product, trivial_brace, validate
 from sbspec.catalog import (
     build_record,
     catalog_lines,
@@ -18,7 +18,13 @@ from sbspec.catalog import (
     write_catalog,
 )
 from sbspec.errors import ConsistencyError, ParseError
-from sbspec.groups import _sum_closure, cyclic_table, klein_table, product_table
+from sbspec.groups import (
+    _sum_closure,
+    cyclic_table,
+    klein_table,
+    product_table,
+    symmetric_table,
+)
 from sbspec.ideals import IdealCheck, generated_ideal, ideal_lattice
 from sbspec.morphisms import quotient
 from sbspec.spectra import spectrum
@@ -99,6 +105,10 @@ def test_record_from_dict_rejects_junk(catalog4):
     doc["weights"] = [True]
     with pytest.raises(ParseError):
         record_from_dict(doc)
+    for bad in ("abc", None, True, 1.0):
+        doc = dict(good, spec_sizes={**good["spec_sizes"], "star": bad})
+        with pytest.raises(ParseError, match="spec_sizes"):
+            record_from_dict(doc)
 
 
 def test_catalog_file_roundtrip(tmp_path, catalog4):
@@ -400,11 +410,12 @@ def test_generated_routes_sample_past_4096_seeds(z4_radical):
     # order 12 and below: every seed, with no sampling note
     rows = run_brace_suite("z4r", z4_radical)
     assert {r.check: r for r in rows}["generated-ideal-routes"].detail == ""
-    # order 13: 2^13 seeds, of which a seeded 4096 are drawn
+    # order 13: 2^13 seeds, past the sampling bound, yet the row stays
+    # exhaustive, since the one-element steps from the members cover them
     rows = run_brace_suite("z13", trivial_brace(cyclic_table(13)))
     assert failures(rows) == []
     row = {r.check: r for r in rows}["generated-ideal-routes"]
-    assert (row.verdict, row.detail) == ("pass", "sampled 4096 of 2^13")
+    assert (row.verdict, row.detail) == ("pass", "")
 
 
 def test_suite_samples_past_4096_cases_at_67_ideals():
@@ -539,21 +550,80 @@ def a5_s3_almost(a5_almost, s3_almost):
     return brace
 
 
-def test_ideal_criteria_at_order_360(a5_s3_almost):
-    # the certificate is k·n closures, 6 ideals at order 360: a member
-    # check exponential in the generators would take minutes here
+def recorded_closures(monkeypatch) -> list:
+    """The seeds of the suite's generated_ideal calls from here on."""
+    calls = []
+    monkeypatch.setattr(
+        suite, "generated_ideal", lambda b, seed: calls.append(seed) or generated_ideal(b, seed)
+    )
+    return calls
+
+
+def test_ideal_criteria_at_order_360(a5_s3_almost, monkeypatch):
+    # 6 ideals at order 360: a member check exponential in the generators
+    # would take minutes here, and one closure per (member, element) step
+    # would be 1550; one per (member, class) step is a few dozen
+    calls = recorded_closures(monkeypatch)
     assert suite._ideal_criteria(a5_s3_almost) == [(True, False, "ideals=6")]
+    assert 0 < len(calls) <= 64
 
 
-def test_generated_routes_at_order_360(a5_s3_almost):
-    # 4096 sampled seeds fold into a few dozen one-element closures
-    assert suite._generated_routes(a5_s3_almost) == [(True, False, "sampled 4096 of 2^360")]
+def test_generated_routes_at_order_360(a5_s3_almost, monkeypatch):
+    # all 2^360 seeds, by a few dozen one-element closures
+    calls = recorded_closures(monkeypatch)
+    assert suite._generated_routes(a5_s3_almost) == [(True, False, "")]
+    assert 0 < len(calls) <= 64
+
+
+def test_closure_seeds_reach_the_ideals_of_every_element(catalog6, groups12):
+    # for every member M, the one-seed-per-class sweep closes to the same
+    # ideals as the full sweep over every element, on catalog <= 6 and on
+    # the six order 8-12 braces of the suite12 workload
+    s3xz2 = product_table(symmetric_table(3), cyclic_table(2))
+    braces = [validate(r.add, r.mul) for r in catalog6] + [
+        trivial_brace(product_table(klein_table(), cyclic_table(2))),
+        trivial_brace(cyclic_table(12)),
+        trivial_brace(groups12["A4"]),
+        almost_trivial_brace(groups12["A4"]),
+        trivial_brace(s3xz2),
+        almost_trivial_brace(s3xz2),
+    ]
+    for brace in braces:
+        lat = ideal_lattice(brace)
+        swept = {m: set() for m in lat.members}
+        for m, a in suite._closure_seeds(brace, lat):
+            swept[m].add(generated_ideal(brace, m | 1 << a))
+        for m in lat.members:
+            full = {generated_ideal(brace, m | 1 << a) for a in range(brace.order)}
+            assert swept[m] == full, (brace, m)
+
+
+def _chained_closure(brace, seed, steps, close=generated_ideal):
+    """The ideal generated by seed and 0, folded from one-element closures.
+
+    Start from I = {0} and take the seed's elements lowest first, skipping
+    those already in I; each step is I -> close(I + {a}), read from steps,
+    keyed by (I, a), when an earlier seed took it.  Each step clears a
+    from the to-do mask with the result, so even a closure that leaves a
+    out cannot loop.  Agreement with generated_ideal on every seed is
+    ⟨S ∪ {a}⟩ = ⟨⟨S⟩ ∪ {a}⟩, the identity the generated-ideal-routes row
+    extends from its seeds to all of them by.
+    """
+    ideal, todo = 1, seed & ~1
+    while todo:
+        a = (todo & -todo).bit_length() - 1
+        key = (ideal, a)
+        if key not in steps:
+            steps[key] = close(brace, ideal | 1 << a)
+        ideal = steps[key]
+        todo &= ~(ideal | 1 << a)
+    return ideal
 
 
 def assert_chained_closures_match(brace):
     steps = {}
     for seed in range(1 << brace.order):
-        assert suite._chained_closure(brace, seed, steps) == generated_ideal(brace, seed), seed
+        assert _chained_closure(brace, seed, steps) == generated_ideal(brace, seed), seed
 
 
 def test_chained_closure_matches_generated_ideal_on_catalog6(catalog6):
@@ -569,12 +639,8 @@ def test_chained_closure_matches_generated_ideal(z4_radical, s3_almost):
 
 def test_generated_routes_close_at_most_k_n_steps(a4_almost, monkeypatch):
     # one closure per (ideal, element) step, not one per seed
-    real = suite.generated_ideal
     for brace in (trivial_brace(product_table(klein_table(), cyclic_table(2))), a4_almost):
-        calls = []
-        monkeypatch.setattr(
-            suite, "generated_ideal", lambda b, seed: calls.append(seed) or real(b, seed)
-        )
+        calls = recorded_closures(monkeypatch)
         assert suite._generated_routes(brace) == [(True, False, "")]
         k, n = len(ideal_lattice(brace)), brace.order
         assert len(calls) == len(set(calls)) <= k * n
@@ -595,8 +661,9 @@ def test_generated_routes_survive_a_closure_that_drops_its_new_element(
     z4_radical, monkeypatch
 ):
     # the closure leaves out the lowest nonzero element of its seed, which
-    # is the new element on each seed's first step; a to-do mask cleared
-    # only by the result would revisit that element for ever
+    # is the new element on each seed's first step; in the fold, a to-do
+    # mask cleared only by the result would revisit that element for ever,
+    # and the row names the first seed whose closure misses the lattice
     real = suite.generated_ideal
 
     def dropping(brace, seed):
@@ -605,7 +672,7 @@ def test_generated_routes_survive_a_closure_that_drops_its_new_element(
 
     monkeypatch.setattr(suite, "generated_ideal", dropping)
     # seed {1}: the closure of {0, 1} is all of Z4, less the element 1
-    assert suite._chained_closure(z4_radical, 2, CappedSteps()) == 0b1101
+    assert _chained_closure(z4_radical, 2, CappedSteps(), dropping) == 0b1101
     assert suite._generated_routes(z4_radical) == [(False, False, "seed=2")]
 
 
