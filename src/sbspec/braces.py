@@ -10,19 +10,17 @@ safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import groups
+from .bitsets import full_mask
 from .errors import (
     IdentityMismatchError,
     NotAGroupError,
-    OrderBoundError,
     ParseError,
     SkewLawError,
 )
 from .groups import Table
-
-CANONICAL_BOUND = 8
 
 
 @dataclass(frozen=True)
@@ -111,10 +109,7 @@ def _orbits(n: int, act) -> tuple[int, ...]:
 
 
 def validate(add, mul) -> SkewBrace:
-    """Check every axiom and return the brace, or raise with a witness.
-
-    Past the shape checks a pass is memoised on the pair of tables.
-    """
+    """Check every axiom and return the brace, or raise with a witness."""
     add = groups.as_table(add)
     mul = groups.as_table(mul)
     msg = groups.table_shape_error(add)
@@ -124,37 +119,40 @@ def validate(add, mul) -> SkewBrace:
         msg = groups.table_shape_error(mul)
     if msg is not None:
         raise ParseError(msg)
-    _check_axioms(add, mul)
-    return SkewBrace(add, mul)
-
-
-@lru_cache(maxsize=None)
-def _check_axioms(add: Table, mul: Table) -> None:
-    e_add = groups.find_identity(add)
-    e_mul = groups.find_identity(mul)
+    e_add, e_mul = groups.find_identity(add), groups.find_identity(mul)
     if e_add is None:
         raise NotAGroupError("add", "no two-sided identity")
     if e_mul is None:
         raise NotAGroupError("mul", "no two-sided identity")
     if e_add != 0 or e_mul != 0:
         raise IdentityMismatchError(e_add, e_mul)
-
     groups.check_group(add, "add")
     groups.check_group(mul, "mul")
-
-    n = len(add)
-    neg = tuple(add[a].index(0) for a in range(n))
-    for a in range(n):
-        row_a = mul[a]
-        na = neg[a]
-        for b in range(n):
-            left_part = add[row_a[b]][na]
-            for c in range(n):
-                if row_a[add[b][c]] != add[left_part][row_a[c]]:
-                    raise SkewLawError(a, b, c)
-
+    bad = _skew_witness(add, mul)
+    if bad is not None:
+        raise SkewLawError(*bad)
     # the skew law gives λ_a(b + c) = -a + a∘b - a + a∘c = λ_a(b) + λ_a(c), and
     # λ_a = -a + a∘· is a bijection, so each λ_a is an additive automorphism
+    return SkewBrace(add, mul)
+
+
+def _skew_witness(add: Table, mul: Table) -> tuple[int, int, int] | None:
+    """First (a, b, c) with a∘(b + c) != a∘b - a + a∘c, c over the +-generators.
+
+    None means the law holds for every c when add is a group: for fixed a,
+    the c where it holds for every b are closed under +, as a∘(b + c + d)
+    = a∘(b + c) - a + a∘d = a∘b - a + a∘c - a + a∘d = a∘b - a + a∘(c + d).
+    """
+    neg = tuple(row.index(0) for row in add)
+    gens = groups._greedy_generators(add, full_mask(len(add)))
+    for a, row_a in enumerate(mul):
+        na = neg[a]
+        for b, ab in enumerate(row_a):
+            left = add[ab][na]
+            for c in gens:
+                if row_a[add[b][c]] != add[left][row_a[c]]:
+                    return (a, b, c)
+    return None
 
 
 def _group_gate(table) -> Table:
@@ -220,11 +218,9 @@ def canonicalize(brace: SkewBrace) -> SkewBrace:
     least relabeling carries add onto its least relabeling,
     groups.canonical_group_table(add); those permutations are the
     isomorphisms onto it, |Aut(A, +)| of them, and the least relabeled
-    mul among them decides.
+    mul among them decides.  Past groups.CANONICAL_BOUND the sweep
+    refuses with OrderBoundError.
     """
-    n = brace.order
-    if n > CANONICAL_BOUND:
-        raise OrderBoundError(f"canonical form is bounded to order {CANONICAL_BOUND}, got {n}")
     add = groups.canonical_group_table(brace.add)
     perms = groups.isomorphisms(brace.add, add)
     return SkewBrace(add, min(groups.relabel_table(brace.mul, p) for p in perms))
@@ -237,8 +233,8 @@ def canonical_form(brace: SkewBrace) -> bytes:
 def is_isomorphic(x: SkewBrace, y: SkewBrace) -> tuple[int, ...] | None:
     """The lex-least bijection carrying both tables of x onto y, or None:
     the first isomorphism of the additive tables that also carries mul."""
-    n = x.order
+    gens = groups._greedy_generators(x.mul, full_mask(x.order))
     for perm in groups.isomorphisms(x.add, y.add):
-        if all(perm[x.mul[a][b]] == y.mul[perm[a]][perm[b]] for a in range(n) for b in range(n)):
+        if groups._law_witness(perm, x.mul, y.mul, gens) is None:
             return perm
     return None

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from .braces import SkewBrace, validate
 from .enumeration import enumerate_braces
 from .errors import ParseError
-from .groups import ENUMERATION_BOUND, group_fingerprint
+from .groups import CANONICAL_BOUND, ENUMERATION_BOUND, group_fingerprint
 from .ideals import ideal_lattice
 from .serialize import dumps
 from .spectra import PRIME_KINDS, spectrum
@@ -111,7 +111,8 @@ def _require(obj: dict, key: str, kinds) -> object:
 
 
 def record_from_dict(obj) -> CatalogRecord:
-    """Parse a record structurally; brace axioms are left to the checker.
+    """Parse a record structurally, its order within the bound of the canonical
+    forms that verify_record recomputes; brace axioms are left to the checker.
 
     A record whose tables are shaped correctly but violate an axiom
     parses fine here and fails during verification, which is where a
@@ -120,6 +121,8 @@ def record_from_dict(obj) -> CatalogRecord:
     if not isinstance(obj, dict):
         raise ParseError("catalog record must be a JSON object")
     order = _require(obj, "order", int)
+    if not 1 <= order <= CANONICAL_BOUND:
+        raise ParseError(f"catalog field 'order' must lie in 1..{CANONICAL_BOUND}, got {order}")
     add = _require(obj, "add", list)
     mul = _require(obj, "mul", list)
     for name, rows in (("add", add), ("mul", mul)):

@@ -119,24 +119,9 @@ def enumerate_braces_raw(n: int) -> tuple[SkewBrace, ...]:
     Only the compatibility law needs testing per pair, since both tables
     come straight from the group-table enumerator.
     """
-    candidates = []
-    for add in groups.group_representatives(n):
-        neg = tuple(add[a].index(0) for a in range(n))
-        for mul in groups.all_group_tables(n):
-            ok = True
-            for a in range(n):
-                row_a = mul[a]
-                na = neg[a]
-                for b in range(n):
-                    left = add[row_a[b]][na]
-                    for c in range(n):
-                        if row_a[add[b][c]] != add[left][row_a[c]]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                candidates.append(SkewBrace(add, mul))
-    return _dedupe(candidates)
+    return _dedupe(
+        SkewBrace(add, mul)
+        for add in groups.group_representatives(n)
+        for mul in groups.all_group_tables(n)
+        if braces._skew_witness(add, mul) is None
+    )

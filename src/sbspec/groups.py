@@ -8,8 +8,9 @@ fixed so far after each new row, so it never completes a Latin square
 that is not a group and checks no complete table again.  Maps between
 tables come from one search, `homomorphisms`, over the images of a
 generating set; isomorphisms, automorphisms and the isomorphism classes
-of the lex-sorted table list are read off it.  `canonical_group_table`
-is the one sweep over all (n-1)! relabellings.
+of the lex-sorted table list are read off it.  Laws are checked on the
+greedy generators (`group_violation`, `_law_witness`).  The one (n-1)!
+sweep, `canonical_group_table`, is bounded to CANONICAL_BOUND.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import NotAGroupError, OrderBoundError
 Table = tuple[tuple[int, ...], ...]
 
 ENUMERATION_BOUND = 6
+CANONICAL_BOUND = 8
 
 
 def as_table(rows) -> Table:
@@ -56,27 +58,25 @@ def group_violation(table: Table) -> tuple[str, tuple] | None:
 
     The identity is required to sit at index 0; a group with its identity
     elsewhere is reported as an identity failure, not as a non-group.
+    Associativity is Light's test (Clifford–Preston, *The Algebraic Theory
+    of Semigroups* I, 1961), b over the greedy generators: the b with
+    (a·b)·c = a·(b·c) for all a, c hold 0 and are closed under the product,
+    (a·bb')·c = ((a·b)·b')·c = (a·b)·(b'·c) = a·(b·(b'·c)) = a·(bb'·c).
     """
     n = len(table)
     for a in range(n):
         if table[0][a] != a or table[a][0] != a:
             return ("identity", (a,))
     for a in range(n):
-        if 0 not in table[a]:
+        if 0 not in table[a] or all(row[a] for row in table):
             return ("inverse", (a,))
-        left = [table[b][a] for b in range(n)]
-        if 0 not in left:
-            return ("inverse", (a,))
-    rows = table
-    for a in range(n):
-        for b in range(n):
-            # associativity, stated on whole rows: row(a) after row(b)
-            # must be row(a*b)
-            target = rows[table[a][b]]
-            row_a = rows[a]
-            row_b = rows[b]
-            for c in range(n):
-                if row_a[row_b[c]] != target[c]:
+    gens = _greedy_generators(table, full_mask(n))
+    for a, row_a in enumerate(table):
+        for b in gens:
+            # row(a) after row(b) must be row(a·b)
+            target = table[row_a[b]]
+            for c, bc in enumerate(table[b]):
+                if row_a[bc] != target[c]:
                     return ("associativity", (a, b, c))
     return None
 
@@ -145,8 +145,11 @@ def identity_fixing_perms(n: int):
 
 @lru_cache(maxsize=None)
 def canonical_group_table(table: Table) -> Table:
-    """Lexicographically least relabeling of the table; identity stays at 0."""
-    return min(relabel_table(table, p) for p in identity_fixing_perms(len(table)))
+    """Lex-least relabeling, identity kept at 0: an (n-1)! sweep, so bounded."""
+    n = len(table)
+    if n > CANONICAL_BOUND:
+        raise OrderBoundError(f"canonical form is bounded to order {CANONICAL_BOUND}, got {n}")
+    return min(relabel_table(table, p) for p in identity_fixing_perms(n))
 
 
 def _sum_closure(table, closed: int, orbits) -> int:
@@ -192,6 +195,22 @@ def _greedy_generators(table, mask: int) -> tuple[int, ...]:
     return tuple(gens)
 
 
+def _law_witness(f, table: Table, target: Table, gens) -> tuple[int, int] | None:
+    """First (a, g) with f(a·g) != f(a)·f(g), a over table and g over gens, or None.
+
+    None makes f a homomorphism into a group when gens generate the table:
+    each w is a positive word in them, and by induction on its length
+    f(a·w·g) = f(a·w)·f(g) = f(a)·f(w)·f(g) = f(a)·f(w·g).  With no
+    generators (order 1) the one law is tested at g = 0.
+    """
+    for a, row in enumerate(table):
+        fa = target[f[a]]
+        for g in gens or (0,):
+            if f[row[g]] != fa[f[g]]:
+                return (a, g)
+    return None
+
+
 def homomorphisms(table: Table, target: Table) -> tuple[tuple[int, ...], ...]:
     """Every homomorphism f from table to target, as (f(0), ..., f(n-1)), in lex order."""
     return tuple(_homomorphism_maps(table, target))
@@ -203,10 +222,8 @@ def _homomorphism_maps(table: Table, target: Table):
     Each tuple of images of the greedy generators g_1 < ... < g_d extends
     along a breadth-first word tree (each x != 0 reached once, as parent·g)
     to one map f, kept when f(x·g) = f(x)·f(g) for every x and generator
-    g; the tree edges hold by construction.  That suffices: in a finite
-    group every w is a positive word in the g_i, and induction on its
-    length gives f(x·w·g) = f(x·w)·f(g) = f(x)·f(w)·f(g) = f(x)·f(w·g).
-    The maps come out in lex order because every element below g_k lies
+    g; the tree edges hold by construction, and `_law_witness` proves that
+    this suffices.  The maps come out in lex order because every element below g_k lies
     in the closure of g_1, ..., g_{k-1}.
     """
     n, m = len(table), len(target)

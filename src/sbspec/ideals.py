@@ -257,10 +257,11 @@ def _words_by_left(table, hs) -> list[Mask]:
 def star_set(brace: SkewBrace, x: Mask, y: Mask) -> Mask:
     """Pointwise star products {i * j : i in x, j in y} as a mask."""
     star = brace.star
+    ys = tuple(bits(y))
     out = 0
     for i in bits(x):
         row = star[i]
-        for j in bits(y):
+        for j in ys:
             out |= 1 << row[j]
     return out
 

@@ -49,15 +49,17 @@ def naive_skew_holds(add, mul) -> bool:
     return True
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_validate_agrees_with_naive_oracle(n):
     """Sweep every (addition class, multiplication table) pair.
 
     Both tables are honest groups with identity 0, so validate must
-    succeed exactly when the naive compatibility check passes.
+    succeed exactly when the naive compatibility check passes, and a
+    reported triple must break the law.
     """
     seen_failure = False
     for add in group_representatives(n):
+        neg = [row.index(0) for row in add]
         for mul in all_group_tables(n):
             expected = naive_skew_holds(add, mul)
             if expected:
@@ -65,8 +67,10 @@ def test_validate_agrees_with_naive_oracle(n):
                 assert brace.add == add and brace.mul == mul
             else:
                 seen_failure = True
-                with pytest.raises(SkewLawError):
+                with pytest.raises(SkewLawError) as err:
                     validate(add, mul)
+                a, b, c = err.value.triple
+                assert mul[a][add[b][c]] != add[add[mul[a][b]][neg[a]]][mul[a][c]]
     if n == 4:
         # the sweep must actually exercise the failure branch somewhere
         assert seen_failure

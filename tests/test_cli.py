@@ -5,9 +5,9 @@ import json
 import pytest
 
 from sbspec.braces import trivial_brace, validate
-from sbspec.catalog import build_record, read_catalog, write_catalog
+from sbspec.catalog import build_record, read_catalog, record_to_dict, write_catalog
 from sbspec.cli import main
-from sbspec.groups import ENUMERATION_BOUND, cyclic_table
+from sbspec.groups import CANONICAL_BOUND, ENUMERATION_BOUND, cyclic_table
 from sbspec.serialize import brace_to_dict, dumps, hom_to_dict
 from sbspec.morphisms import validate_hom
 from sbspec.suite import run_records
@@ -278,6 +278,19 @@ def test_catalog_order_out_of_range_exits_2(tmp_path, capsys, order):
     err = capsys.readouterr().err
     assert "input error" in err and f"1..{ENUMERATION_BOUND}" in err
     assert not path.exists()
+
+
+def test_check_past_the_canonical_bound_exits_2(tmp_path, capsys):
+    # an order-9 record would need 8! relabellings per fingerprint: refused
+    # as input, by check and search alike, naming the bound
+    z9 = [[(a + b) % 9 for b in range(9)] for a in range(9)]
+    doc = record_to_dict(build_record("7-0", trivial_brace(cyclic_table(7))))
+    path = tmp_path / "catalog9.jsonl"
+    path.write_text(dumps(dict(doc, id="9-0", order=9, add=z9, mul=z9)) + "\n")
+    for argv in (["check", str(path)], ["search", str(path), "--where", "t1"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and f"1..{CANONICAL_BOUND}, got 9" in err
 
 
 def test_check_past_the_enumeration_bound_is_vacuous(tmp_path, capsys):

@@ -58,6 +58,37 @@ def test_validate_hom_rejects_mul_breakage(z4_trivial, z4_radical):
     assert err.value.law == "mul"
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_validate_hom_matches_the_pair_sweep(n):
+    # the laws on the source's generators against all n^2 pairs, over
+    # every self-map, 0 moved or not; a reported pair breaks its law
+    for brace in enumerate_braces(n):
+        tables = {"add": brace.add, "mul": brace.mul}
+        for m in itertools.product(range(n), repeat=n):
+            sweep = all(
+                m[t[a][b]] == t[m[a]][m[b]]
+                for t in tables.values()
+                for a in range(n)
+                for b in range(n)
+            )
+            if sweep:
+                assert validate_hom(brace, brace, m).mapping == m
+                continue
+            with pytest.raises(NotAHomomorphismError) as err:
+                validate_hom(brace, brace, m)
+            t = tables[err.value.law]
+            a, b = err.value.pair
+            assert m[t[a][b]] != t[m[a]][m[b]]
+
+
+def test_validate_hom_from_order_one_checks_the_identity(zero_brace, z2_trivial):
+    # the order-1 table has no generators; its one law is f(0) = f(0)·f(0)
+    assert validate_hom(zero_brace, z2_trivial, [0]).mapping == (0,)
+    with pytest.raises(NotAHomomorphismError) as err:
+        validate_hom(zero_brace, z2_trivial, [1])
+    assert err.value.pair == (0, 0)
+
+
 def test_validate_hom_rejects_bad_shapes(z2_trivial):
     with pytest.raises(ParseError):
         validate_hom(z2_trivial, z2_trivial, [0])
@@ -124,14 +155,16 @@ def test_quotient_rejects_non_ideal(z4_radical, s3_trivial):
 
 
 def test_quotient_projection_order_identity(catalog6):
-    # |A/I| * |I| = |A| across the whole catalog
-    from sbspec.braces import SkewBrace
+    # |A/I| * |I| = |A| across the whole catalog, and every quotient is a
+    # brace, which makes validate_hom's generator test of the projection exact
+    from sbspec.braces import SkewBrace, validate
 
     for rec in catalog6:
         brace = SkewBrace(rec.add, rec.mul)
         for ideal in all_ideals(brace):
             q = quotient(brace, ideal)
             assert q.brace.order * popcount(ideal) == brace.order
+            assert validate(q.brace.add, q.brace.mul) == q.brace
 
 
 def test_ideal_correspondence(z4_radical, v4_trivial):

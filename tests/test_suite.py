@@ -19,6 +19,7 @@ from sbspec.catalog import (
 )
 from sbspec.errors import ConsistencyError, ParseError
 from sbspec.groups import (
+    CANONICAL_BOUND,
     _sum_closure,
     cyclic_table,
     klein_table,
@@ -108,6 +109,12 @@ def test_record_from_dict_rejects_junk(catalog4):
     for bad in ("abc", None, True, 1.0):
         doc = dict(good, spec_sizes={**good["spec_sizes"], "star": bad})
         with pytest.raises(ParseError, match="spec_sizes"):
+            record_from_dict(doc)
+    # orders outside 1..CANONICAL_BOUND, where no fingerprint is recomputed
+    for order in (0, CANONICAL_BOUND + 1):
+        table = [[(a + b) % order for b in range(order)] for a in range(order)]
+        doc = dict(good, order=order, add=table, mul=table)
+        with pytest.raises(ParseError, match=rf"1\.\.{CANONICAL_BOUND}, got {order}"):
             record_from_dict(doc)
 
 
