@@ -5,6 +5,9 @@ and a ∘ b, whose shared identity is element 0 and which satisfy
 a ∘ (b + c) = a ∘ b - a + a ∘ c for all triples.  Both operations are
 stored as full Cayley tables; a SkewBrace is immutable once built and
 safe to share.
+
+validate, trivial_brace and almost_trivial_brace share one gate for
+outside tables, `_group_pair`; only validate goes on to the skew law.
 """
 
 from __future__ import annotations
@@ -110,30 +113,39 @@ def _orbits(n: int, act) -> tuple[int, ...]:
 
 def validate(add, mul) -> SkewBrace:
     """Check every axiom and return the brace, or raise with a witness."""
-    add = groups.as_table(add)
-    mul = groups.as_table(mul)
-    msg = groups.table_shape_error(add)
-    if msg is None and len(mul) != len(add):
-        msg = f"mul has {len(mul)} rows, add has {len(add)}"
-    if msg is None:
-        msg = groups.table_shape_error(mul)
-    if msg is not None:
-        raise ParseError(msg)
-    e_add, e_mul = groups.find_identity(add), groups.find_identity(mul)
-    if e_add is None:
-        raise NotAGroupError("add", "no two-sided identity")
-    if e_mul is None:
-        raise NotAGroupError("mul", "no two-sided identity")
-    if e_add != 0 or e_mul != 0:
-        raise IdentityMismatchError(e_add, e_mul)
-    groups.check_group(add, "add")
-    groups.check_group(mul, "mul")
+    add, mul = _group_pair(add, mul)
     bad = _skew_witness(add, mul)
     if bad is not None:
         raise SkewLawError(*bad)
     # the skew law gives λ_a(b + c) = -a + a∘b - a + a∘c = λ_a(b) + λ_a(c), and
     # λ_a = -a + a∘· is a bijection, so each λ_a is an additive automorphism
     return SkewBrace(add, mul)
+
+
+def _group_pair(add, mul=None) -> tuple[Table, Table]:
+    """add and mul (add again when None) as group tables with identity 0,
+    each tested once: the shape and entries, then the identities, then
+    the group axioms, raising ParseError, NotAGroupError or
+    IdentityMismatchError at the first failure."""
+    pair = [("add", add)] if mul is None else [("add", add), ("mul", mul)]
+    for which, rows in pair:
+        msg = groups.table_shape_error(rows)
+        if msg is None and len(rows) != len(add):
+            msg = f"mul has {len(rows)} rows, add has {len(add)}"
+        if msg is not None:
+            raise ParseError(msg)
+    pair = [(which, groups.as_table(rows)) for which, rows in pair]
+    ids = [groups.find_identity(t) for _, t in pair]
+    for (which, _), e in zip(pair, ids):
+        if e is None:
+            raise NotAGroupError(which, "no two-sided identity")
+    if any(ids):
+        raise IdentityMismatchError(ids[0], ids[-1])
+    for which, t in pair:
+        bad = groups.group_violation(t)
+        if bad is not None:
+            raise NotAGroupError(which, *bad)
+    return pair[0][1], pair[-1][1]
 
 
 def _skew_witness(add: Table, mul: Table) -> tuple[int, int, int] | None:
@@ -155,38 +167,20 @@ def _skew_witness(add: Table, mul: Table) -> tuple[int, int, int] | None:
     return None
 
 
-def _group_gate(table) -> Table:
-    """The table as a group with identity 0, or the error validate(t, t) raises.
-
-    The two constructors below need no more: ∘ is + or its opposite, the
-    opposite of a group is a group with the same identity, and both satisfy
-    the skew law.  For a ∘ b = a + b, a ∘ (b + c) = a + b + c
-    = (a + b) - a + (a + c); for a ∘ b = b + a, a ∘ (b + c) = b + c + a
-    = (b + a) - a + (c + a).  tests/test_braces.py compares both
-    constructors with validate over every group up to order 6, S4 and A5.
-    """
-    t = groups.as_table(table)
-    msg = groups.table_shape_error(t)
-    if msg is not None:
-        raise ParseError(msg)
-    e = groups.find_identity(t)
-    if e is None:
-        raise NotAGroupError("add", "no two-sided identity")
-    if e != 0:
-        raise IdentityMismatchError(e, e)
-    groups.check_group(t, "add")
-    return t
-
-
 def trivial_brace(table) -> SkewBrace:
-    """Both operations equal: a ∘ b = a + b."""
-    t = _group_gate(table)
+    """Both operations equal: a ∘ b = a + b.  The gate suffices, as
+    a ∘ (b + c) = a + b + c = (a + b) - a + (a + c)."""
+    t, _ = _group_pair(table)
     return SkewBrace(t, t)
 
 
 def almost_trivial_brace(table) -> SkewBrace:
-    """Multiplication is the opposite group: a ∘ b = b + a."""
-    t = _group_gate(table)
+    """Multiplication is the opposite group: a ∘ b = b + a.  The gate
+    suffices: the opposite of a group is a group with the same identity,
+    and a ∘ (b + c) = b + c + a = (b + a) - a + (c + a).  tests/test_braces.py
+    compares both constructors with validate over every group up to
+    order 6, S4 and A5."""
+    t, _ = _group_pair(table)
     n = len(t)
     return SkewBrace(t, tuple(tuple(t[b][a] for b in range(n)) for a in range(n)))
 

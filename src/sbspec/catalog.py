@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from .braces import SkewBrace, validate
 from .enumeration import enumerate_braces
 from .errors import ParseError
-from .groups import CANONICAL_BOUND, ENUMERATION_BOUND, group_fingerprint
+from .groups import CANONICAL_BOUND, ENUMERATION_BOUND, group_fingerprint, table_shape_error
 from .ideals import ideal_lattice
 from .serialize import dumps
 from .spectra import PRIME_KINDS, spectrum
@@ -114,9 +114,9 @@ def record_from_dict(obj) -> CatalogRecord:
     """Parse a record structurally, its order within the bound of the canonical
     forms that verify_record recomputes; brace axioms are left to the checker.
 
-    A record whose tables are shaped correctly but violate an axiom
-    parses fine here and fails during verification, which is where a
-    tampered entry should surface.
+    A malformed table fails groups.table_shape_error here; one that is
+    well formed but violates an axiom fails during verification, which is
+    where a tampered entry should surface.
     """
     if not isinstance(obj, dict):
         raise ParseError("catalog record must be a JSON object")
@@ -126,14 +126,11 @@ def record_from_dict(obj) -> CatalogRecord:
     add = _require(obj, "add", list)
     mul = _require(obj, "mul", list)
     for name, rows in (("add", add), ("mul", mul)):
-        if len(rows) != order or any(
-            not isinstance(r, list) or len(r) != order for r in rows
-        ):
-            raise ParseError(f"catalog field {name!r} is not an {order}x{order} table")
-        for r in rows:
-            for v in r:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ParseError(f"catalog field {name!r} has entry {v!r}")
+        msg = table_shape_error(rows)
+        if msg is None and len(rows) != order:
+            msg = f"{len(rows)} rows for order {order}"
+        if msg is not None:
+            raise ParseError(f"catalog field {name!r}: {msg}")
     sizes = _require(obj, "spec_sizes", dict)
     if sorted(sizes) != sorted(PRIME_KINDS):
         raise ParseError(f"spec_sizes must cover {PRIME_KINDS}, got {sorted(sizes)}")

@@ -31,16 +31,21 @@ def as_table(rows) -> Table:
     return tuple(tuple(row) for row in rows)
 
 
-def table_shape_error(table: Table) -> str | None:
-    """Return a message if the table is not n x n over 0..n-1, else None."""
+def table_shape_error(table) -> str | None:
+    """None for a list or tuple of n rows, each a list or tuple of n
+    non-bool ints in 0..n-1; else a message.  The one reader of raw entries."""
+    if not isinstance(table, (list, tuple)):
+        return f"table is a {type(table).__name__}, not a list of rows"
     n = len(table)
     if n == 0:
         return "table is empty"
     for a, row in enumerate(table):
+        if not isinstance(row, (list, tuple)):
+            return f"row {a} is a {type(row).__name__}, not a list"
         if len(row) != n:
             return f"row {a} has length {len(row)}, expected {n}"
         for b, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 return f"entry [{a}][{b}] = {v!r} is not in 0..{n - 1}"
     return None
 

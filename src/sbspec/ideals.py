@@ -45,11 +45,10 @@ SAMPLE_LIMIT = 4096
 
 def sample_cases(count: int, label: str):
     """Every case index below count and scope "", or past SAMPLE_LIMIT that
-    many draws from random.Random(7) and scope "sampled SAMPLE_LIMIT of label"."""
+    many distinct ones from random.Random(7), scope "sampled SAMPLE_LIMIT of label"."""
     if count <= SAMPLE_LIMIT:
         return range(count), ""
-    rng = random.Random(7)
-    return [rng.randrange(count) for _ in range(SAMPLE_LIMIT)], f"sampled {SAMPLE_LIMIT} of {label}"
+    return random.Random(7).sample(range(count), SAMPLE_LIMIT), f"sampled {SAMPLE_LIMIT} of {label}"
 
 
 @dataclass(frozen=True)

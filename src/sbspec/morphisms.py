@@ -3,15 +3,15 @@
 A homomorphism preserves both operations, so its kernel and the
 contraction of any ideal are ideals and its image is a subbrace; these
 follow from validate_hom and are not re-checked.  Extension moves ideals
-the other way.  Quotients are taken by additive cosets, and validate_hom
-confirms the projection on generators.  A
-homomorphism f pulls primes of the target back to the source, and the
-reports below certify, by direct computation, how that point map
-interacts with the hull-kernel topology: continuity, the injectivity
-criterion, image = hull of the kernel for surjections, and density.
-Each report keeps only the certificates that no other field of it
-implies.  Certificates over empty spectra are reported as vacuous, never
-silently folded into a pass.
+the other way.  Quotients are taken by additive cosets; once is_ideal
+holds, the projection is a homomorphism by theory.  A homomorphism f
+pulls primes of the target back to the source, and the reports below
+certify, by direct computation, how that point map interacts with the
+hull-kernel topology: continuity, the injectivity criterion, image =
+hull of the kernel for surjections, and density.  Each report keeps only
+the certificates that no other field of it implies.  Certificates over
+empty spectra are reported as vacuous, never silently folded into a
+pass.
 """
 
 from __future__ import annotations
@@ -62,13 +62,15 @@ class Hom:
 
 def validate_hom(source: SkewBrace, target: SkewBrace, mapping) -> Hom:
     """Check both preservation laws on the source's generators; return the hom."""
+    if not isinstance(mapping, (list, tuple)):
+        raise ParseError(f"mapping is a {type(mapping).__name__}, not a list")
     m = tuple(mapping)
     if len(m) != source.order:
         raise ParseError(
             f"mapping has {len(m)} entries for a source of order {source.order}"
         )
     for v in m:
-        if not isinstance(v, int) or not 0 <= v < target.order:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < target.order:
             raise ParseError(f"mapping value {v!r} is not a target element")
     full = full_mask(source.order)
     for law, table, onto in (("add", source.add, target.add), ("mul", source.mul, target.mul)):
@@ -147,7 +149,8 @@ def quotient(brace: SkewBrace, ideal: Mask) -> Quotient:
     minimal element of its coset and the identity coset sits at index 0.
     The tables are read off the representatives: an ideal is normal in
     both groups and a ∘ I = a + λ_a(I) = a + I, so they are the quotient
-    groups, and validate_hom confirms the projection on generators.
+    groups and the coset map is a homomorphism onto them; the tests run
+    validate_hom on every projection of catalog <= 6 and of six larger braces.
     """
     if not is_ideal(brace, ideal):
         raise NotAnIdealError("quotient-input", ideal)
@@ -161,8 +164,8 @@ def quotient(brace: SkewBrace, ideal: Mask) -> Quotient:
     qadd = tuple(tuple(coset_of[brace.add[x][y]] for y in reps) for x in reps)
     qmul = tuple(tuple(coset_of[brace.mul[x][y]] for y in reps) for x in reps)
     qbrace = SkewBrace(qadd, qmul)
-    projection = validate_hom(brace, qbrace, coset_of)
-    return Quotient(brace, ideal, tuple(reps), tuple(coset_of), qbrace, projection)
+    coset_of = tuple(coset_of)
+    return Quotient(brace, ideal, tuple(reps), coset_of, qbrace, Hom(brace, qbrace, coset_of))
 
 
 def quotient_has_primes(brace: SkewBrace, ideal: Mask, kind: str = "star") -> bool:

@@ -2,8 +2,11 @@
 
 Braces travel as {"order": n, "add": [[...]], "mul": [[...]]} with the
 shared identity at index 0; homomorphisms as {"source": <brace>,
-"target": <brace>, "map": [...]}.  Loading validates every axiom, so a
-parsed object is always a usable brace or hom.  All dumps are
+"target": <brace>, "map": [...]}.  The readers check only the document's
+structure (its keys, "order" against the row count, that tables are
+lists) and leave rows, entries, maps and axioms to braces.validate and
+morphisms.validate_hom, so a parsed object is always a usable brace or
+hom, and anything validate accepts round-trips.  All dumps are
 deterministic: sorted keys, fixed separators, and DOT bodies iterate in
 a canonical order, which makes reruns byte-identical.
 """
@@ -57,19 +60,6 @@ def brace_to_dict(brace: SkewBrace) -> dict:
     }
 
 
-def _int_table(obj, key: str):
-    rows = obj.get(key)
-    if not isinstance(rows, list) or not rows:
-        raise ParseError(f"field {key!r} must be a non-empty list of rows")
-    for row in rows:
-        if not isinstance(row, list):
-            raise ParseError(f"field {key!r} must contain rows (lists)")
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ParseError(f"field {key!r} holds a non-integer entry {v!r}")
-    return rows
-
-
 def brace_from_dict(obj) -> SkewBrace:
     if not isinstance(obj, dict):
         raise ParseError("brace document must be a JSON object")
@@ -79,8 +69,9 @@ def brace_from_dict(obj) -> SkewBrace:
     order = obj["order"]
     if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise ParseError(f"order must be a positive integer, got {order!r}")
-    add = _int_table(obj, "add")
-    mul = _int_table(obj, "mul")
+    add, mul = obj["add"], obj["mul"]
+    if not isinstance(add, list) or not isinstance(mul, list):
+        raise ParseError("fields 'add' and 'mul' must be lists of rows")
     if len(add) != order or len(mul) != order:
         raise ParseError(
             f"declared order {order} does not match table sizes "
@@ -113,12 +104,7 @@ def hom_from_dict(obj) -> Hom:
         raise ParseError(f"hom document lacks fields: {sorted(missing)}")
     source = brace_from_dict(obj["source"])
     target = brace_from_dict(obj["target"])
-    mapping = obj["map"]
-    if not isinstance(mapping, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in mapping
-    ):
-        raise ParseError("field 'map' must be a list of integers")
-    return validate_hom(source, target, mapping)
+    return validate_hom(source, target, obj["map"])
 
 
 def load_hom(path: str) -> Hom:

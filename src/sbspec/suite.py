@@ -50,6 +50,7 @@ from .morphisms import (
     nil_quotient_homeo,
     quotient,
     quotient_has_primes,
+    quotient_projections,
 )
 from .spectra import (
     PRIME_KINDS,
@@ -318,7 +319,7 @@ def _quotients(brace: SkewBrace):
 def _corpus(brace: SkewBrace):
     """The projection onto every quotient, then every endomorphism at
     small orders."""
-    homs = [q.projection for q in _quotients(brace)]
+    homs = list(quotient_projections(brace))
     if brace.order <= ENDOMORPHISM_BOUND:
         homs.extend(endomorphisms(brace))
     return homs

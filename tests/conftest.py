@@ -21,6 +21,8 @@ The fixture braces are chosen so that every interesting quantity
 - groups8, groups12: the five groups of order 8 and the five of order
   12, by name.  The abelian ones are direct products of cyclic tables;
   D4, Q8, A4, D6 and Dic3 = Z3 ⋊ Z4 are generated by permutations.
+- suite12_braces: the six braces of order 8-12 that the suite12
+  benchmark workload runs.
 """
 
 import itertools
@@ -132,6 +134,20 @@ def groups12():
         # a 3-cycle, and an element of order 4 that inverts it by conjugation
         "Dic3": _permutation_table((1, 2, 0, 3, 4, 5, 6), (0, 2, 1, 4, 5, 6, 3)),
     }
+
+
+@pytest.fixture(scope="session")
+def suite12_braces(groups12):
+    """The six order 8-12 braces of the suite12 benchmark workload."""
+    s3xz2 = product_table(symmetric_table(3), cyclic_table(2))
+    return [
+        trivial_brace(product_table(klein_table(), cyclic_table(2))),
+        trivial_brace(cyclic_table(12)),
+        trivial_brace(groups12["A4"]),
+        almost_trivial_brace(groups12["A4"]),
+        trivial_brace(s3xz2),
+        almost_trivial_brace(s3xz2),
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
 """Brace axioms checked against a naive in-test oracle, plus constructors."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from sbspec import groups
 from sbspec.braces import (
     SkewBrace,
     almost_trivial_brace,
@@ -305,3 +307,18 @@ def test_constructors_raise_what_validate_raises(table, error):
         with pytest.raises(error) as expected:
             validate(table, _opposite(table))
     assert str(got.value) == str(expected.value)
+
+
+def test_the_gate_tests_each_table_once(monkeypatch, s4_trivial):
+    # validate reads two tables, the constructors one: each is shape-checked,
+    # searched for its identity and put through Light's test exactly once
+    steps = ("table_shape_error", "find_identity", "group_violation")
+    calls = Counter()
+    for name in steps:
+        fn = getattr(groups, name)
+        monkeypatch.setattr(groups, name, lambda t, fn=fn, name=name: calls.update([name]) or fn(t))
+    t = s4_trivial.add
+    for build, tables in ((validate, 2), (trivial_brace, 1), (almost_trivial_brace, 1)):
+        calls.clear()
+        build(*[t] * tables)
+        assert calls == dict.fromkeys(steps, tables), build.__name__

@@ -22,6 +22,7 @@ from sbspec.ideals import (
     ideal_weight,
     is_ideal,
     multiplicative_lattice_check,
+    sample_cases,
     star_ideal,
     star_set,
     star_subgroup,
@@ -655,3 +656,17 @@ def elementwise_weight(brace, mask):
 def test_weights_match_elementwise_search(brace):
     lat = ideal_lattice(brace)
     assert lat.weights == tuple(elementwise_weight(brace, m) for m in lat.members)
+
+
+@pytest.mark.parametrize("count, label", [(4096, "64^2"), (67**2, "67^2"), (67**3, "67^3")])
+def test_sample_cases_are_distinct(count, label):
+    # "sampled 4096 of 67^2" examines 4096 distinct pairs, not the 2668
+    # that 4096 draws with replacement would reach
+    cases, scope = sample_cases(count, label)
+    if count <= ideals.SAMPLE_LIMIT:
+        assert (list(cases), scope) == (list(range(count)), "")
+        return
+    assert len(set(cases)) == len(cases) == ideals.SAMPLE_LIMIT
+    assert all(0 <= c < count for c in cases)
+    assert scope == f"sampled {ideals.SAMPLE_LIMIT} of {label}"
+    assert sample_cases(count, label) == (cases, scope)

@@ -156,7 +156,7 @@ def test_quotient_rejects_non_ideal(z4_radical, s3_trivial):
 
 def test_quotient_projection_order_identity(catalog6):
     # |A/I| * |I| = |A| across the whole catalog, and every quotient is a
-    # brace, which makes validate_hom's generator test of the projection exact
+    # brace, as the coset tables of an ideal must be
     from sbspec.braces import SkewBrace, validate
 
     for rec in catalog6:
@@ -165,6 +165,20 @@ def test_quotient_projection_order_identity(catalog6):
             q = quotient(brace, ideal)
             assert q.brace.order * popcount(ideal) == brace.order
             assert validate(q.brace.add, q.brace.mul) == q.brace
+
+
+def test_every_quotient_projection_passes_validate_hom(catalog6, suite12_braces):
+    # quotient builds its projection as a Hom without validate_hom: once
+    # is_ideal holds, the coset map is a homomorphism by theory
+    from sbspec.braces import SkewBrace
+
+    braces = [SkewBrace(rec.add, rec.mul) for rec in catalog6] + suite12_braces
+    checked = 0
+    for brace in braces:
+        for f in quotient_projections(brace):
+            assert validate_hom(f.source, f.target, f.mapping) == f
+            checked += 1
+    assert checked == sum(len(ideal_lattice(b).members) for b in braces)
 
 
 def test_ideal_correspondence(z4_radical, v4_trivial):
