@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from group_oracles import identity_fixing_perms
 
 from sbspec import groups
 from sbspec.braces import (
@@ -30,7 +31,6 @@ from sbspec.groups import (
     all_group_tables,
     cyclic_table,
     group_representatives,
-    identity_fixing_perms,
 )
 
 

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from group_oracles import identity_fixing_perms
 
 from sbspec.braces import (
     SkewBrace,
@@ -23,7 +24,6 @@ from sbspec.groups import (
     cyclic_table,
     group_fingerprint,
     group_representatives,
-    identity_fixing_perms,
     klein_table,
     symmetric_table,
 )

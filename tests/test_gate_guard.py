@@ -10,7 +10,7 @@ malformed record at parse time.  A second copy of the gate fails here.
 
 from test_relabelling_guard import ROOT, readers
 
-GATE = ("find_identity", "group_violation", "table_shape_error", "check_group", "is_group_table")
+GATE = ("find_identity", "group_violation", "table_shape_error")
 
 
 def test_only_the_gate_reads_raw_tables():
