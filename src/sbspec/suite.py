@@ -37,7 +37,6 @@ from .ideals import (
     ideal_lattice,
     multiplicative_lattice_check,
     principal_ideals,
-    sample_cases,
     star_ideal,
     star_set,
     star_subgroup,
@@ -104,11 +103,11 @@ def _holds(detail: str = ""):
     return lambda *_: [(True, False, detail)]
 
 
-def _first_witness(witnesses, scope: str = ""):
-    """One verdict: a fail carrying the first witness, or a pass; then the scope."""
+def _first_witness(witnesses, counts: str = ""):
+    """One verdict: a fail carrying the first witness, or a pass; then the counts."""
     witness = next(iter(witnesses), None)
     ok = witness is None
-    return [(ok, False, "; ".join(p for p in ("" if ok else str(witness), scope) if p))]
+    return [(ok, False, "; ".join(p for p in ("" if ok else str(witness), counts) if p))]
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +170,7 @@ def _lattice_laws(brace: SkewBrace):
     detail = f"join_distributive={rep.join_distributive}"
     if not rep.ok:
         detail += f" witness={rep.counterexample}"
-    return [(rep.ok, False, "; ".join(p for p in (detail, rep.scope) if p))]
+    return [(rep.ok, False, detail)]
 
 
 def _generated_routes(brace: SkewBrace):
@@ -194,35 +193,33 @@ def _generated_routes(brace: SkewBrace):
     )
 
 
-def _star_chain(brace: SkewBrace):
-    # the lattice's generator route against the element route, inside i ∩ j
-    lat = ideal_lattice(brace)
-    members, k = lat.members, len(lat)
-    cases, scope = sample_cases(k * k, f"{k}^2")
-
-    def witnesses():
-        for c in cases:
-            i, j = members[c // k], members[c % k]
-            product = star_ideal(brace, i, j)
-            if product != lat.star(i, j) or not is_subset(product, i & j):
-                yield (i, j)
-
-    return _first_witness(witnesses(), scope)
-
-
 def _principal_criterion(brace: SkewBrace):
-    """Primality by pairs of principal ideals, by the element routes,
-    against the spectrum's ideal-pair loop, for star and then huq.
+    """The element routes on every pair of distinct nonzero principal
+    ideals: star-chain, then primality for star and for huq.
 
-    Both products are monotone, and an ideal outside P holds an element
-    a outside P, so ideals I, J outside P with I·J in P give (a)·(b) in
-    P: P is prime exactly when no two principal ideals outside it do.
+    star-chain compares star_ideal with the lattice's star table on those
+    pairs, and checks each product lies in x ∩ y.  That decides every
+    pair of ideals: every ideal is the join of its principal ideals, the
+    table distributes over joins (multiplicative-lattice checks it
+    exactly), the element route distributes by the theorem in
+    multiplicative_lattice_check, and a product with {0} is {0} on both
+    routes (on the table, by that row's x·y ⊆ x ∩ y).
+
+    Primality by the element routes is checked against the spectrum's
+    ideal-pair loop.  Both products are monotone, and an ideal outside P
+    holds an element a outside P, so ideals I, J outside P with I·J in P
+    give (a)·(b) in P: P is prime exactly when no two principal ideals
+    outside it do.
     """
-    proper = ideal_lattice(brace).proper_members()
+    lat = ideal_lattice(brace)
+    proper = lat.proper_members()
     principal = sorted(set(principal_ideals(brace)) - {1})
-    verdicts = []
-    for kind, product in (("star", star_ideal), ("huq", huq_commutator)):
-        products = [(x, y, product(brace, x, y)) for x in principal for y in principal]
+    star_products = [(x, y, star_ideal(brace, x, y)) for x in principal for y in principal]
+    huq_products = [(x, y, huq_commutator(brace, x, y)) for x in principal for y in principal]
+    verdicts = _first_witness(
+        (x, y) for x, y, z in star_products if z != lat.star(x, y) or not is_subset(z, x & y)
+    )
+    for kind, products in (("star", star_products), ("huq", huq_products)):
         spec = spectrum(brace, kind)
         rejected = dict(spec.rejected)
 
@@ -418,9 +415,12 @@ _BRACE_HEAD = (
     (("ideal-criteria",), _ideal_criteria),
     (("multiplicative-lattice",), _lattice_laws),
     (("generated-ideal-routes",), _generated_routes),
-    (("star-chain",), _star_chain),
-    # the primes of spectrum for star and huq, by principal ideal pairs
-    (("principal-prime-criterion-star", "principal-prime-criterion-huq"), _principal_criterion),
+    # star_ideal against the star table, then the primes of spectrum for
+    # star and huq, all by principal ideal pairs
+    (
+        ("star-chain", "principal-prime-criterion-star", "principal-prime-criterion-huq"),
+        _principal_criterion,
+    ),
 )
 _KIND_CHECKS = (
     # Rad I is the meet of the primes over I: an ideal containing I,

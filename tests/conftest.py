@@ -23,6 +23,10 @@ The fixture braces are chosen so that every interesting quantity
   D4, Q8, A4, D6 and Dic3 = Z3 ⋊ Z4 are generated by permutations.
 - suite12_braces: the six braces of order 8-12 that the suite12
   benchmark workload runs.
+- b_brace, b_prime_brace: B and B', the two classes of braces on A4
+  (the twist enumeration on the A4 table) with only the ideals {0} and
+  A.  Each has {0} as its one prime of every kind, so B x B and B x B'
+  have four ideals and two points per kind.
 """
 
 import itertools
@@ -148,6 +152,62 @@ def suite12_braces(groups12):
         trivial_brace(s3xz2),
         almost_trivial_brace(s3xz2),
     ]
+
+
+# The A4 table of _permutation_table((1, 2, 0, 3), (0, 2, 3, 1)), and the
+# ∘-tables of B and B', the first twist map of each class in enumeration order.
+_A4_ADD = (
+    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+    (1, 2, 0, 6, 8, 7, 9, 11, 10, 3, 4, 5),
+    (2, 0, 1, 9, 10, 11, 3, 5, 4, 6, 8, 7),
+    (3, 5, 4, 0, 2, 1, 10, 9, 11, 7, 6, 8),
+    (4, 3, 5, 7, 6, 8, 0, 1, 2, 10, 11, 9),
+    (5, 4, 3, 10, 11, 9, 7, 8, 6, 0, 2, 1),
+    (6, 7, 8, 1, 0, 2, 4, 3, 5, 11, 9, 10),
+    (7, 8, 6, 4, 5, 3, 11, 10, 9, 1, 0, 2),
+    (8, 6, 7, 11, 9, 10, 1, 2, 0, 4, 5, 3),
+    (9, 11, 10, 2, 1, 0, 8, 6, 7, 5, 3, 4),
+    (10, 9, 11, 5, 3, 4, 2, 0, 1, 8, 7, 6),
+    (11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
+)
+_B_MUL = (
+    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+    (1, 2, 0, 6, 8, 7, 9, 11, 10, 3, 4, 5),
+    (2, 0, 1, 9, 10, 11, 3, 5, 4, 6, 8, 7),
+    (3, 9, 6, 11, 1, 4, 7, 10, 0, 5, 2, 8),
+    (4, 10, 8, 2, 11, 6, 1, 3, 7, 0, 5, 9),
+    (5, 7, 11, 10, 3, 2, 4, 0, 6, 8, 9, 1),
+    (6, 3, 9, 5, 2, 8, 11, 4, 1, 7, 0, 10),
+    (7, 11, 5, 4, 6, 0, 8, 1, 9, 10, 3, 2),
+    (8, 4, 10, 0, 5, 9, 2, 6, 11, 1, 7, 3),
+    (9, 6, 3, 7, 0, 10, 5, 8, 2, 11, 1, 4),
+    (10, 8, 4, 1, 7, 3, 0, 9, 5, 2, 11, 6),
+    (11, 5, 7, 8, 9, 1, 10, 2, 3, 4, 6, 0),
+)
+_B_PRIME_MUL = (
+    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+    (1, 2, 0, 5, 3, 4, 7, 8, 6, 11, 9, 10),
+    (2, 0, 1, 4, 5, 3, 8, 6, 7, 10, 11, 9),
+    (3, 5, 4, 0, 2, 1, 10, 9, 11, 7, 6, 8),
+    (4, 3, 5, 2, 1, 0, 11, 10, 9, 6, 8, 7),
+    (5, 4, 3, 1, 0, 2, 9, 11, 10, 8, 7, 6),
+    (6, 8, 7, 10, 9, 11, 3, 4, 5, 2, 0, 1),
+    (7, 6, 8, 9, 11, 10, 5, 3, 4, 0, 1, 2),
+    (8, 7, 6, 11, 10, 9, 4, 5, 3, 1, 2, 0),
+    (9, 10, 11, 7, 8, 6, 1, 0, 2, 3, 5, 4),
+    (10, 11, 9, 6, 7, 8, 0, 2, 1, 4, 3, 5),
+    (11, 9, 10, 8, 6, 7, 2, 1, 0, 5, 4, 3),
+)
+
+
+@pytest.fixture(scope="session")
+def b_brace() -> SkewBrace:
+    return validate(_A4_ADD, _B_MUL)
+
+
+@pytest.fixture(scope="session")
+def b_prime_brace() -> SkewBrace:
+    return validate(_A4_ADD, _B_PRIME_MUL)
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,6 @@ from sbspec.ideals import (
     ideal_weight,
     is_ideal,
     multiplicative_lattice_check,
-    sample_cases,
     star_ideal,
     star_set,
     star_subgroup,
@@ -295,22 +294,26 @@ def join_distributive_everywhere(lat):
 
 @pytest.mark.parametrize("brace", brace_corpus(), ids=lambda b: b.describe())
 def test_multiplicative_lattice_laws(brace):
-    # the laws the check leaves to construction, and monotonicity over
-    # every quadruple against its Hasse-cover route
+    # the laws the check leaves to construction, and the laws it checks
+    # against the oracles over every pair, triple and quadruple
     lat = ideal_lattice(brace)
     report = multiplicative_lattice_check(lat)
     assert meets_are_glb(lat) and joins_are_lub(lat)
     assert lat.members[0] == 1 and lat.members[-1] == full_mask(brace.order)
-    assert report.star_monotone == star_monotone_everywhere(lat)
-    assert report.ok and report.counterexample is None and report.scope == ""
+    assert report.ok == (
+        star_monotone_everywhere(lat)
+        and star_below_meet_everywhere(lat)
+        and join_distributive_everywhere(lat)
+    )
+    assert report.ok and report.counterexample is None
     # distributivity over joins is a theorem (see multiplicative_lattice_check)
     assert report.join_distributive
 
 
 def test_lattice_check_rejects_every_broken_star_table(v4_trivial, z4_radical, s3_almost):
-    # every single-entry change of the star table: the cover route must
-    # agree with the quadruple oracle, and any break of a law must turn
-    # the report, with a witness
+    # every single-entry change of the star table: the join-generator
+    # route must agree with the triple oracle, and any break of a law,
+    # monotonicity included, must turn the report, with a witness
     breaks_only_monotone = breaks_only_distributivity = 0
     for brace in (v4_trivial, z4_radical, s3_almost):
         lat = ideal_lattice(brace)
@@ -326,7 +329,6 @@ def test_lattice_check_rejects_every_broken_star_table(v4_trivial, z4_radical, s
                 report = multiplicative_lattice_check(mutant)
                 monotone = star_monotone_everywhere(mutant)
                 below = star_below_meet_everywhere(mutant)
-                assert report.star_monotone == monotone, (brace, i, j, value)
                 assert report.star_below_meet == below, (brace, i, j, value)
                 distributive = join_distributive_everywhere(mutant)
                 assert report.join_distributive == distributive, (brace, i, j, value)
@@ -335,6 +337,32 @@ def test_lattice_check_rejects_every_broken_star_table(v4_trivial, z4_radical, s
                 breaks_only_monotone += below and not monotone
                 breaks_only_distributivity += monotone and below and not distributive
     assert breaks_only_monotone and breaks_only_distributivity
+
+
+def test_lattice_check_needs_every_join_generator(v4_trivial):
+    # the five ideals of trivial V4 form M3: {0} < a, b, c < A.  With
+    # a·A = A·a = a·a = A·A = a and every other product {0}, the table is
+    # monotone, lies below the meet and distributes at A = a ∨ b, yet
+    # (b ∨ c)·a = a while b·a ∨ c·a = {0}: one decomposition per member
+    # would pass it, and the join-generator check does not
+    lat = ideal_lattice(v4_trivial)
+    bottom, a, b, c, top = range(len(lat))
+    star = {(a, top): a, (top, a): a, (a, a): a, (top, top): a}
+    mutant = copy.copy(lat)
+    mutant.star_table = tuple(
+        tuple(star.get((i, j), bottom) for j in range(len(lat))) for i in range(len(lat))
+    )
+    ms = lat.members
+    assert star_monotone_everywhere(mutant) and star_below_meet_everywhere(mutant)
+    for z in ms:
+        assert mutant.star(ms[top], z) == lat.join(mutant.star(ms[a], z), mutant.star(ms[b], z))
+        assert mutant.star(z, ms[top]) == lat.join(mutant.star(z, ms[a]), mutant.star(z, ms[b]))
+    b_a, c_a = mutant.star(ms[b], ms[a]), mutant.star(ms[c], ms[a])
+    assert mutant.star(lat.join(ms[b], ms[c]), ms[a]) == ms[a] != lat.join(b_a, c_a)
+    report = multiplicative_lattice_check(mutant)
+    assert report.star_below_meet and not report.join_distributive
+    assert report.counterexample == ("distributive", ms[b], ms[c], ms[a])
+    assert not join_distributive_everywhere(mutant)
 
 
 def test_star_monotone_and_below_meet(z4_radical, s3_almost):
@@ -656,17 +684,3 @@ def elementwise_weight(brace, mask):
 def test_weights_match_elementwise_search(brace):
     lat = ideal_lattice(brace)
     assert lat.weights == tuple(elementwise_weight(brace, m) for m in lat.members)
-
-
-@pytest.mark.parametrize("count, label", [(4096, "64^2"), (67**2, "67^2"), (67**3, "67^3")])
-def test_sample_cases_are_distinct(count, label):
-    # "sampled 4096 of 67^2" examines 4096 distinct pairs, not the 2668
-    # that 4096 draws with replacement would reach
-    cases, scope = sample_cases(count, label)
-    if count <= ideals.SAMPLE_LIMIT:
-        assert (list(cases), scope) == (list(range(count)), "")
-        return
-    assert len(set(cases)) == len(cases) == ideals.SAMPLE_LIMIT
-    assert all(0 <= c < count for c in cases)
-    assert scope == f"sampled {ideals.SAMPLE_LIMIT} of {label}"
-    assert sample_cases(count, label) == (cases, scope)

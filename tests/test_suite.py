@@ -1,7 +1,9 @@
 """Catalog records and the property-suite verdict machinery."""
 
+import copy
 import dataclasses
 import hashlib
+import itertools
 
 import pytest
 
@@ -413,11 +415,11 @@ def test_lattice_missing_a_member_gives_fail_rows(s4_almost, monkeypatch):
 
 
 def test_generated_routes_sample_past_4096_seeds(z4_radical):
-    # order 12 and below: every seed, with no sampling note
+    # the row is exhaustive with an empty detail at order 4, and at order
+    # 13 with 2^13 seeds, since the one-element steps from the members
+    # cover them all
     rows = run_brace_suite("z4r", z4_radical)
     assert {r.check: r for r in rows}["generated-ideal-routes"].detail == ""
-    # order 13: 2^13 seeds, past the sampling bound, yet the row stays
-    # exhaustive, since the one-element steps from the members cover them
     rows = run_brace_suite("z13", trivial_brace(cyclic_table(13)))
     assert failures(rows) == []
     row = {r.check: r for r in rows}["generated-ideal-routes"]
@@ -425,16 +427,17 @@ def test_generated_routes_sample_past_4096_seeds(z4_radical):
 
 
 def test_suite_samples_past_4096_cases_at_67_ideals():
-    # trivial Z2^4 has 67 ideals: the distributivity triples and the
-    # star-chain pairs past the bound are sampled, and the scope is named
+    # trivial Z2^4 has 67 ideals, so 67^3 triples and 67^2 pairs, yet no
+    # row samples: distributivity runs on the join-generators and
+    # star-chain on the principal ideal pairs, and neither names a scope
     brace = trivial_brace(product_table(klein_table(), klein_table()))
     assert len(ideal_lattice(brace)) == 67
     rows = run_brace_suite("z2^4", brace)
     assert len(rows) == 52
     assert failures(rows) == []
     by_check = {r.check: r.detail for r in rows}
-    assert by_check["multiplicative-lattice"] == "join_distributive=True; sampled 4096 of 67^3"
-    assert by_check["star-chain"] == "sampled 4096 of 67^2"
+    assert by_check["multiplicative-lattice"] == "join_distributive=True"
+    assert by_check["star-chain"] == ""
 
 
 def test_t0_row_needs_two_points(a5_trivial):
@@ -488,6 +491,7 @@ def test_principal_criterion_keeps_a_nonzero_prime(a5_trivial, z2_trivial):
     brace = direct_product(a5_trivial, z2_trivial)
     assert spectrum(brace, "huq").primes == (3,)
     assert suite._principal_criterion(brace) == [
+        (True, False, ""),  # star-chain
         (True, False, "primes=0 principal=3"),
         (True, False, "primes=1 principal=3"),
     ]
@@ -499,11 +503,13 @@ def test_principal_criterion_checks_the_huq_table(a5_trivial, monkeypatch):
     # and a table that squares A5 into {0} drops that prime and fails it
     lat = ideal_lattice(a5_trivial)
     assert lat.huq_table == ((0, 0), (0, 1))
-    assert suite._principal_criterion(a5_trivial)[1] == (True, False, "primes=1 principal=1")
+    verdicts = suite._principal_criterion(a5_trivial)
+    assert verdicts[0] == (True, False, "")  # star-chain
+    assert verdicts[2] == (True, False, "primes=1 principal=1")
     monkeypatch.setattr(lat, "huq_table", ((0, 0), (0, 0)))
     spectrum.cache_clear()
     try:
-        verdict = suite._principal_criterion(a5_trivial)[1]
+        verdict = suite._principal_criterion(a5_trivial)[2]
     finally:
         monkeypatch.undo()
         spectrum.cache_clear()
@@ -732,6 +738,35 @@ def test_lattice_row_counts_distributivity(monkeypatch):
     assert suite._lattice_laws(None) == [
         (False, False, "join_distributive=False witness=('distributive', 3, 5, 7)")
     ]
+
+
+def test_every_broken_star_table_fails_a_lattice_row(
+    z4_radical, v4_trivial, s3_almost, monkeypatch
+):
+    # every single-entry change of the star table fails star-chain (the
+    # principal pairs against the element route) or multiplicative-lattice
+    # (the table's laws): neither row samples, and together they pin the
+    # whole table
+    z2_cubed = trivial_brace(product_table(klein_table(), cyclic_table(2)))
+    assert len(ideal_lattice(z2_cubed)) == 16
+    only_chain = 0
+    for brace in (z4_radical, v4_trivial, s3_almost, z2_cubed):
+        lat = ideal_lattice(brace)
+        k = len(lat)
+        for i, j in itertools.product(range(k), repeat=2):
+            for value in range(k):
+                if value == lat.star_table[i][j]:
+                    continue
+                table = [list(row) for row in lat.star_table]
+                table[i][j] = value
+                mutant = copy.copy(lat)
+                mutant.star_table = tuple(map(tuple, table))
+                monkeypatch.setattr(suite, "ideal_lattice", lambda _: mutant)
+                [(laws, _, _)] = suite._lattice_laws(brace)
+                if laws:  # a table with every law: star-chain must catch it
+                    assert not suite._principal_criterion(brace)[0][0], (brace, i, j, value)
+                    only_chain += 1
+    assert only_chain
 
 
 def test_run_records_full(catalog4):
