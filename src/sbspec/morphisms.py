@@ -8,10 +8,10 @@ holds, the projection is a homomorphism by theory.  A homomorphism f
 pulls primes of the target back to the source, and the reports below
 certify, by direct computation, how that point map interacts with the
 hull-kernel topology: continuity, the injectivity criterion, image =
-hull of the kernel for surjections, and density.  Each report keeps only
-the certificates that no other field of it implies.  Certificates over
-empty spectra are reported as vacuous, never silently folded into a
-pass.
+hull of the kernel for surjections, and density, read off the two
+hull-kernel spaces (spec_topology).  Each report keeps only the
+certificates that no other field of it implies.  Certificates over empty
+spectra are reported as vacuous, never silently folded into a pass.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .bitsets import bits, full_mask, is_subset
+from .bitsets import bits, full_mask, is_subset, mask_of
 from .braces import SkewBrace
 from .errors import NotAHomomorphismError, NotAnIdealError, ParseError
 from .groups import _greedy_generators, _law_witness, homomorphisms
 from .ideals import generated_ideal, ideal_lattice, is_ideal
-from .spectra import is_prime, nil_radical, spectrum
+from .spectra import is_prime
 from .topology import spec_topology
 
 Mask = int
@@ -176,7 +176,7 @@ def quotient_has_primes(brace: SkewBrace, ideal: Mask, kind: str = "star") -> bo
     commutator products, and pi(I) lies in pi(P) exactly when I lies in
     P + J = P, so the ideal pairs that witness against P and P/J match.
     """
-    return any(is_subset(ideal, p) for p in spectrum(brace, kind).primes)
+    return spec_topology(brace, kind).hull_of_elements(ideal) != 0
 
 
 @dataclass(frozen=True)
@@ -265,11 +265,11 @@ class SpecMapReport:
 
 
 def induced_spec_map(f: Hom, kind: str = "star") -> SpecMapReport:
-    source_primes = spectrum(f.source, kind).primes
-    target_primes = spectrum(f.target, kind).primes
+    source = spec_topology(f.source, kind)
+    target = spec_topology(f.target, kind)
     witness = None
 
-    point_map = tuple((p, f.preimage_of(p)) for p in target_primes)
+    point_map = tuple((p, f.preimage_of(p)) for p in target.points)
     contractions_prime = True
     for p, c in point_map:
         ok, why = is_prime(f.source, c, kind)
@@ -282,7 +282,7 @@ def induced_spec_map(f: Hom, kind: str = "star") -> SpecMapReport:
         continuity = True
         for i, e in f.extensions.items():
             lhs = frozenset(p for p, c in point_map if is_subset(i, c))
-            rhs = frozenset(p for p in target_primes if is_subset(e, p))
+            rhs = frozenset(p for p in target.points if is_subset(e, p))
             if lhs != rhs:
                 continuity = False
                 witness = witness or ("continuity", i, lhs, rhs)
@@ -290,7 +290,7 @@ def induced_spec_map(f: Hom, kind: str = "star") -> SpecMapReport:
     contracted = {c for _, c in point_map}
     extensions = set(f.extensions.values())
     injectivity = None
-    if contractions_prime and all(q in extensions for q in target_primes):
+    if contractions_prime and all(q in extensions for q in target.points):
         injectivity = len(contracted) == len(point_map)
         if not injectivity:
             witness = witness or ("injectivity",)
@@ -298,21 +298,17 @@ def induced_spec_map(f: Hom, kind: str = "star") -> SpecMapReport:
     ker = kernel(f)
     kernel_hull = None
     if contractions_prime and is_surjective(f):
-        hull = {p for p in source_primes if is_subset(ker, p)}
+        hull = {source.points[i] for i in bits(source.hull_of_elements(ker))}
         kernel_hull = contracted == hull
         if not kernel_hull:
             witness = witness or ("kernel-hull", contracted, hull)
 
-    kernel_in_nil = is_subset(ker, nil_radical(f.source, kind))
+    kernel_in_nil = is_subset(ker, source.kern(source.space.everything))
     density = None
     density_match = None
     if contractions_prime:
-        hk = spec_topology(f.source, kind)
-        index = {p: i for i, p in enumerate(hk.points)}
-        im_mask = 0
-        for c in contracted:
-            im_mask |= 1 << index[c]
-        density = hk.closure(im_mask) == full_mask(hk.n_points)
+        im = mask_of(i for i, p in enumerate(source.points) if p in contracted)
+        density = source.closure(im) == source.space.everything
         density_match = density == kernel_in_nil
         if not density_match:
             witness = witness or ("density", density, kernel_in_nil)
@@ -321,14 +317,14 @@ def induced_spec_map(f: Hom, kind: str = "star") -> SpecMapReport:
         kind=kind,
         point_map=point_map,
         contractions_prime=contractions_prime,
-        points_vacuous=not target_primes,
+        points_vacuous=not target.points,
         continuity_exact=continuity,
         injectivity_certificate=injectivity,
         kernel_hull=kernel_hull,
         density=density,
         kernel_in_nil=kernel_in_nil,
         density_matches_kernel=density_match,
-        density_vacuous=not source_primes,
+        density_vacuous=not source.points,
         witness=witness,
     )
 
@@ -352,7 +348,8 @@ class NilQuotientReport:
 
 def nil_quotient_homeo(brace: SkewBrace, kind: str = "star") -> NilQuotientReport:
     """Projection onto A/nil induces a one-to-one, bi-closed point map."""
-    nil = nil_radical(brace, kind)
+    hk = spec_topology(brace, kind)
+    nil = hk.kern(hk.space.everything)
     rep = induced_spec_map(quotient(brace, nil).projection, kind)
     return NilQuotientReport(
         kind=kind,

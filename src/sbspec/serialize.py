@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 
-from .bitsets import elements, hasse_edges
+from .bitsets import bits, elements, hasse_edges
 from .braces import SkewBrace, validate
 from .errors import ParseError
 from .ideals import ideal_lattice
@@ -141,15 +141,10 @@ def topology_to_dict(brace: SkewBrace, kind: str) -> dict:
     hk = spec_topology(brace, kind)
     sep = separation_report(hk)
     spc = spectral_report(hk.space)
-    point_index = {p: i for i, p in enumerate(hk.points)}
-    closed = [
-        sorted(point_index[p] for p in hk.points if c >> point_index[p] & 1)
-        for c in hk.space.closed
-    ]
     return {
         "kind": kind,
         "points": [member_list(p) for p in hk.points],
-        "closed_sets": closed,
+        "closed_sets": [list(bits(c)) for c in hk.space.closed],
         "t0": sep.t0,
         "t1": sep.t1,
         "components": connected_component_count(hk.space),
@@ -206,14 +201,13 @@ def dot_ideal_lattice(brace: SkewBrace) -> str:
 def dot_closed_sets(brace: SkewBrace, kind: str = "star") -> str:
     """Hasse diagram of the closed-set family of the spectrum."""
     hk = spec_topology(brace, kind)
-    point_index = {p: i for i, p in enumerate(hk.points)}
     closed = list(hk.space.closed)
     index = {c: i for i, c in enumerate(closed)}
     lines = ["digraph closed_sets {", "  rankdir=BT;", "  node [shape=box];"]
-    for p, i in sorted(point_index.items(), key=lambda kv: kv[1]):
+    for i, p in enumerate(hk.points):
         lines.append(f"  // P{i} = {_set_label(p)}")
     for i, c in enumerate(closed):
-        label = "{" + ",".join(f"P{b}" for b in range(len(point_index)) if c >> b & 1) + "}"
+        label = "{" + ",".join(f"P{b}" for b in bits(c)) + "}"
         lines.append(f'  C{i} [label="{label}"];')
     for low, high in hasse_edges(closed):
         lines.append(f"  C{index[low]} -> C{index[high]};")
@@ -228,12 +222,12 @@ def dot_specialization(brace: SkewBrace, kind: str = "star") -> str:
     with hull-kernel closures that is reverse ideal containment, so the
     drawn order is containment turned upside down.
     """
-    point_index = {p: i for i, p in enumerate(spec_topology(brace, kind).points)}
+    points = spec_topology(brace, kind).points
     lines = ["digraph specialization {", "  rankdir=BT;", "  node [shape=box];"]
-    for p, i in sorted(point_index.items(), key=lambda kv: kv[1]):
+    for i, p in enumerate(points):
         lines.append(f'  P{i} [label="{_set_label(p)}"];')
     # containment edge (low, high) means high lies below low when specializing
-    for low, high in hasse_edges(list(point_index)):
-        lines.append(f"  P{point_index[high]} -> P{point_index[low]};")
+    for low, high in hasse_edges(points):
+        lines.append(f"  P{points.index(high)} -> P{points.index(low)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

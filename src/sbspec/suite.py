@@ -8,9 +8,11 @@ hypothesis); vacuous rows are counted separately from passes so that
 trivially-true instances are never mistaken for evidence.
 
 The per-brace checks form one table.  An entry holds its row names, a
-per-kind name as a ``{kind}`` template, and one function of the brace
-(or of the brace and a prime kind) that returns one ``(ok, vacuous,
-detail)`` verdict per name.  One runner, ``_run``, stamps the rows in
+per-kind name as a ``{kind}`` template, and one function, of the brace
+or of a prime kind's space, that returns one ``(ok, vacuous, detail)``
+verdict per name.  A space is passed as a zero-argument getter of its
+HullKernelSpace, built on first read, so those entries run on the space
+of any multiplicative lattice.  One runner, ``_run``, stamps the rows in
 table order.  An entry that raises a library error fails every row it
 owns, with the error as the detail, so a brace always gets every row by
 name.  A new check is one entry.  The catalog-level rows (enumeration
@@ -21,6 +23,7 @@ same runner.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from .bitsets import is_subset, popcount
@@ -258,28 +261,28 @@ def _maximal_prime(brace: SkewBrace):
     return [(witness is None and squares_agree, not maxima, detail)]
 
 
-def _closed_axioms(brace: SkewBrace, kind: str):
-    rep = closed_axioms_report(spec_topology(brace, kind))
+def _closed_axioms(space):
+    rep = closed_axioms_report(space())
     return [(rep.ok, False, str(rep.witness) if rep.witness else "")]
 
 
-def _t0_specialization(brace: SkewBrace, kind: str):
+def _t0_specialization(space):
     # cl{P} = H(P), and H(P) = H(Q) forces P = Q: every hull-kernel space
     # is T0 and its specialization order is reverse containment
-    points = spec_topology(brace, kind).n_points
+    points = space().n_points
     return [(True, points < 2, f"points={points}")]
 
 
-def _t1_iff_spec_equals_max(brace: SkewBrace, kind: str):
-    rep = separation_report(spec_topology(brace, kind))
+def _t1_iff_spec_equals_max(space):
+    rep = separation_report(space())
     if not rep.hypothesis_square_outside_max:
         return [(True, True, "square inside some maximal ideal")]
     detail = f"t1={rep.t1} spec_equals_max={rep.spec_equals_max}"
     return [(rep.t1_iff_spec_equals_max is True, False, detail)]
 
 
-def _irreducibility(brace: SkewBrace, kind: str):
-    rep = irreducibility_report(spec_topology(brace, kind))
+def _irreducibility(space):
+    rep = irreducibility_report(space())
     nil = f"irreducible={rep.whole_irreducible} nil_prime={rep.nil_is_prime}"
     return [
         (rep.irreducibles_are_point_hulls, False, str(rep.witness) if rep.witness else ""),
@@ -289,14 +292,14 @@ def _irreducibility(brace: SkewBrace, kind: str):
     ]
 
 
-def _noetherian(brace: SkewBrace, kind: str):
-    rep = noetherian_report(spec_topology(brace, kind))
+def _noetherian(space):
+    rep = noetherian_report(space())
     return [(rep.ok, False, f"chain={rep.longest_closed_chain} points={rep.n_points}")]
 
 
-def _spectral(brace: SkewBrace):
+def _spectral(space):
     # Spec(Idl A) is the star spectrum: the idl rows read the same space
-    hk = spec_topology(brace, "star")
+    hk = space()
     rep = spectral_report(hk.space)
     # implies a topology: H(top) = ∅, H(bottom) = all, H(x)∪H(y) = H(x∧y), H(x)∩H(y) = H(x∨y)
     axioms_ok = closed_axioms_report(hk).ok
@@ -446,7 +449,10 @@ _KIND_CHECKS = (
 )
 _BRACE_TAIL = (
     (("maximal-prime-criterion",), _maximal_prime),
-    (("spectral-space-spec", "closed-axioms-lattice", "spectral-space-idl"), _spectral),
+    (
+        ("spectral-space-spec", "closed-axioms-lattice", "spectral-space-idl"),
+        lambda brace: _spectral(partial(spec_topology, brace, "star")),
+    ),
     # kernels and contractions are preimages of ideals, hence ideals, and
     # images are subbraces, for every validated homomorphism
     (("hom-kernel-image",), lambda brace: [(True, False, f"homs={len(_corpus(brace))}")]),
@@ -477,10 +483,11 @@ def run_brace_suite(brace_id: str, brace: SkewBrace) -> list[SuiteResult]:
     for names, check in _BRACE_HEAD:
         _run(out, brace_id, names, lambda: check(brace))
     for kind in PRIME_KINDS:
+        space = partial(spec_topology, brace, kind)
         for names, check, kinds in _KIND_CHECKS:
             if kind in kinds:
                 named = [name.format(kind=kind) for name in names]
-                _run(out, brace_id, named, lambda: check(brace, kind))
+                _run(out, brace_id, named, lambda: check(space))
     for names, check in _BRACE_TAIL:
         _run(out, brace_id, names, lambda: check(brace))
     return out

@@ -15,7 +15,8 @@ here therefore split into four groups:
 4. hull-kernel spaces of small mask lattices that are not ideal
    lattices of a brace, with two and three points and known answers:
    divisor lattices of Z/n under ideal multiplication, and chains under
-   meet.
+   meet.  ProductLattice, the product of two such lattices, carries the
+   suite's space rows to 2-, 3- and 4-point spaces in test_spaces.py.
 """
 
 import itertools
@@ -359,6 +360,28 @@ class MaskLattice:
         return tuple(
             m for m in self.members[:-1] if ideal_pair_witness(self, m, product) is None
         )
+
+
+class ProductLattice(MaskLattice):
+    """L1 x L2 of two lattices that carry star and huq products, as a mask
+    lattice: L2's bits are shifted past L1's, so the pair (x, y) is the
+    mask x | y << shift and inclusion is componentwise.  Meet, join and
+    both products are taken componentwise, so kind_product reads a
+    product as it reads an ideal lattice, and products nest."""
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+        self.shift = left.top.bit_length()
+        members = [x | y << self.shift for x in left.members for y in right.members]
+        super().__init__(members, self.componentwise("star"))
+        self.meet = self.componentwise("meet")
+        self.join = self.componentwise("join")
+        self.huq = self.componentwise("huq")
+
+    def componentwise(self, op):
+        f, g = getattr(self.left, op), getattr(self.right, op)
+        low, s = self.left.top, self.shift
+        return lambda x, y: f(x & low, y & low) | g(x >> s, y >> s) << s
 
 
 class TopJoinLattice(MaskLattice):
