@@ -37,11 +37,19 @@ class SkewBrace:
       star[a][b] the product -a + a∘b - b, i.e. lam[a][b] - b
 
     and so are three per-element orbit masks, bit x of entry [i] set when
-    x is reached from i by some a (O(n^2) once per brace, never built by
-    validate):
-      add_conj_orbit[i]  {a + i - a}
-      mul_conj_orbit[i]  {a ∘ i ∘ a'}   (a' the multiplicative inverse)
-      lam_orbit[i]       {lam[a][i]}
+    x is reached from i by some a, each closed under the generators of the
+    acting group in n·g steps (`_orbits`; never built by validate):
+      add_conj_orbit[i]  {a + i - a}        under the +-generators
+      mul_conj_orbit[i]  {a ∘ i ∘ a'}       under the ∘-generators
+                         (a' the multiplicative inverse)
+      lam_orbit[i]       {lam[a][i]}        under the ∘-generators
+
+    a ↦ λ_a is a homomorphism (A, ∘) → Aut(A, +) (Guarnieri–Vendramin
+    2017): with a∘(-b) = a - a∘b + a from the skew law,
+    λ_a(λ_b(x)) = -a + a∘(-b + b∘x) = -a + a∘(-b) - a + a∘b∘x
+    = -a∘b + a∘b∘x = λ_{a∘b}(x), so the λ_g of the ∘-generators g
+    generate the acting group.  The ideal lattice reads the orbit masks
+    and never builds lam or star.
     """
 
     add: Table
@@ -85,29 +93,48 @@ class SkewBrace:
 
     @cached_property
     def add_conj_orbit(self) -> tuple[int, ...]:
-        add, neg = self.add, self.neg
-        return _orbits(self.order, lambda a, i: add[add[a][i]][neg[a]])
+        add, neg, n = self.add, self.neg, self.order
+        gens = groups._greedy_generators(add, full_mask(n))
+        return _orbits(n, [[add[add[g][i]][neg[g]] for i in range(n)] for g in gens])
 
     @cached_property
     def mul_conj_orbit(self) -> tuple[int, ...]:
-        mul, inv = self.mul, self.inv
-        return _orbits(self.order, lambda a, i: mul[mul[a][i]][inv[a]])
+        mul, inv, n = self.mul, self.inv, self.order
+        gens = groups._greedy_generators(mul, full_mask(n))
+        return _orbits(n, [[mul[mul[g][i]][inv[g]] for i in range(n)] for g in gens])
 
     @cached_property
     def lam_orbit(self) -> tuple[int, ...]:
-        lam = self.lam
-        return _orbits(self.order, lambda a, i: lam[a][i])
+        add, mul, neg, n = self.add, self.mul, self.neg, self.order
+        gens = groups._greedy_generators(mul, full_mask(n))
+        return _orbits(n, [[add[neg[g]][i] for i in mul[g]] for g in gens])
 
     def describe(self) -> str:
         return f"skew brace of order {self.order}"
 
 
-def _orbits(n: int, act) -> tuple[int, ...]:
-    """Mask of {act(a, i) : a} for each element i."""
+def _orbits(n: int, maps) -> tuple[int, ...]:
+    """Mask of the orbit of each element i under the group generated by
+    maps, permutations given as lists: the closure of {i} under them.
+
+    The orbit of i under a finite group is its closure under the maps of
+    a generating set, since each inverse is a positive power; the orbits
+    partition the elements, so n·g steps in all.  The n² sweep over every
+    group element is the oracle (tests/brace_oracles.py).
+    """
     out = [0] * n
-    for a in range(n):
-        for i in range(n):
-            out[i] |= 1 << act(a, i)
+    for i in range(n):
+        if out[i]:
+            continue
+        orbit, mask = [i], 1 << i
+        for x in orbit:
+            for row in maps:
+                y = row[x]
+                if not mask >> y & 1:
+                    mask |= 1 << y
+                    orbit.append(y)
+        for x in orbit:
+            out[x] = mask
     return tuple(out)
 
 
@@ -149,19 +176,28 @@ def _group_pair(add, mul=None) -> tuple[Table, Table]:
 
 
 def _skew_witness(add: Table, mul: Table) -> tuple[int, int, int] | None:
-    """First (a, b, c) with a∘(b + c) != a∘b - a + a∘c, c over the +-generators.
+    """First (a, b, c) with a∘(b + c) != a∘b - a + a∘c, a over the
+    ∘-generators and c over the +-generators: n·g∘·g+ steps.
 
-    None means the law holds for every c when add is a group: for fixed a,
-    the c where it holds for every b are closed under +, as a∘(b + c + d)
-    = a∘(b + c) - a + a∘d = a∘b - a + a∘c - a + a∘d = a∘b - a + a∘(c + d).
+    None means the law holds for every a, b and c when add and mul are
+    groups.  For fixed a, the c where it holds for every b are closed
+    under +, as a∘(b + c + d) = a∘(b + c) - a + a∘d = a∘b - a + a∘c - a +
+    a∘d = a∘b - a + a∘(c + d).  Say the law holds at a when it holds for
+    every b and c.  If it holds at a and at b, it holds at a∘b: first
+    a = a∘(b + (-b)) = a∘b - a + a∘(-b) gives a∘(-b) = a - a∘b + a, and
+    then (a∘b)∘(x + y) = a∘(b∘x - b + b∘y) = a∘(b∘x) - a + a∘(-b) - a +
+    a∘(b∘y) = (a∘b)∘x - a∘b + (a∘b)∘y.  So the a where it holds form a
+    ∘-subgroup, and the ∘-generators suffice.  The sweep over every a is
+    the oracle (tests/brace_oracles.py).
     """
     neg = tuple(row.index(0) for row in add)
-    gens = groups._greedy_generators(add, full_mask(len(add)))
-    for a, row_a in enumerate(mul):
-        na = neg[a]
+    full = full_mask(len(add))
+    add_gens = groups._greedy_generators(add, full)
+    for a in groups._greedy_generators(mul, full):
+        row_a, na = mul[a], neg[a]
         for b, ab in enumerate(row_a):
             left = add[ab][na]
-            for c in gens:
+            for c in add_gens:
                 if row_a[add[b][c]] != add[left][row_a[c]]:
                     return (a, b, c)
     return None

@@ -2,7 +2,8 @@
 
 Subcommands: validate, catalog, check, search, report, spec, quotient,
 hom.  Exit codes: 0 success, 1 a property or axiom failed, 2 malformed
-input.  All outputs are deterministic for fixed inputs.
+input or an input past a search bound.  All outputs are deterministic for
+fixed inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from .bitsets import mask_of
 from .braces import validate as validate_tables
 from .catalog import generate_catalog, read_catalog, write_catalog
-from .errors import ParseError, SbspecError
+from .errors import OrderBoundError, ParseError, SbspecError
 from .groups import ENUMERATION_BOUND
 from .morphisms import (
     ideal_correspondence,
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except (ParseError, OrderBoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SbspecError as exc:

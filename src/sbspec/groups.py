@@ -11,9 +11,10 @@ group and checks no complete table again.  The canonical form,
 search, `homomorphisms`, over the images of a generating set;
 isomorphisms, automorphisms and the isomorphism classes of the
 lex-sorted table list are read off it.  Laws are checked on the greedy
-generators (`group_violation`, `_law_witness`).  No function here sweeps
-every relabelling; the (n-1)! sweep and the Latin-square search are test
-oracles.
+generators (`group_violation`, `_law_witness`), and subgroups are grown
+one generator at a time (`_closure`), |closure|·g steps.  No function
+here sweeps every relabelling or every pair of a closure; the (n-1)!
+sweep, the Latin-square search and the pairwise closure are test oracles.
 """
 
 from __future__ import annotations
@@ -201,47 +202,63 @@ def canonical_group_table(table: Table) -> Table:
     return best
 
 
-def _sum_closure(table, closed: int, orbits) -> int:
-    """Least superset of closed under the table and each per-element orbit mask.
+def _closure(table, need: int, orbits) -> tuple[int, list[int]]:
+    """The least superset of need that is closed under the table and under
+    each per-element orbit mask, and the generators it was grown from.
 
-    Worklist: pop the lowest unprocessed element i, OR in orbit[i], i·i,
-    and i·j, j·i for every processed j (· the table's operation), so each
-    pair is touched once.
-    A finite subset closed under a group operation is a subgroup, so
-    inverses need no step of their own.
+    need holds 0, and row 0 of the table is the identity.  The subgroup
+    grows one generator at a time: the next generator is the least pending
+    element outside it, and the extension walks the elements with right
+    multiplication by the generators, each (element, generator) pair
+    once, so the closure costs |closure|·g steps, not |closure|².  The
+    orbit masks of each new element join the pending set.  The walked set
+    holds 0 and is closed under right multiplication by every generator,
+    a permutation of a finite group, so it is the subgroup they generate;
+    every element was forced, so it is the least one.  The pairwise
+    worklist is the oracle (tests/brace_oracles.py).
     """
     full = full_mask(len(table))
-    done: list[int] = []
-    processed = 0
-    todo = closed
+    closed, walked, gens = 1, [0], []
+    todo = need & ~1
     while todo:
-        i = (todo & -todo).bit_length() - 1
-        row = table[i]
-        closed |= 1 << row[i]
-        for orbit in orbits:
-            closed |= orbit[i]
-        for j in done:
-            closed |= 1 << row[j] | 1 << table[j][i]
+        x = (todo & -todo).bit_length() - 1
+        gens.append(x)
+        # the old elements times the new generator, then each new element
+        # times every generator
+        old, i = len(walked), 0
+        while i < len(walked):
+            row = table[walked[i]]
+            i += 1
+            for g in (x,) if i <= old else gens:
+                y = row[g]
+                if not closed >> y & 1:
+                    closed |= 1 << y
+                    walked.append(y)
+                    for orbit in orbits:
+                        need |= orbit[y]
         if closed == full:
-            return full
-        done.append(i)
-        processed |= 1 << i
-        todo = closed & ~processed
-    return closed
+            break
+        todo = need & ~closed
+    return closed, gens
+
+
+def _sum_closure(table, closed: int, orbits) -> int:
+    """Least superset of closed (which holds 0) under the table and each
+    per-element orbit mask, in |closure|·g steps (`_closure`)."""
+    return _closure(table, closed, orbits)[0]
 
 
 def _greedy_generators(table, mask: int) -> tuple[int, ...]:
     """Elements of mask, in order, each outside the closure of those before.
 
     For a subgroup mask they generate it under the table's operation.
+    `_closure` picks each generator as the least element of mask outside
+    the subgroup grown so far, and every element of mask below it is
+    inside, so its generators are these; it costs |⟨mask⟩|·g steps.  On a
+    table with identity 0 that is not a group, as group_violation may
+    read, each element of mask is still a right-multiplied word in them.
     """
-    gens = []
-    closed = 1
-    for x in bits(mask):
-        if not closed >> x & 1:
-            gens.append(x)
-            closed = _sum_closure(table, closed | 1 << x, ())
-    return tuple(gens)
+    return tuple(_closure(table, mask | 1, ())[1])
 
 
 def _law_witness(f, table: Table, target: Table, gens) -> tuple[int, int] | None:

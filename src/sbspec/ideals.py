@@ -8,18 +8,21 @@ The suite's ideal-criteria row checks absorption on every member of the
 lattice, and tests/test_ideals.py checks the equivalence on every
 additively normal subgroup.
 
-add_closure and generated_ideal are single-pass worklists: each element
-is processed once, ORing in its sums with the elements processed before
-it and, for ideals, its orbit masks (SkewBrace.add_conj_orbit,
-.mul_conj_orbit, .lam_orbit).  ideal_check tests normality and twist
-invariance on the same masks.
+add_closure and generated_ideal grow an additive subgroup one generator
+at a time (groups._sum_closure): each new element is walked once with
+right addition of every generator, |closure|·g steps, and for ideals its
+orbit masks (SkewBrace.add_conj_orbit, .mul_conj_orbit, .lam_orbit) join
+the pending set.  ideal_check tests normality and twist invariance on the
+same masks.
 
 The lattice is built from ideals and their generators: all_ideals closes
 the principal ideals (one generated_ideal per element orbit) under set
-sums, IdealLattice reads joins off the size-sorted member list and takes
-the star and huq products of ideals from generator pairs (the proofs are
-on the class).  Every ideal product the library decides with is a
-lattice table.  add_closure, star_ideal, star_subgroup and
+sums and refuses past MEMBER_BOUND members, IdealLattice reads joins off
+the size-sorted member list and takes the star and huq products of
+ideals from generator pairs (the proofs are on the class).  The star and
+commutator words are computed for the generator rows the tables read, so
+building a lattice builds no n² brace table.  Every ideal product the
+library decides with is a lattice table.  star_ideal, star_subgroup and
 huq_commutator sweep element pairs; they are only oracles, which the
 suite's cross-check rows and the tests compare the lattice against.
 multiplicative_lattice_check decides the star table's laws exactly,
@@ -37,10 +40,15 @@ from functools import cached_property, lru_cache
 
 from .bitsets import bits, full_mask, hasse_edges, is_subset, popcount
 from .braces import SkewBrace
-from .errors import ConsistencyError
+from .errors import ConsistencyError, OrderBoundError
 from .groups import _greedy_generators, _sum_closure
 
 Mask = int
+
+# the most ideals a lattice may have: its meet, join, star and huq tables
+# hold k² entries each.  Trivial Z2^6 has 2825 ideals; trivial Z2^7, with
+# about 29,000, would need about 100 times its memory.
+MEMBER_BOUND = 4096
 
 
 @dataclass(frozen=True)
@@ -146,10 +154,8 @@ def is_ideal(brace: SkewBrace, mask: Mask) -> bool:
 
 
 def add_closure(brace: SkewBrace, mask: Mask) -> Mask:
-    """Least additive subgroup containing the masked set (and 0).
-
-    One pass of the sum worklist: every pair of members is added once.
-    """
+    """Least additive subgroup containing the masked set (and 0), grown
+    one generator at a time in |closure|·g steps."""
     return _sum_closure(brace.add, mask | 1, ())
 
 
@@ -174,10 +180,11 @@ def additive_subgroups(brace: SkewBrace) -> tuple[Mask, ...]:
 def generated_ideal(brace: SkewBrace, seed: Mask) -> Mask:
     """Least ideal containing the masked set.
 
-    One pass of the sum worklist that also ORs in each processed element's
-    additive-conjugation, multiplicative-conjugation and twist orbits, so
-    each element's images under every a are taken once.  Multiplicative
-    closure follows on finite sets, since a ∘ b = a + lam[a][b].
+    The additive closure, grown one generator at a time, that also puts
+    each new element's additive-conjugation, multiplicative-conjugation
+    and twist orbits in the pending set, so each element's images under
+    every a are taken once.  Multiplicative closure follows on finite
+    sets, since a ∘ b = a + lam[a][b].
     """
     orbits = (brace.add_conj_orbit, brace.mul_conj_orbit, brace.lam_orbit)
     return _sum_closure(brace.add, seed | 1, orbits)
@@ -218,12 +225,16 @@ def all_ideals(brace: SkewBrace) -> tuple[Mask, ...]:
 
     Every ideal is the join of the principal ideals of its elements, so
     closing the distinct principal ideals under joins with a principal
-    ideal reaches every ideal.  A join of ideals is their set sum.
+    ideal reaches every ideal.  A join of ideals is their set sum.  Past
+    MEMBER_BOUND members the search refuses with OrderBoundError, before
+    any k × k table is built.
     """
     principal = sorted(set(principal_ideals(brace)))
     found = set(principal)
     frontier = list(principal)
     while frontier:
+        if len(found) > MEMBER_BOUND:
+            raise OrderBoundError(f"ideal lattice is bounded to {MEMBER_BOUND} members")
         x = frontier.pop()
         for p in principal:
             if p & ~x:
@@ -234,15 +245,19 @@ def all_ideals(brace: SkewBrace) -> tuple[Mask, ...]:
     return tuple(sorted(found, key=lambda m: (popcount(m), m)))
 
 
-def _words_by_left(table, hs) -> list[Mask]:
-    """Entry g: the mask of table[g][h] over the elements h of hs."""
-    out = []
-    for row in table:
+def _words(word, gs, hs) -> dict[int, Mask]:
+    """Entry g, for each g in gs: the mask of word(g, h) over h in hs."""
+    out = {}
+    for g in gs:
         m = 0
         for h in hs:
-            m |= 1 << row[h]
-        out.append(m)
+            m |= 1 << word(g, h)
+        out[g] = m
     return out
+
+
+def _union(generator_lists) -> tuple[int, ...]:
+    return tuple(sorted(set().union(*generator_lists)))
 
 
 def star_set(brace: SkewBrace, x: Mask, y: Mask) -> Mask:
@@ -333,7 +348,8 @@ class IdealLattice:
 
     The star and huq tables share one seed-to-member memo, which starts
     from the members themselves, so each distinct seed is closed at most
-    once.
+    once.  The words g·h = -g + g∘h - h, [g, h]₊ and [g, h]∘ are computed
+    only for the generator pairs the tables read, never as n² tables.
 
     Proof of the star rule.  Let K be the ideal generated by those g·h.
     It lies in the ideal generated by all of x·y, so it remains to show
@@ -404,9 +420,15 @@ class IdealLattice:
         self.mul_generators = tuple(_greedy_generators(brace.mul, m) for m in members)
         self._ideal_of_seed = dict(self.index)  # an ideal generates itself
         close = self._close
+        add, mul, neg = brace.add, brace.mul, brace.neg
+        mul_gs = _union(self.mul_generators)
+
+        def star(g, h):  # g·h = -g + g∘h - h
+            return add[add[neg[g]][mul[g][h]]][neg[h]]
+
         star_columns = []
         for y, add_h in zip(members, self.add_generators):
-            star_by = _words_by_left(brace.star, add_h)  # g·h over the generators h of y
+            star_by = _words(star, mul_gs, add_h)  # g·h over the generators h of y
             column = []
             for x, mul_g in zip(members, self.mul_generators):
                 seed = 1
@@ -433,16 +455,22 @@ class IdealLattice:
     @cached_property
     def huq_table(self) -> tuple[tuple[int, ...], ...]:
         brace, members = self.brace, self.members
-        add, mul, neg, inv, n = brace.add, brace.mul, brace.neg, brace.inv, brace.order
-        add_comm = [[add[add[add[g][h]][neg[g]]][neg[h]] for h in range(n)] for g in range(n)]
-        mul_comm = [[mul[mul[mul[g][h]][inv[g]]][inv[h]] for h in range(n)] for g in range(n)]
+        add, mul, neg, inv = brace.add, brace.mul, brace.neg, brace.inv
+        add_gs, mul_gs = _union(self.add_generators), _union(self.mul_generators)
         gens = tuple(zip(members, self.add_generators, self.mul_generators, self.star_table))
         close = self._close
+
+        def add_comm(g, h):  # [g, h]₊ = g + h - g - h
+            return add[add[add[g][h]][neg[g]]][neg[h]]
+
+        def mul_comm(g, h):  # [g, h]∘ = g ∘ h ∘ g' ∘ h'
+            return mul[mul[mul[g][h]][inv[g]]][inv[h]]
+
         columns = []
         for j, (y, add_h, mul_h, _) in enumerate(gens):
             # *_by[g]: [g, h]₊ or [g, h]∘ over the generators h of y
-            add_by = _words_by_left(add_comm, add_h)
-            mul_by = _words_by_left(mul_comm, mul_h)
+            add_by = _words(add_comm, add_gs, add_h)
+            mul_by = _words(mul_comm, mul_gs, mul_h)
             column = []
             for x, add_g, mul_g, star_row in gens:
                 commutators = 0

@@ -4,11 +4,13 @@ import random
 from collections import Counter
 
 import pytest
+from brace_oracles import skew_witness_sweep
 from group_oracles import identity_fixing_perms
 
 from sbspec import groups
 from sbspec.braces import (
     SkewBrace,
+    _skew_witness,
     almost_trivial_brace,
     canonical_form,
     canonicalize,
@@ -229,6 +231,25 @@ def test_validate_rejects_bad_shape():
         validate(((0, 1), (1, 0, 0)), cyclic_table(2))
     with pytest.raises(ParseError):
         validate(cyclic_table(2), cyclic_table(3))
+
+
+def test_skew_witness_matches_the_full_sweep(b_brace, b_prime_brace):
+    # a over the ∘-generators decides as a over every element; on these
+    # pairs the first failing a is a ∘-generator, so the triples agree too
+    pairs = [
+        (add, mul)
+        for n in range(1, 7)
+        for add in group_representatives(n)
+        for mul in all_group_tables(n)
+    ]
+    assert len(pairs) == 177
+    pairs += [(b.add, b.mul) for b in (b_brace, b_prime_brace)]
+    failing = 0
+    for add, mul in pairs:
+        witness = _skew_witness(add, mul)
+        assert witness == skew_witness_sweep(add, mul)
+        failing += witness is not None
+    assert failing
 
 
 def test_validate_skew_witness_is_real():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sbspec import ideals
 from sbspec.braces import trivial_brace, validate
 from sbspec.catalog import build_record, read_catalog, record_to_dict, write_catalog
 from sbspec.cli import main
@@ -291,6 +292,18 @@ def test_check_past_the_canonical_bound_exits_2(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "input error" in err and f"1..{CANONICAL_BOUND}, got 9" in err
+
+
+def test_spec_past_the_member_bound_exits_2(tmp_path, capsys, monkeypatch):
+    # trivial Z10 has four ideals; with the member bound at 3 its lattice
+    # is refused as input, naming the bound
+    path = tmp_path / "z10.json"
+    path.write_text(dumps(brace_to_dict(trivial_brace(cyclic_table(10)))))
+    ideals.all_ideals.cache_clear()
+    ideals.ideal_lattice.cache_clear()
+    monkeypatch.setattr(ideals, "MEMBER_BOUND", 3)
+    assert main(["spec", str(path)]) == 2
+    assert "input error: ideal lattice is bounded to 3 members" in capsys.readouterr().err
 
 
 def test_check_past_the_enumeration_bound_is_vacuous(tmp_path, capsys):

@@ -4,10 +4,14 @@ import itertools
 import random
 
 import pytest
+from brace_oracles import pairwise_closure
 from group_oracles import canonical_sweep, identity_fixing_perms, latin_squares, rows_associate
 
+from sbspec.bitsets import bits
 from sbspec.errors import OrderBoundError
 from sbspec.groups import (
+    _greedy_generators,
+    _sum_closure,
     all_group_tables,
     automorphisms,
     canonical_group_table,
@@ -324,6 +328,26 @@ def test_group_violation_matches_the_associativity_oracle(n):
             a, b, c = bad[1]
             assert square[square[a][b]][c] != square[a][square[b][c]]
     assert failures == len(latin_squares(n)) - TABLE_COUNTS[n - 1]
+
+
+def greedy_by_pairwise_closure(table, mask):
+    """Elements of mask, in order, each outside the pairwise closure of those before."""
+    gens, closed = [], 1
+    for x in bits(mask):
+        if not closed >> x & 1:
+            gens.append(x)
+            closed = pairwise_closure(table, closed | 1 << x, ())
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closures_grown_on_generators_match_the_pairwise_worklist(n):
+    # every group table of order <= 6 and every subset: the closure and
+    # the greedy generators equal the |closure|² worklist's
+    for table in all_group_tables(n):
+        for mask in range(1, 1 << n, 2):
+            assert _sum_closure(table, mask, ()) == pairwise_closure(table, mask, ())
+            assert _greedy_generators(table, mask) == greedy_by_pairwise_closure(table, mask)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

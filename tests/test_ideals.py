@@ -4,10 +4,12 @@ import copy
 import itertools
 
 import pytest
+from brace_oracles import orbit_masks_sweep, pairwise_closure
 
-from sbspec import ideals
+from sbspec import groups, ideals
 from sbspec.bitsets import bits, elements, full_mask, hasse_edges, is_subset, mask_of, popcount
-from sbspec.braces import almost_trivial_brace, relabel, trivial_brace
+from sbspec.braces import SkewBrace, almost_trivial_brace, direct_product, relabel, trivial_brace
+from sbspec.errors import OrderBoundError
 from sbspec.enumeration import enumerate_braces
 from sbspec.groups import cyclic_table, product_table, symmetric_table
 from sbspec.ideals import (
@@ -535,16 +537,87 @@ def test_ideal_check_agrees_with_star_absorption(s4_trivial, s4_almost, a5_almos
     assert seen[True] and seen[False]
 
 
-def test_orbit_masks(s3_almost):
+@pytest.fixture(scope="module")
+def oracle_corpus(s4_trivial, s4_almost, a5_trivial, a5_almost, b_brace, b_prime_brace):
+    """Catalog <= 6, trivial and almost-trivial S4 and A5, B, B' and B x B."""
+    return catalog_braces() + [
+        s4_trivial,
+        s4_almost,
+        a5_trivial,
+        a5_almost,
+        b_brace,
+        b_prime_brace,
+        direct_product(b_brace, b_brace),
+    ]
+
+
+def test_orbit_masks(s3_almost, oracle_corpus):
+    # the closures under generators equal the sweep over every group element
+    for brace in oracle_corpus:
+        masks = (brace.add_conj_orbit, brace.mul_conj_orbit, brace.lam_orbit)
+        assert masks == orbit_masks_sweep(brace), brace.describe()
     brace = s3_almost
     n = brace.order
-    add, mul, neg, inv = brace.add, brace.mul, brace.neg, brace.inv
     for i in range(n):
-        assert brace.add_conj_orbit[i] == mask_of(add[add[a][i]][neg[a]] for a in range(n))
-        assert brace.mul_conj_orbit[i] == mask_of(mul[mul[a][i]][inv[a]] for a in range(n))
         assert brace.lam_orbit[i] == mask_of(brace.lam[a][i] for a in range(n))
     # the alternating subgroup {0, 3, 4} is a union of twist orbits
     assert brace.lam_orbit[3] | brace.lam_orbit[4] == mask_of([3, 4])
+
+
+def test_an_orbit_missing_a_generator_is_caught(b_brace, monkeypatch):
+    # each orbit closed under all but the last generator of its acting
+    # group differs from the sweep on B, so test_orbit_masks fails
+    real = groups._greedy_generators
+    monkeypatch.setattr(groups, "_greedy_generators", lambda t, m: real(t, m)[:-1])
+    fresh = SkewBrace(b_brace.add, b_brace.mul)
+    masks = (fresh.add_conj_orbit, fresh.mul_conj_orbit, fresh.lam_orbit)
+    for mask, oracle in zip(masks, orbit_masks_sweep(b_brace)):
+        assert mask != oracle
+
+
+def test_closures_match_the_pairwise_worklist(oracle_corpus):
+    # every single-element seed and every union of two members
+    for brace in oracle_corpus:
+        orbits = orbit_masks_sweep(brace)
+        members = all_ideals(brace)
+        seeds = [1 << a for a in range(brace.order)]
+        seeds += [x | y for x in members for y in members]
+        for seed in seeds:
+            assert add_closure(brace, seed) == pairwise_closure(brace.add, seed | 1, ())
+            assert generated_ideal(brace, seed) == pairwise_closure(brace.add, seed | 1, orbits)
+
+
+def test_lattice_builds_no_lam_or_star_table():
+    # a brace no other test builds, so no cache answers for it: the
+    # lattice and its huq table read the orbit masks and generator words,
+    # never the n² twist or star table
+    s4 = symmetric_table(4)
+    brace = almost_trivial_brace(groups.relabel_table(s4, (0, *range(23, 0, -1))))
+    lat = ideal_lattice(brace)
+    assert lat.huq_table and len(lat) == len(ideal_lattice(almost_trivial_brace(s4)))
+    built = vars(brace)
+    assert "add_conj_orbit" in built and "lam_orbit" in built
+    assert "lam" not in built and "star" not in built
+
+
+def test_member_bound_refuses_before_the_tables(monkeypatch):
+    # trivial Z2^4 has 67 ideals: at a bound of 66 the member search
+    # refuses, before IdealLattice builds any k x k table
+    v4 = product_table(cyclic_table(2), cyclic_table(2))
+    brace = trivial_brace(product_table(v4, v4))
+    assert 2825 < ideals.MEMBER_BOUND < 29000
+    ideals.all_ideals.cache_clear()
+    ideals.ideal_lattice.cache_clear()
+    monkeypatch.setattr(ideals, "MEMBER_BOUND", 67)
+    assert len(all_ideals(brace)) == 67
+    ideals.all_ideals.cache_clear()
+    ideals.ideal_lattice.cache_clear()
+    monkeypatch.setattr(ideals, "MEMBER_BOUND", 66)
+    built = []
+    monkeypatch.setattr(ideals.IdealLattice, "_position", lambda *a: built.append(a))
+    with pytest.raises(OrderBoundError, match="bounded to 66 members"):
+        ideal_lattice(brace)
+    assert built == []
 
 
 def test_joins_reject_non_ideals(s3_trivial):

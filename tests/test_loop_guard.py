@@ -2,7 +2,8 @@
 
 Every law is checked on a generating set: associativity by Light's test
 in groups.group_violation, a map's law by groups._law_witness and the
-skew law by braces._skew_witness, each O(n^2 * generators).  An n^3 sweep
+skew law by braces._skew_witness (a over the ∘-generators, c over the
++-generators), each O(n^2 * generators) or less.  An n^3 sweep
 over element triples belongs in the tests, as an oracle, so a new one in
 the package fails here.
 """

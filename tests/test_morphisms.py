@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from sbspec.bitsets import full_mask, is_subset, mask_of, popcount
-from sbspec.braces import is_isomorphic
+from sbspec import morphisms
+from sbspec.braces import direct_product, is_isomorphic
 from sbspec.enumeration import enumerate_braces
 from sbspec.errors import (
     NotAHomomorphismError,
@@ -288,6 +289,27 @@ def test_spec_map_on_embedding(z2_trivial, z4_radical):
     assert rep.kernel_hull is None
     assert rep.kernel_in_nil  # kernel is {0}
     assert rep.density_matches_kernel is True
+
+
+def test_spec_map_names_a_contraction_that_is_no_point(z2_trivial, b_brace, monkeypatch):
+    # Z2 onto the order-2 element 11 of B: the point {0} of B pulls back
+    # to {0} of trivial Z2, which is not prime, as Z2·Z2 = {0}; is_prime
+    # names the pair.  On the projections of B x B every contraction is a
+    # point of the source space, so is_prime never runs.
+    f = validate_hom(z2_trivial, b_brace, [0, 11])
+    for kind in ("star", "ksv", "huq"):
+        rep = induced_spec_map(f, kind)
+        assert not rep.contractions_prime
+        assert rep.continuity_exact is None
+        assert rep.witness == ("contraction-not-prime", 1, 1, ("ideals", 3, 3))
+    monkeypatch.setattr(morphisms, "is_prime", None)
+    points = 0
+    for f in quotient_projections(direct_product(b_brace, b_brace)):
+        for kind in ("star", "ksv", "huq"):
+            rep = induced_spec_map(f, kind)
+            assert rep.contractions_prime
+            points += len(rep.point_map)
+    assert points
 
 
 def test_spec_map_all_kinds(z4_radical):

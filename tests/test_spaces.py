@@ -145,6 +145,33 @@ def test_product_lattice_matches_the_product_brace(b_brace):
             assert pair(prod.star(x, y)) == lat.star(pair(x), pair(y))
 
 
+def test_three_factors_have_three_points(b_brace):
+    # B x B x B, order 1728: its lattice is the product of three copies of
+    # B's lattice, in members, inclusion and star table, and each kind's
+    # spectrum has one point per factor
+    n = b_brace.order
+    brace = direct_product(direct_product(b_brace, b_brace), b_brace)
+    lat = ideal_lattice(brace)
+    assert len(lat) == 8
+    assert [spec_topology(brace, kind).n_points for kind in PRIME_KINDS] == [3, 3, 3]
+    assert "lam" not in vars(brace) and "star" not in vars(brace)
+
+    b = ideal_lattice(b_brace)
+    prod = ProductLattice(ProductLattice(b, b), b)
+    low, shift = prod.left.left.top, prod.left.shift
+
+    def triple(m):
+        # (x, y, z) -> x x y x z, the triple (a, b, c) at (a*|B| + b)*|B| + c
+        x, y, z = m & low, m >> shift & low, m >> prod.shift
+        return mask_of((a * n + b) * n + c for a in bits(x) for b in bits(y) for c in bits(z))
+
+    assert set(map(triple, prod.members)) == set(lat.members)
+    for x in prod.members:
+        for y in prod.members:
+            assert is_subset(x, y) == is_subset(triple(x), triple(y))
+            assert triple(prod.star(x, y)) == lat.star(triple(x), triple(y))
+
+
 @pytest.mark.parametrize("kind", PRIME_KINDS)
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_rows_pass_on_product_spaces(b_brace, b_prime_brace, k, kind):
