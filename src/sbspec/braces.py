@@ -30,11 +30,11 @@ from .groups import Table
 class SkewBrace:
     """Two compatible group tables.  Use validate() for untrusted input.
 
-    Derived tables are cached on first use:
-      neg[a]     additive inverse of a
-      inv[a]     multiplicative inverse of a
-      lam[a][b]  the twist -a + a∘b, an additive automorphism for each a
-      star[a][b] the product -a + a∘b - b, i.e. lam[a][b] - b
+    Besides the hash, these fields are cached on first use, and no others:
+      neg[a]          additive inverse of a
+      inv[a]          multiplicative inverse of a
+      add_generators  greedy generators of (A, +)
+      mul_generators  greedy generators of (A, ∘)
 
     and so are three per-element orbit masks, bit x of entry [i] set when
     x is reached from i by some a, each closed under the generators of the
@@ -42,14 +42,16 @@ class SkewBrace:
       add_conj_orbit[i]  {a + i - a}        under the +-generators
       mul_conj_orbit[i]  {a ∘ i ∘ a'}       under the ∘-generators
                          (a' the multiplicative inverse)
-      lam_orbit[i]       {lam[a][i]}        under the ∘-generators
+      lam_orbit[i]       {λ_a(i)}           under the ∘-generators
 
+    The twist λ_a(b) = -a + a∘b, the star product a·b = -a + a∘b - b and
+    the commutators of both groups are words (lam_word, star_word,
+    commutator_word), evaluated where they are read: λ for one pair, the
+    others as the mask over a row of b.  No n² table of them is built.
     a ↦ λ_a is a homomorphism (A, ∘) → Aut(A, +) (Guarnieri–Vendramin
-    2017): with a∘(-b) = a - a∘b + a from the skew law,
-    λ_a(λ_b(x)) = -a + a∘(-b + b∘x) = -a + a∘(-b) - a + a∘b∘x
-    = -a∘b + a∘b∘x = λ_{a∘b}(x), so the λ_g of the ∘-generators g
-    generate the acting group.  The ideal lattice reads the orbit masks
-    and never builds lam or star.
+    2017): with a∘(-b) = a - a∘b + a from the skew law, λ_a(λ_b(x)) =
+    -a + a∘(-b + b∘x) = -a + a∘(-b) - a + a∘b∘x = -a∘b + a∘b∘x =
+    λ_{a∘b}(x), so the λ_g of the ∘-generators g generate the acting group.
     """
 
     add: Table
@@ -76,41 +78,64 @@ class SkewBrace:
         return tuple(self.mul[a].index(0) for a in range(self.order))
 
     @cached_property
-    def lam(self) -> Table:
-        add, mul, neg = self.add, self.mul, self.neg
-        return tuple(
-            tuple(add[neg[a]][mul[a][b]] for b in range(self.order))
-            for a in range(self.order)
-        )
+    def add_generators(self) -> tuple[int, ...]:
+        return groups._greedy_generators(self.add, full_mask(self.order))
 
     @cached_property
-    def star(self) -> Table:
-        add, lam, neg = self.add, self.lam, self.neg
-        return tuple(
-            tuple(add[lam[a][b]][neg[b]] for b in range(self.order))
-            for a in range(self.order)
-        )
+    def mul_generators(self) -> tuple[int, ...]:
+        return groups._greedy_generators(self.mul, full_mask(self.order))
 
     @cached_property
     def add_conj_orbit(self) -> tuple[int, ...]:
-        add, neg, n = self.add, self.neg, self.order
-        gens = groups._greedy_generators(add, full_mask(n))
+        add, neg, n, gens = self.add, self.neg, self.order, self.add_generators
         return _orbits(n, [[add[add[g][i]][neg[g]] for i in range(n)] for g in gens])
 
     @cached_property
     def mul_conj_orbit(self) -> tuple[int, ...]:
-        mul, inv, n = self.mul, self.inv, self.order
-        gens = groups._greedy_generators(mul, full_mask(n))
+        mul, inv, n, gens = self.mul, self.inv, self.order, self.mul_generators
         return _orbits(n, [[mul[mul[g][i]][inv[g]] for i in range(n)] for g in gens])
 
     @cached_property
     def lam_orbit(self) -> tuple[int, ...]:
-        add, mul, neg, n = self.add, self.mul, self.neg, self.order
-        gens = groups._greedy_generators(mul, full_mask(n))
-        return _orbits(n, [[add[neg[g]][i] for i in mul[g]] for g in gens])
+        lam, n = lam_word(self), self.order
+        return _orbits(n, [[lam(g, i) for i in range(n)] for g in self.mul_generators])
 
     def describe(self) -> str:
         return f"skew brace of order {self.order}"
+
+
+def lam_word(brace: SkewBrace):
+    """λ_a(b) = -a + a∘b, as a function of (a, b)."""
+    add, mul, neg = brace.add, brace.mul, brace.neg
+    return lambda a, b: add[neg[a]][mul[a][b]]
+
+
+def star_word(brace: SkewBrace):
+    """The star product a·b = -a + a∘b - b = λ_a(b) - b, as the mask of
+    a·b over b in bs."""
+    add, mul, neg = brace.add, brace.mul, brace.neg
+
+    def star(a, bs) -> int:
+        left, row, out = add[neg[a]], mul[a], 0
+        for b in bs:
+            out |= 1 << add[left[row[b]]][neg[b]]
+        return out
+
+    return star
+
+
+def commutator_word(table: Table, inverse: tuple[int, ...]):
+    """The commutator in one group of a brace, as the mask over b in bs:
+    [a, b]₊ = a + b - a - b for (add, neg), [a, b]∘ = a ∘ b ∘ a' ∘ b' for
+    (mul, inv)."""
+
+    def commutator(a, bs) -> int:
+        row, ia, out = table[a], inverse[a], 0
+        for b in bs:
+            out |= 1 << table[table[row[b]][ia]][inverse[b]]
+        return out
+
+    return commutator
 
 
 def _orbits(n: int, maps) -> tuple[int, ...]:
@@ -263,8 +288,7 @@ def canonical_form(brace: SkewBrace) -> bytes:
 def is_isomorphic(x: SkewBrace, y: SkewBrace) -> tuple[int, ...] | None:
     """The lex-least bijection carrying both tables of x onto y, or None:
     the first isomorphism of the additive tables that also carries mul."""
-    gens = groups._greedy_generators(x.mul, full_mask(x.order))
     for perm in groups.isomorphisms(x.add, y.add):
-        if groups._law_witness(perm, x.mul, y.mul, gens) is None:
+        if groups._law_witness(perm, x.mul, y.mul, x.mul_generators) is None:
             return perm
     return None

@@ -2,33 +2,33 @@
 
 Subsets are int bitmasks over element indices.  An ideal is a subgroup
 of both group structures, normal in both, and closed under every twist
-map; ideal_check tests exactly these conditions.  For additively normal
-subgroups this is equivalent to absorbing star products on both sides.
-The suite's ideal-criteria row checks absorption on every member of the
-lattice, and tests/test_ideals.py checks the equivalence on every
+map; ideal_check tests each condition as one escape test on generators
+(_escape), never sweeping element pairs or every a.  For additively
+normal subgroups this is equivalent to absorbing star products on both
+sides, which the suite's ideal-criteria row checks on generator pairs of
+every member; tests/test_ideals.py checks the equivalence on every
 additively normal subgroup.
 
 add_closure and generated_ideal grow an additive subgroup one generator
 at a time (groups._sum_closure): each new element is walked once with
 right addition of every generator, |closure|·g steps, and for ideals its
 orbit masks (SkewBrace.add_conj_orbit, .mul_conj_orbit, .lam_orbit) join
-the pending set.  ideal_check tests normality and twist invariance on the
-same masks.
+the pending set.
 
 The lattice is built from ideals and their generators: all_ideals closes
 the principal ideals (one generated_ideal per element orbit) under set
 sums and refuses past MEMBER_BOUND members, IdealLattice reads joins off
 the size-sorted member list and takes the star and huq products of
 ideals from generator pairs (the proofs are on the class).  The star and
-commutator words are computed for the generator rows the tables read, so
-building a lattice builds no n² brace table.  Every ideal product the
-library decides with is a lattice table.  star_ideal, star_subgroup and
-huq_commutator sweep element pairs; they are only oracles, which the
-suite's cross-check rows and the tests compare the lattice against.
-multiplicative_lattice_check decides the star table's laws exactly,
-distributivity on the join-generators, so no lattice row samples.
-additive_subgroups sweeps every additive subgroup and is a test oracle
-alone: the suite certifies the member list from closures instead.
+commutator words (braces.star_word and the rest) are evaluated for the
+generator rows the tables read; no n² table of them exists.  Every ideal
+product the library decides with is a lattice table.  star_ideal,
+star_subgroup and huq_commutator sweep element pairs; they are only
+oracles, which the suite's cross-check rows and the tests compare the
+lattice against.  multiplicative_lattice_check decides the star table's
+laws exactly, distributivity on the join-generators, so no lattice row
+samples.  additive_subgroups sweeps every additive subgroup and is a test
+oracle alone: the suite certifies the member list from closures instead.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .bitsets import bits, full_mask, hasse_edges, is_subset, popcount
-from .braces import SkewBrace
+from .braces import SkewBrace, commutator_word, lam_word, star_word
 from .errors import ConsistencyError, OrderBoundError
 from .groups import _greedy_generators, _sum_closure
 
@@ -55,7 +55,8 @@ MEMBER_BOUND = 4096
 class IdealCheck:
     """Outcome of the ideal test with per-condition flags and a witness.
 
-    witness names the first failing condition and the elements involved.
+    witness names the first failing condition and an escaping pair
+    (actor, x) of ideal_check.
     """
 
     add_subgroup: bool
@@ -76,77 +77,52 @@ class IdealCheck:
         )
 
 
-def _closed_under(table, mask: Mask) -> tuple | None:
-    for i in bits(mask):
-        row = table[i]
-        for j in bits(mask):
-            if not mask >> row[j] & 1:
-                return (i, j)
+def _escape(mask: Mask, actors, act) -> tuple[int, int] | None:
+    """First (actor, x), x in mask, with act(actor, x) outside the mask."""
+    xs = tuple(bits(mask))
+    for g in actors:
+        for x in xs:
+            if not mask >> act(g, x) & 1:
+                return (g, x)
     return None
 
 
-def _subgroup_flags(mask: Mask, table, invs) -> tuple | None:
-    """First failure of the subgroup conditions for one operation."""
-    if not mask & 1:
-        return ("missing-identity", 0)
-    bad = _closed_under(table, mask)
-    if bad is not None:
-        return ("product", *bad)
-    for i in bits(mask):
-        if not mask >> invs[i] & 1:
-            return ("inverse", i)
-    return None
-
-
-def _normal_witness(brace: SkewBrace, mask: Mask, orbit, conj) -> tuple | None:
-    """First (a, i) with conj(a, i) outside mask; orbit[i] masks conj(., i)."""
-    if not any(orbit[i] & ~mask for i in bits(mask)):
-        return None
-    for a in range(brace.order):
-        for i in bits(mask):
-            if not mask >> conj(a, i) & 1:
-                return (a, i)
-    return None
+def _conditions(brace: SkewBrace, mask: Mask):
+    """The five ideal conditions as (name, actors, act), in witness order."""
+    add, mul, neg, inv = brace.add, brace.mul, brace.neg, brace.inv
+    return (
+        ("add-subgroup", _greedy_generators(add, mask), lambda g, x: add[x][g]),
+        ("add-normal", brace.add_generators, lambda a, x: add[add[a][x]][neg[a]]),
+        ("mul-subgroup", _greedy_generators(mul, mask), lambda g, x: mul[x][g]),
+        ("mul-normal", brace.mul_generators, lambda a, x: mul[mul[a][x]][inv[a]]),
+        ("twist", brace.mul_generators, lam_word(brace)),
+    )
 
 
 def ideal_check(brace: SkewBrace, mask: Mask) -> IdealCheck:
-    """The five ideal conditions on the mask, each tested once, with the
-    first failure's witness; star absorption is not re-derived here."""
-    add, mul, neg, inv, lam = brace.add, brace.mul, brace.neg, brace.inv, brace.lam
-    witness = None
+    """The five ideal conditions on the mask, each an escape test on
+    generators (_escape), with the first failure's witness.  Each test is
+    exact; the sweeps over every element pair and every a are the oracle
+    (tests/test_ideals.py).
 
-    bad = _subgroup_flags(mask, add, neg)
-    add_subgroup = bad is None
-    if not add_subgroup:
-        witness = ("add-subgroup",) + bad
+    Subgroups, for + and for ∘: the actors are the greedy generators g of
+    ⟨mask⟩, which lie in the mask, acting by x ↦ x·g.  A nonempty mask
+    with no escape holds x·w for each x in it and each positive word w in
+    them, which is every element of the finite group ⟨mask⟩; x's inverse
+    is one, so 0 is in the mask, and then all of ⟨mask⟩ is.  The empty
+    mask escapes nowhere and is no subgroup.
 
-    bad = _normal_witness(
-        brace, mask, brace.add_conj_orbit, lambda a, i: add[add[a][i]][neg[a]]
-    )
-    add_normal = bad is None
-    if not add_normal and witness is None:
-        witness = ("add-normal",) + bad
-
-    bad = _subgroup_flags(mask, mul, inv)
-    mul_subgroup = bad is None
-    if not mul_subgroup and witness is None:
-        witness = ("mul-subgroup",) + bad
-
-    bad = _normal_witness(
-        brace, mask, brace.mul_conj_orbit, lambda a, i: mul[mul[a][i]][inv[a]]
-    )
-    mul_normal = bad is None
-    if not mul_normal and witness is None:
-        witness = ("mul-normal",) + bad
-
-    bad = _normal_witness(brace, mask, brace.lam_orbit, lambda a, i: lam[a][i])
-    twist_invariant = bad is None
-    if not twist_invariant and witness is None:
-        witness = ("twist",) + bad
-
-    return IdealCheck(
-        add_subgroup, add_normal, mul_subgroup, mul_normal, twist_invariant, witness
-    )
+    Normality in both groups and λ-invariance: the actors are the +- or
+    ∘-generators of the whole brace, each acting by a group action of
+    (A, +) or (A, ∘) (a ↦ λ_a is a homomorphism, see SkewBrace).  An actor
+    carrying the finite mask into itself carries it onto itself, so the
+    actors keeping it form a subgroup; holding the generators, it is A.
+    """
+    if not mask:
+        return IdealCheck(False, True, False, True, True, ("add-subgroup", "empty"))
+    escapes = [(name, _escape(mask, *rest)) for name, *rest in _conditions(brace, mask)]
+    witness = next(((name, *bad) for name, bad in escapes if bad is not None), None)
+    return IdealCheck(*(bad is None for _, bad in escapes), witness)
 
 
 def is_ideal(brace: SkewBrace, mask: Mask) -> bool:
@@ -245,30 +221,15 @@ def all_ideals(brace: SkewBrace) -> tuple[Mask, ...]:
     return tuple(sorted(found, key=lambda m: (popcount(m), m)))
 
 
-def _words(word, gs, hs) -> dict[int, Mask]:
-    """Entry g, for each g in gs: the mask of word(g, h) over h in hs."""
-    out = {}
-    for g in gs:
-        m = 0
-        for h in hs:
-            m |= 1 << word(g, h)
-        out[g] = m
-    return out
-
-
 def _union(generator_lists) -> tuple[int, ...]:
     return tuple(sorted(set().union(*generator_lists)))
 
 
 def star_set(brace: SkewBrace, x: Mask, y: Mask) -> Mask:
     """Pointwise star products {i * j : i in x, j in y} as a mask."""
-    star = brace.star
-    ys = tuple(bits(y))
-    out = 0
+    star, ys, out = star_word(brace), tuple(bits(y)), 0
     for i in bits(x):
-        row = star[i]
-        for j in ys:
-            out |= 1 << row[j]
+        out |= star(i, ys)
     return out
 
 
@@ -290,13 +251,14 @@ def huq_commutator(brace: SkewBrace, x: Mask, y: Mask) -> Mask:
       i ∘ j ∘ i' ∘ j'   (primes are multiplicative inverses)
       i ∘ j - j - i
     """
-    add, mul, neg, inv = brace.add, brace.mul, brace.neg, brace.inv
-    gens = 0
+    add, neg, star = brace.add, brace.neg, star_word(brace)
+    add_comm, mul_comm = commutator_word(add, neg), commutator_word(brace.mul, brace.inv)
+    ys, gens = tuple(bits(y)), 0
     for i in bits(x):
-        for j in bits(y):
-            gens |= 1 << add[add[add[i][j]][neg[i]]][neg[j]]
-            gens |= 1 << mul[mul[mul[i][j]][inv[i]]][inv[j]]
-            gens |= 1 << add[add[mul[i][j]][neg[j]]][neg[i]]
+        gens |= add_comm(i, ys) | mul_comm(i, ys)
+        add_i, neg_i = add[i], neg[i]
+        for k in bits(star(i, ys)):  # i ∘ j - j - i = i + i*j - i
+            gens |= 1 << add[add_i[k]][neg_i]
     return generated_ideal(brace, gens)
 
 
@@ -420,15 +382,11 @@ class IdealLattice:
         self.mul_generators = tuple(_greedy_generators(brace.mul, m) for m in members)
         self._ideal_of_seed = dict(self.index)  # an ideal generates itself
         close = self._close
-        add, mul, neg = brace.add, brace.mul, brace.neg
+        star = star_word(brace)
         mul_gs = _union(self.mul_generators)
-
-        def star(g, h):  # g·h = -g + g∘h - h
-            return add[add[neg[g]][mul[g][h]]][neg[h]]
-
         star_columns = []
         for y, add_h in zip(members, self.add_generators):
-            star_by = _words(star, mul_gs, add_h)  # g·h over the generators h of y
+            star_by = {g: star(g, add_h) for g in mul_gs}  # g·h over the generators h of y
             column = []
             for x, mul_g in zip(members, self.mul_generators):
                 seed = 1
@@ -455,22 +413,16 @@ class IdealLattice:
     @cached_property
     def huq_table(self) -> tuple[tuple[int, ...], ...]:
         brace, members = self.brace, self.members
-        add, mul, neg, inv = brace.add, brace.mul, brace.neg, brace.inv
+        add_comm = commutator_word(brace.add, brace.neg)
+        mul_comm = commutator_word(brace.mul, brace.inv)
         add_gs, mul_gs = _union(self.add_generators), _union(self.mul_generators)
         gens = tuple(zip(members, self.add_generators, self.mul_generators, self.star_table))
         close = self._close
-
-        def add_comm(g, h):  # [g, h]₊ = g + h - g - h
-            return add[add[add[g][h]][neg[g]]][neg[h]]
-
-        def mul_comm(g, h):  # [g, h]∘ = g ∘ h ∘ g' ∘ h'
-            return mul[mul[mul[g][h]][inv[g]]][inv[h]]
-
         columns = []
         for j, (y, add_h, mul_h, _) in enumerate(gens):
             # *_by[g]: [g, h]₊ or [g, h]∘ over the generators h of y
-            add_by = _words(add_comm, add_gs, add_h)
-            mul_by = _words(mul_comm, mul_gs, mul_h)
+            add_by = {g: add_comm(g, add_h) for g in add_gs}
+            mul_by = {g: mul_comm(g, mul_h) for g in mul_gs}
             column = []
             for x, add_g, mul_g, star_row in gens:
                 commutators = 0

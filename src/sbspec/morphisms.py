@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 from .bitsets import bits, full_mask, is_subset, mask_of
 from .braces import SkewBrace
 from .errors import NotAHomomorphismError, NotAnIdealError, ParseError
-from .groups import _greedy_generators, _law_witness, homomorphisms
+from .groups import _law_witness, homomorphisms
 from .ideals import generated_ideal, ideal_lattice, is_ideal
 from .spectra import is_prime
 from .topology import spec_topology
@@ -72,9 +72,11 @@ def validate_hom(source: SkewBrace, target: SkewBrace, mapping) -> Hom:
     for v in m:
         if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < target.order:
             raise ParseError(f"mapping value {v!r} is not a target element")
-    full = full_mask(source.order)
-    for law, table, onto in (("add", source.add, target.add), ("mul", source.mul, target.mul)):
-        bad = _law_witness(m, table, onto, _greedy_generators(table, full))
+    for law, table, onto, gens in (
+        ("add", source.add, target.add, source.add_generators),
+        ("mul", source.mul, target.mul, source.mul_generators),
+    ):
+        bad = _law_witness(m, table, onto, gens)
         if bad is not None:
             raise NotAHomomorphismError(law, *bad)
     return Hom(source, target, m)
@@ -378,9 +380,8 @@ def endomorphisms(brace: SkewBrace) -> tuple[Hom, ...]:
     """Every self-map preserving both operations, in lex order of mappings:
     the additive endomorphisms (groups.homomorphisms) that also carry mul."""
     mul = brace.mul
-    gens = _greedy_generators(mul, full_mask(brace.order))
     return tuple(
         Hom(brace, brace, m)
         for m in homomorphisms(brace.add, brace.add)
-        if _law_witness(m, mul, mul, gens) is None
+        if _law_witness(m, mul, mul, brace.mul_generators) is None
     )

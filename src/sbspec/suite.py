@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 
-from .bitsets import is_subset, popcount
+from .bitsets import is_subset, mask_of, popcount
 from .braces import is_isomorphic, validate, SkewBrace
 from .catalog import catalog_lines, generate_catalog, verify_record
 from .enumeration import enumerate_braces, enumerate_braces_raw
@@ -141,10 +141,31 @@ def _closure_seeds(brace: SkewBrace, lat):
             todo &= ~_set_sum(brace, m, orbits[0][a] | orbits[1][a] | orbits[2][a])
 
 
+def _absorbs(brace: SkewBrace, m, add_gens, mul_gens) -> bool:
+    """A·M ⊆ M and M·A ⊆ M on generator pairs: g·h for g over the
+    ∘-generators of A and h over add_gens, and x·c for x over mul_gens and
+    c over the +-generators of A.  M is an additively normal subgroup and
+    a ∘-subgroup, with +-generators add_gens and ∘-generators mul_gens.
+
+    The proof follows the IdealLattice star rule.  Fix a.  By
+    a·(b + c) = a·b + b + a·c − b and M normal in (A, +), the c with
+    a·c ∈ M are closed under + and hold 0, an additive subgroup; so a·M ⊆ M
+    once a·h ∈ M for h in add_gens, and a·A ⊆ M once a·c ∈ M for the
+    +-generators c of A.  By (a ∘ b)·c = a·(b·c) + b·c + a·c, the a with
+    a·M ⊆ M, and likewise the a with a·A ⊆ M, are closed under ∘ and hold
+    0, a ∘-subgroup: the first holds the ∘-generators of A, so it is A,
+    and the second holds mul_gens, so it contains M.
+    """
+    left = star_set(brace, mask_of(brace.mul_generators), mask_of(add_gens))
+    right = star_set(brace, mask_of(mul_gens), mask_of(brace.add_generators))
+    return is_subset(left | right, m)
+
+
 def _ideal_criteria(brace: SkewBrace):
     """Certify the member list: every member is an ideal that absorbs star
-    products on both sides, and for every member M and element a outside
-    M, the ideal generated by M and a is a member.
+    products on both sides (_absorbs, on generator pairs), and for every
+    member M and element a outside M, the ideal generated by M and a is a
+    member.
 
     Then every ideal I is a member.  {0} is one, and from a member M ⊊ I
     and some a in I outside M, the ideal generated by M and a is a member
@@ -158,9 +179,10 @@ def _ideal_criteria(brace: SkewBrace):
         for m, a in _closure_seeds(brace, lat):
             if a == 0:  # the member's own seed: the ideal test and absorption
                 check = ideal_check(brace, m)
+                i = lat.index[m]
                 if not check.ok:
                     yield ("not-ideal", m, check.witness)
-                if not is_subset(star_set(brace, lat.top, m) | star_set(brace, m, lat.top), m):
+                elif not _absorbs(brace, m, lat.add_generators[i], lat.mul_generators[i]):
                     yield ("not-absorbing", m)
             elif generated_ideal(brace, m | 1 << a) not in lat.index:
                 yield ("closure", m, a)
@@ -411,7 +433,7 @@ def _restriction_square(brace: SkewBrace):
 _BRACE_HEAD = (
     (("brace-axioms",), _axioms),
     # λ_0 = id and a ∘ b = a + λ_a(b) follow from λ_a(b) = -a + a ∘ b and
-    # the group axioms, a*b = λ_a(b) - b is how SkewBrace.star is defined,
+    # the group axioms, a*b = λ_a(b) - b is how braces.star_word is written,
     # and the cocycle λ_{a∘b} = λ_a λ_b follows from the skew law: the row
     # can fail only where brace-axioms fails
     (("lambda-maps",), _holds()),

@@ -5,11 +5,26 @@ The library closes orbits under the generators of the acting group
 (`groups._closure`) and checks the skew law with a over the
 ∘-generators (`braces._skew_witness`).  The tests compare each with the
 sweep here: every group element acting on every element, every pair of
-processed elements, every a.
+processed elements, every a.  The twist and star tables, which the
+package evaluates as words, are built here in full for the tests.
 """
 
 from sbspec.bitsets import full_mask
 from sbspec.groups import _greedy_generators
+
+
+def lam_table(brace):
+    """lam[a][b] = -a + a∘b for every a and b."""
+    add, mul, neg, n = brace.add, brace.mul, brace.neg, brace.order
+    return tuple(tuple(add[neg[a]][mul[a][b]] for b in range(n)) for a in range(n))
+
+
+def star_table(brace):
+    """star[a][b] = -a + a∘b - b = lam[a][b] - b for every a and b."""
+    add, neg = brace.add, brace.neg
+    return tuple(
+        tuple(add[lam_ab][neg[b]] for b, lam_ab in enumerate(row)) for row in lam_table(brace)
+    )
 
 
 def orbit_sweep(n, act):

@@ -1,12 +1,16 @@
 """Ideal layer: subset-sweep and seed-route oracles, frozen lattices, closures."""
 
+import ast
 import copy
+import dataclasses
 import itertools
+from collections import Counter
+from pathlib import Path
 
 import pytest
-from brace_oracles import orbit_masks_sweep, pairwise_closure
+from brace_oracles import lam_table, orbit_masks_sweep, pairwise_closure
 
-from sbspec import groups, ideals
+from sbspec import groups, ideals, suite
 from sbspec.bitsets import bits, elements, full_mask, hasse_edges, is_subset, mask_of, popcount
 from sbspec.braces import SkewBrace, almost_trivial_brace, direct_product, relabel, trivial_brace
 from sbspec.errors import OrderBoundError
@@ -29,6 +33,7 @@ from sbspec.ideals import (
     star_subgroup,
 )
 from sbspec.spectra import PRIME_KINDS, spectrum
+from sbspec.suite import _absorbs
 
 
 def naive_is_ideal(brace, subset: set) -> bool:
@@ -41,6 +46,7 @@ def naive_is_ideal(brace, subset: set) -> bool:
     if not subset or 0 not in subset:
         return False
     add, mul, neg, inv = brace.add, brace.mul, brace.neg, brace.inv
+    lam = lam_table(brace)
     for i in subset:
         if neg[i] not in subset:
             return False
@@ -55,7 +61,7 @@ def naive_is_ideal(brace, subset: set) -> bool:
                 return False
             if mul[mul[a][i]][inv[a]] not in subset:
                 return False
-            if brace.lam[a][i] not in subset:
+            if lam[a][i] not in subset:
                 return False
     return True
 
@@ -419,7 +425,7 @@ def reference_add_closure(brace, mask):
 
 def reference_generated_ideal(brace, seed):
     """Round-based closure under +, negation, both conjugations and twists."""
-    add, mul, neg, inv, lam = brace.add, brace.mul, brace.neg, brace.inv, brace.lam
+    add, mul, neg, inv, lam = brace.add, brace.mul, brace.neg, brace.inv, lam_table(brace)
     n = brace.order
     closed = seed | 1
     while True:
@@ -445,7 +451,7 @@ def reference_generated_ideal(brace, seed):
 def reference_ideal_check(brace, mask):
     """Flags and first witness from direct scans, in ideal_check's order."""
     n = brace.order
-    add, mul, neg, inv, lam = brace.add, brace.mul, brace.neg, brace.inv, brace.lam
+    add, mul, neg, inv, lam = brace.add, brace.mul, brace.neg, brace.inv, lam_table(brace)
     members = list(bits(mask))
 
     def subgroup_failure(table, invs):
@@ -476,6 +482,41 @@ def reference_ideal_check(brace, mask):
     )
     witness = next(((name, *bad) for name, bad in failures if bad is not None), None)
     return IdealCheck(*(bad is None for _, bad in failures), witness)
+
+
+def witness_escapes(brace, mask, witness) -> bool:
+    """Whether ideal_check's witness (condition, actor, x) has x in the
+    mask and the condition's action of the actor carrying x outside it."""
+    add, mul, neg, inv, lam = brace.add, brace.mul, brace.neg, brace.inv, lam_table(brace)
+    act = {
+        "add-subgroup": lambda g, x: add[x][g],
+        "add-normal": lambda a, x: add[add[a][x]][neg[a]],
+        "mul-subgroup": lambda g, x: mul[x][g],
+        "mul-normal": lambda a, x: mul[mul[a][x]][inv[a]],
+        "twist": lambda a, x: lam[a][x],
+    }
+    name, actor, x = witness
+    return bool(mask >> x & 1) and not mask >> act[name](actor, x) & 1
+
+
+def assert_matches_reference_scan(brace, mask):
+    """Equal flags; the witness names the reference's first failing
+    condition with an escaping pair (the empty mask has none)."""
+    check, ref = ideal_check(brace, mask), reference_ideal_check(brace, mask)
+    assert dataclasses.replace(check, witness=None) == dataclasses.replace(ref, witness=None)
+    if ref.witness is None:
+        assert check.witness is None
+    elif not mask:
+        assert check.witness == ("add-subgroup", "empty")
+    else:
+        assert check.witness[0] == ref.witness[0]
+        assert witness_escapes(brace, mask, check.witness), check.witness
+
+
+def subgroups_and_one_more(brace):
+    """Every additive subgroup, and each one with one element added."""
+    subgroups = additive_subgroups(brace)
+    return [m | 1 << a for m in subgroups for a in range(brace.order)]
 
 
 def alternating4_table():
@@ -516,7 +557,38 @@ def test_closures_match_round_based_reference(brace):
 )
 def test_ideal_check_matches_reference_scan(brace):
     for mask in range(1 << brace.order):
-        assert ideal_check(brace, mask) == reference_ideal_check(brace, mask), mask
+        assert_matches_reference_scan(brace, mask)
+
+
+@pytest.mark.parametrize("name", ["b_brace", "b_prime_brace"])
+def test_ideal_check_matches_reference_scan_on_b(name, request):
+    brace = request.getfixturevalue(name)
+    for mask in subgroups_and_one_more(brace):
+        assert_matches_reference_scan(brace, mask)
+
+
+@pytest.mark.parametrize("condition", range(5))
+def test_an_ideal_condition_missing_its_last_actor_is_caught(
+    condition, b_brace, b_prime_brace, monkeypatch
+):
+    # each of the five escape tests, run with all but the last of its
+    # actors, gets some flag wrong against the reference scan
+    real = ideals._conditions
+
+    def dropping(brace, mask):
+        out = list(real(brace, mask))
+        name, actors, act = out[condition]
+        out[condition] = (name, actors[:-1], act)
+        return out
+
+    monkeypatch.setattr(ideals, "_conditions", dropping)
+    cases = [(b, m) for b in catalog_braces() for m in range(1, 1 << b.order)]
+    cases += [(b, m) for b in (b_brace, b_prime_brace) for m in subgroups_and_one_more(b)]
+    assert any(
+        dataclasses.replace(ideal_check(b, m), witness=None)
+        != dataclasses.replace(reference_ideal_check(b, m), witness=None)
+        for b, m in cases
+    )
 
 
 def test_ideal_check_agrees_with_star_absorption(s4_trivial, s4_almost, a5_almost):
@@ -535,6 +607,34 @@ def test_ideal_check_agrees_with_star_absorption(s4_trivial, s4_almost, a5_almos
             seen[absorbs] += 1
     # both sides of the equivalence are exercised
     assert seen[True] and seen[False]
+
+
+def test_generator_absorption_matches_the_star_sweep(
+    s4_trivial, s4_almost, b_brace, b_prime_brace
+):
+    # _absorbs, on generator pairs, against star products over the whole
+    # brace, on every additively normal subgroup: the left side alone (no
+    # ∘-generators of M), then, on the ∘-subgroups, the right side alone
+    # (no +-generators of M) and both
+    seen = Counter()
+    braces = catalog_braces() + [s4_trivial, s4_almost, b_brace, b_prime_brace]
+    for brace in braces + [direct_product(b_brace, b_prime_brace)]:
+        whole = full_mask(brace.order)
+        for m in additive_subgroups(brace):
+            check = ideal_check(brace, m)
+            if not check.add_normal:
+                continue
+            add_gens = groups._greedy_generators(brace.add, m)
+            left = is_subset(star_set(brace, whole, m), m)
+            assert _absorbs(brace, m, add_gens, ()) == left, (brace.describe(), m)
+            seen["left", left] += 1
+            if check.mul_subgroup:
+                mul_gens = groups._greedy_generators(brace.mul, m)
+                right = is_subset(star_set(brace, m, whole), m)
+                assert _absorbs(brace, m, (), mul_gens) == right, (brace.describe(), m)
+                assert _absorbs(brace, m, add_gens, mul_gens) == (left and right)
+                seen["right", right] += 1
+    assert all(seen[side, ok] for side in ("left", "right") for ok in (True, False))
 
 
 @pytest.fixture(scope="module")
@@ -559,7 +659,7 @@ def test_orbit_masks(s3_almost, oracle_corpus):
     brace = s3_almost
     n = brace.order
     for i in range(n):
-        assert brace.lam_orbit[i] == mask_of(brace.lam[a][i] for a in range(n))
+        assert brace.lam_orbit[i] == mask_of(lam_table(brace)[a][i] for a in range(n))
     # the alternating subgroup {0, 3, 4} is a union of twist orbits
     assert brace.lam_orbit[3] | brace.lam_orbit[4] == mask_of([3, 4])
 
@@ -587,17 +687,40 @@ def test_closures_match_the_pairwise_worklist(oracle_corpus):
             assert generated_ideal(brace, seed) == pairwise_closure(brace.add, seed | 1, orbits)
 
 
+def lam_or_star_subscripts(source: str) -> list[str]:
+    """The lam or star attributes that the source subscripts, sorted."""
+    return sorted(
+        node.value.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr in ("lam", "star")
+    )
+
+
 def test_lattice_builds_no_lam_or_star_table():
-    # a brace no other test builds, so no cache answers for it: the
-    # lattice and its huq table read the orbit masks and generator words,
-    # never the n² twist or star table
+    # SkewBrace has no twist or star table: a brace no other test builds,
+    # so no cache answers for it, holds only the documented cached fields
+    # after the lattice, its huq table, ideal-criteria and hom-kernel-image
+    assert not hasattr(SkewBrace, "lam") and not hasattr(SkewBrace, "star")
     s4 = symmetric_table(4)
     brace = almost_trivial_brace(groups.relabel_table(s4, (0, *range(23, 0, -1))))
     lat = ideal_lattice(brace)
     assert lat.huq_table and len(lat) == len(ideal_lattice(almost_trivial_brace(s4)))
-    built = vars(brace)
-    assert "add_conj_orbit" in built and "lam_orbit" in built
-    assert "lam" not in built and "star" not in built
+    assert suite._ideal_criteria(brace) == [(True, False, "ideals=4")]
+    assert suite._corpus(brace)
+    cached = {"neg", "inv", "add_generators", "mul_generators"}
+    cached |= {"add_conj_orbit", "mul_conj_orbit", "lam_orbit"}
+    assert set(vars(brace)) <= {"add", "mul", "_hash"} | cached
+    assert "lam_orbit" in vars(brace)
+    # and no package source subscripts an attribute named lam or star
+    assert lam_or_star_subscripts("brace.lam[a][b]\nx.star[a]\nlat.star(x, y)\n") == [
+        "lam",
+        "star",
+    ]
+    root = Path(__file__).resolve().parent.parent / "src" / "sbspec"
+    found = {path.name: lam_or_star_subscripts(path.read_text()) for path in root.glob("*.py")}
+    assert {name: attrs for name, attrs in found.items() if attrs} == {}
 
 
 def test_member_bound_refuses_before_the_tables(monkeypatch):

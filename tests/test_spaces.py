@@ -19,8 +19,9 @@ from sbspec.bitsets import bits, is_subset, mask_of
 from sbspec.braces import direct_product, is_isomorphic
 from sbspec.enumeration import _twist_braces
 from sbspec.ideals import ideal_lattice
+from sbspec.morphisms import induced_spec_map, quotient
 from sbspec.spectra import PRIME_KINDS, kind_product, spectrum
-from sbspec.suite import _KIND_CHECKS, _run, _spectral, run_brace_suite
+from sbspec.suite import _KIND_CHECKS, _run, _spec_maps, _spectral, run_brace_suite
 from sbspec.topology import HullKernelSpace, spec_topology
 from test_topology import ProductLattice
 
@@ -221,3 +222,23 @@ def test_breaks_fail_their_rows_on_a_two_point_space(b_brace):
     for kept in hk.points:
         missing = HullKernelSpace(lat, [kept], lat.star)
         assert failed(missing) == ["t1-iff-spec-equals-max"]
+
+
+def test_a_broken_extension_map_fails_spec_map_continuity(b_brace, monkeypatch):
+    # the projection of B x B onto B x B / ({0} x B), a copy of B, with
+    # the extension of {0} x B read as the whole quotient instead of {0}:
+    # the continuity certificate turns false, and the row fails on the
+    # 2-point space of B x B
+    brace = direct_product(b_brace, b_brace)
+    right = mask_of(range(b_brace.order))  # the pairs (0, b)
+    f = quotient(brace, right).projection
+    assert spec_topology(brace, "star").n_points == 2
+    assert f.extensions[right] == 1 and induced_spec_map(f).continuity_exact is True
+    assert _spec_maps(brace)[0] == (True, False, "")
+
+    broken = {**f.extensions, right: ideal_lattice(f.target).top}
+    monkeypatch.setitem(vars(f), "extensions", broken)
+    rep = induced_spec_map(f)
+    assert rep.continuity_exact is False and rep.witness[:2] == ("continuity", right)
+    ok, vacuous, detail = _spec_maps(brace)[0]
+    assert not ok and not vacuous and detail.startswith("('continuity', ")

@@ -1,6 +1,7 @@
 """Prime ideals: definitions, witnesses, radicals, and the emptiness findings."""
 
 import pytest
+from brace_oracles import star_table
 
 from sbspec.bitsets import full_mask, is_subset, mask_of
 from sbspec.enumeration import enumerate_braces
@@ -33,9 +34,8 @@ def _pointwise_witness(brace, mask):
     """Elements a, b outside mask with a*b inside it, or None when mask is
     pointwise prime; n^2 star products per ideal."""
     outside = [a for a in range(brace.order) if not mask >> a & 1]
-    return next(
-        ((a, b) for a in outside for b in outside if mask >> brace.star[a][b] & 1), None
-    )
+    star = star_table(brace)
+    return next(((a, b) for a in outside for b in outside if mask >> star[a][b] & 1), None)
 
 
 def _subset_pair_witness(brace, mask):
@@ -71,7 +71,7 @@ def test_star_prime_witness_is_checkable(s3_almost):
     a3 = mask_of([0, 3, 4])
     a, b = _pointwise_witness(s3_almost, a3)
     assert not a3 >> a & 1 and not a3 >> b & 1
-    assert a3 >> s3_almost.star[a][b] & 1
+    assert a3 >> star_table(s3_almost)[a][b] & 1
 
 
 def test_star_ideal_witness_is_checkable(s3_almost):
@@ -146,11 +146,12 @@ def test_no_proper_ideal_is_pointwise_prime(s4_trivial, s4_almost, a5_trivial, a
     braces = [b for _, b in CORPUS] + [s4_trivial, s4_almost, a5_trivial, a5_almost]
     checked = 0
     for brace in braces:
+        star = star_table(brace)
         for m in ideal_lattice(brace).proper_members():
             witness = _pointwise_witness(brace, m)
             assert witness is not None, m
             a, b = witness
-            assert not m >> a & 1 and not m >> b & 1 and m >> brace.star[a][b] & 1
+            assert not m >> a & 1 and not m >> b & 1 and m >> star[a][b] & 1
             checked += 1
     assert checked == 34
 

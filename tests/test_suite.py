@@ -6,6 +6,7 @@ import hashlib
 import itertools
 
 import pytest
+from brace_oracles import lam_table
 
 from sbspec import ideals, spectra, suite
 from sbspec.bitsets import popcount
@@ -685,7 +686,7 @@ def test_generated_routes_fail_on_a_closure_without_the_twist(catalog6, monkeypa
     # closing under the two conjugations alone leaves {0, 2} λ-open, and
     # the fold misses the lattice at seed 4
     brace = next(validate(r.add, r.mul) for r in catalog6 if r.brace_id == "4-1")
-    assert any(brace.lam[a][x] != x for a in range(4) for x in range(4))
+    assert any(lam_a[x] != x for lam_a in lam_table(brace) for x in range(4))
     assert suite._generated_routes(brace) == [(True, False, "")]
     monkeypatch.setattr(
         suite,
