@@ -8,8 +8,13 @@ tests that law on the pairs (a, b) whose last-assigned element among a,
 b and a ∘ b is the new one, so every pair is tested once and a branch
 is cut at its first conflict.  Candidates are deduplicated by canonical
 form, which searches only the isomorphisms onto the canonical additive
-table.  A slower route that sweeps every multiplication table outright is
-kept as an independent oracle for small orders.
+table.  The additive groups are the representatives read off the
+permutation generators of groups.GROUP_SOURCE.  A slower route that
+sweeps every multiplication table outright, the relabelling orbits of
+those representatives (groups.all_group_tables), is kept as an
+independent oracle for small orders.  A group missing from the source
+can still be the ∘-group of a twist brace, but not of a swept one, so
+the two routes then disagree.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from functools import lru_cache
 
 from . import braces, groups
 from .braces import SkewBrace
+from .errors import OrderBoundError
 from .groups import ENUMERATION_BOUND
 
 
@@ -103,8 +109,6 @@ def enumerate_braces(n: int) -> tuple[SkewBrace, ...]:
     Deterministic: output is sorted by canonical serialization.
     """
     if n > ENUMERATION_BOUND:
-        from .errors import OrderBoundError
-
         raise OrderBoundError(f"brace enumeration is bounded to order {ENUMERATION_BOUND}, got {n}")
     candidates = []
     for add in groups.group_representatives(n):
@@ -117,7 +121,8 @@ def enumerate_braces_raw(n: int) -> tuple[SkewBrace, ...]:
     """Oracle route: sweep every multiplication table on each additive group.
 
     Only the compatibility law needs testing per pair, since both tables
-    come straight from the group-table enumerator.
+    are group tables: the representatives and all their relabellings
+    (groups.all_group_tables).
     """
     return _dedupe(
         SkewBrace(add, mul)

@@ -1,20 +1,21 @@
 """Finite groups as Cayley tables over {0, ..., n-1} with identity 0.
 
 A table is a tuple of n row tuples; table[a][b] is the product of a and b.
-The table search is bounded to ENUMERATION_BOUND, the one bound that the
-brace enumeration, the catalog and the CLI read as well.  It branches
-only on the rows of generators and forces every other row by
-row(a·b) = row(a) ∘ row(b), so it never completes a table that is not a
-group and checks no complete table again.  The canonical form,
-`canonical_group_table`, is a lex-least relabelling search forced on row
-1 and bounded to CANONICAL_BOUND.  Maps between tables come from one
-search, `homomorphisms`, over the images of a generating set;
-isomorphisms, automorphisms and the isomorphism classes of the
-lex-sorted table list are read off it.  Laws are checked on the greedy
-generators (`group_violation`, `_law_witness`), and subgroups are grown
-one generator at a time (`_closure`), |closure|·g steps.  No function
-here sweeps every relabelling or every pair of a closure; the (n-1)!
-sweep, the Latin-square search and the pairwise closure are test oracles.
+The groups are data: GROUP_SOURCE holds one generating set of
+permutations per isomorphism class of order <= ENUMERATION_BOUND (the one
+bound that the enumeration, the catalog and the CLI read too), built by
+`permutation_table`.  `group_representatives` are their canonical forms;
+`all_group_tables`, read only by the raw oracle route of the
+enumeration, walks their orbits under identity-fixing relabelling on the
+adjacent transpositions.  `canonical_group_table` is a lex-least
+relabelling search forced on row 1, bounded to CANONICAL_BOUND.  Maps
+between tables come from one search, `homomorphisms`, over the images of
+a generating set.  Laws are checked on the greedy generators
+(`group_violation`, `_law_witness`), and subgroups are grown one
+generator at a time (`_closure`), |closure|·g steps.  No function here
+searches Cayley tables or sweeps every relabelling or every pair of a
+closure: those are test oracles, and the Latin-square search checks that
+the source misses no group.
 """
 
 from __future__ import annotations
@@ -22,13 +23,26 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .bitsets import bits, full_mask
+from .bitsets import full_mask
 from .errors import OrderBoundError
 
 Table = tuple[tuple[int, ...], ...]
 
 ENUMERATION_BOUND = 6
 CANONICAL_BOUND = 8
+
+# One generating set of permutations per isomorphism class of groups of
+# order <= ENUMERATION_BOUND; a permutation p is (p(0), ..., p(m-1)).
+GROUP_SOURCE = (
+    ((0,),),  # Z1
+    ((1, 0),),  # Z2
+    ((1, 2, 0),),  # Z3
+    ((1, 2, 3, 0),),  # Z4
+    ((1, 0, 3, 2), (2, 3, 0, 1)),  # Z2², acting on itself
+    ((1, 2, 3, 4, 0),),  # Z5
+    ((1, 2, 3, 4, 5, 0),),  # Z6
+    ((1, 0, 2), (1, 2, 0)),  # S3: a transposition and a 3-cycle
+)
 
 
 def as_table(rows) -> Table:
@@ -107,17 +121,34 @@ def klein_table() -> Table:
     return product_table(cyclic_table(2), cyclic_table(2))
 
 
-def symmetric_table(m: int) -> Table:
-    """Cayley table of all permutations of m letters, identity first.
+def permutation_table(gens) -> Table:
+    """Cayley table of the group the permutations gens generate, identity first.
 
-    Elements are the permutations in lexicographic order, so the identity
-    permutation lands at index 0.  Product p*q acts by q first, then p.
+    Elements are the permutations in lex order, so the identity lands at
+    index 0; p·q acts by q first, then p.  The walk closes the identity
+    under right multiplication by each generator; a finite set closed
+    under a permutation's composition holds its inverse, a power of it,
+    so the set reached is the generated group.
     """
-    perms = sorted(itertools.permutations(range(m)))
+    perms = {tuple(range(len(gens[0])))}
+    frontier = list(perms)
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(p[x] for x in g)
+            if q not in perms:
+                perms.add(q)
+                frontier.append(q)
+    perms = sorted(perms)
     index = {p: i for i, p in enumerate(perms)}
-    return tuple(
-        tuple(index[tuple(p[q[x]] for x in range(m))] for q in perms) for p in perms
-    )
+    return tuple(tuple(index[tuple(p[x] for x in q)] for q in perms) for p in perms)
+
+
+def symmetric_table(m: int) -> Table:
+    """Cayley table of all permutations of m letters, identity first:
+    `permutation_table` on the m-cycle and the transposition (0 1)."""
+    cycle = (*range(1, m), 0)
+    return permutation_table((cycle, (1, 0, *range(2, m))) if m > 1 else (cycle,))
 
 
 def relabel_table(table: Table, perm: tuple[int, ...]) -> Table:
@@ -278,12 +309,7 @@ def _law_witness(f, table: Table, target: Table, gens) -> tuple[int, int] | None
 
 
 def homomorphisms(table: Table, target: Table) -> tuple[tuple[int, ...], ...]:
-    """Every homomorphism f from table to target, as (f(0), ..., f(n-1)), in lex order."""
-    return tuple(_homomorphism_maps(table, target))
-
-
-def _homomorphism_maps(table: Table, target: Table):
-    """Yield the homomorphisms from table to target, in lex order.
+    """Every homomorphism f from table to target, as (f(0), ..., f(n-1)), in lex order.
 
     Each tuple of images of the greedy generators g_1 < ... < g_d extends
     along a breadth-first word tree (each x != 0 reached once, as parent·g)
@@ -305,12 +331,14 @@ def _homomorphism_maps(table: Table, target: Table):
                 reached |= 1 << y
                 order.append(y)
                 tree.append((y, x, k))
+    maps = []
     for images in itertools.product(range(m), repeat=len(gens)):
         f = [0] * n
         for y, x, k in tree:
             f[y] = target[f[x]][images[k]]
         if all(f[y] == target[f[x]][images[k]] for y, x, k in rest):
-            yield tuple(f)
+            maps.append(tuple(f))
+    return tuple(maps)
 
 
 @lru_cache(maxsize=None)
@@ -328,121 +356,39 @@ def automorphisms(table: Table) -> tuple[tuple[int, ...], ...]:
     return isomorphisms(table, table)
 
 
-def _free_rows(columns: list[int], r: int):
-    """The permutations with r in column 0 whose column c avoids the values in columns[c]."""
-    n = len(columns)
-
-    def extend(row: list[int], used: int):
-        c = len(row)
-        if c == n:
-            yield tuple(row)
-            return
-        for v in bits(full_mask(n) & ~used & ~columns[c]):
-            row.append(v)
-            yield from extend(row, used | 1 << v)
-            row.pop()
-
-    yield from extend([r], 1 << r)
+@lru_cache(maxsize=None)
+def group_representatives(n: int) -> tuple[Table, ...]:
+    """One canonical table per isomorphism class of groups of order n:
+    the canonical forms of the GROUP_SOURCE tables of order n, sorted."""
+    if n > ENUMERATION_BOUND:
+        raise OrderBoundError(f"group tables are bounded to order {ENUMERATION_BOUND}, got {n}")
+    tables = (permutation_table(gens) for gens in GROUP_SOURCE)
+    return tuple(sorted(canonical_group_table(t) for t in tables if len(t) == n))
 
 
 @lru_cache(maxsize=None)
 def all_group_tables(n: int) -> tuple[Table, ...]:
     """Every group Cayley table on {0..n-1} with identity 0, in lex order.
 
-    Row a of a group table is left multiplication by a, and (a·b)·c =
-    a·(b·c) says row(a·b) = row(a) ∘ row(b).  The search branches only on
-    the row of the least unfixed element r: a permutation with r in column
-    0 and no value twice in a column.  A worklist then closes the fixed
-    rows under composition.  For each pair (a, b) of fixed rows the
-    composite is assigned to a·b when that row is unfixed and clashes with
-    no column, and compared with it when fixed; the branch is cut at the
-    first mismatch or clash.  A cyclic group is decided by its row 1.
-
-    Sound: in a complete assignment every pair (a, b) was compared or
-    assigned, so the table is associative; row 0 and column 0 are the
-    identity, and every row is a permutation, so each a has a right
-    inverse, and an associative table with identity and right inverses is
-    a group.  Complete: a group table satisfies every step, so the branch
-    that picks its rows finds it, and distinct branches differ in a row.
-    tests/test_groups.py checks the result against the normalized Latin
-    squares that pass the n³ associativity sweep, at every order <= 6.
+    Each relabels, fixing 0, onto its class's representative, so this is
+    the union of their orbits under identity-fixing relabelling.  The
+    adjacent transpositions (1 2), ..., (n-2 n-1) generate those
+    relabellings, so the set they reach from the representatives is that
+    union: one relabelling per (table, transposition).  Complete when
+    GROUP_SOURCE holds every class, which the Latin-square oracle
+    (tests/test_groups.py) and the enumeration-raw-agreement row check.
     """
-    if n > ENUMERATION_BOUND:
-        raise OrderBoundError(
-            f"group table search is bounded to order {ENUMERATION_BOUND}, got {n}"
-        )
-    if n == 0:
-        return ()
-    rows: list = [None] * n
-    rows[0] = tuple(range(n))
-    columns = [1 << c for c in range(n)]  # values used in column c
-    done: list[int] = []  # fixed rows other than 0, in the order fixed
-    results = []
-
-    def fix(x: int, row: tuple[int, ...]) -> bool:
-        if any(columns[c] >> v & 1 for c, v in enumerate(row)):
-            return False
-        rows[x] = row
-        for c, v in enumerate(row):
-            columns[c] |= 1 << v
-        done.append(x)
-        return True
-
-    def close(start: int) -> bool:
-        # every pair among done[:start] is closed; pair each later row,
-        # the forced ones included, with itself and every row fixed before it
-        i = start
-        while i < len(done):
-            x = done[i]
-            i += 1
-            for y in done[:i]:
-                for a, b in ((x, y), (y, x)):
-                    row_a = rows[a]
-                    composite = tuple(row_a[v] for v in rows[b])
-                    ab = row_a[b]
-                    if rows[ab] is None:
-                        if not fix(ab, composite):
-                            return False
-                    elif rows[ab] != composite:
-                        return False
-        return True
-
-    def search():
-        if len(done) == n - 1:
-            results.append(tuple(rows))
-            return
-        r = rows.index(None)
-        mark = len(done)
-        for row in _free_rows(columns, r):
-            fix(r, row)
-            if close(mark):
-                search()
-            for x in done[mark:]:
-                for c, v in enumerate(rows[x]):
-                    columns[c] &= ~(1 << v)
-                rows[x] = None
-            del done[mark:]
-
-    search()
-    return tuple(sorted(results))
-
-
-@lru_cache(maxsize=None)
-def group_representatives(n: int) -> tuple[Table, ...]:
-    """One canonical table per isomorphism class of groups of order n.
-
-    `all_group_tables(n)` is complete, closed under identity-fixing
-    relabelling and lex-sorted, so the first table met in each class is
-    the class's lex-minimum, i.e. its `canonical_group_table`.  A table is
-    kept when it has no isomorphism onto a table kept before it; the
-    search for one stops at the first bijective homomorphism.  The result
-    comes out sorted.
-    """
-    reps: list[Table] = []
-    for table in all_group_tables(n):
-        if not any(len(set(f)) == n for rep in reps for f in _homomorphism_maps(table, rep)):
-            reps.append(table)
-    return tuple(reps)
+    swaps = [(0, *range(1, i), i + 1, i, *range(i + 2, n)) for i in range(1, n - 1)]
+    found = set(group_representatives(n))
+    todo = list(found)
+    while todo:
+        table = todo.pop()
+        for swap in swaps:
+            moved = relabel_table(table, swap)
+            if moved not in found:
+                found.add(moved)
+                todo.append(moved)
+    return tuple(sorted(found))
 
 
 def group_fingerprint(table: Table) -> str:

@@ -35,7 +35,13 @@ import pytest
 
 from sbspec.braces import SkewBrace, almost_trivial_brace, trivial_brace, validate
 from sbspec.catalog import generate_catalog
-from sbspec.groups import cyclic_table, klein_table, product_table, symmetric_table
+from sbspec.groups import (
+    cyclic_table,
+    klein_table,
+    permutation_table,
+    product_table,
+    symmetric_table,
+)
 
 
 @pytest.fixture(scope="session")
@@ -93,26 +99,6 @@ def _alternating_table(m: int):
     )
 
 
-def _permutation_table(*gens):
-    """Cayley table of the group the permutations generate, identity first.
-
-    Elements are the permutations in lex order, so the identity lands at
-    index 0; as in symmetric_table, p*q acts by q first, then p.
-    """
-    perms = {tuple(range(len(gens[0])))}
-    frontier = list(perms)
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            q = tuple(p[x] for x in g)
-            if q not in perms:
-                perms.add(q)
-                frontier.append(q)
-    perms = sorted(perms)
-    index = {p: i for i, p in enumerate(perms)}
-    return tuple(tuple(index[tuple(p[x] for x in q)] for q in perms) for p in perms)
-
-
 @pytest.fixture(scope="session")
 def groups8():
     z2, z4 = cyclic_table(2), cyclic_table(4)
@@ -121,9 +107,9 @@ def groups8():
         "Z4xZ2": product_table(z4, z2),
         "Z2^3": product_table(klein_table(), z2),
         # the symmetries of a square: rotation, reflection
-        "D4": _permutation_table((1, 2, 3, 0), (0, 3, 2, 1)),
+        "D4": permutation_table(((1, 2, 3, 0), (0, 3, 2, 1))),
         # the regular action of i and j on the eight unit quaternions
-        "Q8": _permutation_table((2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)),
+        "Q8": permutation_table(((2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3))),
     }
 
 
@@ -132,11 +118,11 @@ def groups12():
     return {
         "Z12": cyclic_table(12),
         "Z2xZ6": product_table(cyclic_table(2), cyclic_table(6)),
-        "A4": _permutation_table((1, 2, 0, 3), (0, 2, 3, 1)),
+        "A4": permutation_table(((1, 2, 0, 3), (0, 2, 3, 1))),
         # the symmetries of a hexagon: rotation, reflection
-        "D6": _permutation_table((1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)),
+        "D6": permutation_table(((1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1))),
         # a 3-cycle, and an element of order 4 that inverts it by conjugation
-        "Dic3": _permutation_table((1, 2, 0, 3, 4, 5, 6), (0, 2, 1, 4, 5, 6, 3)),
+        "Dic3": permutation_table(((1, 2, 0, 3, 4, 5, 6), (0, 2, 1, 4, 5, 6, 3))),
     }
 
 
@@ -154,7 +140,7 @@ def suite12_braces(groups12):
     ]
 
 
-# The A4 table of _permutation_table((1, 2, 0, 3), (0, 2, 3, 1)), and the
+# The A4 table of permutation_table(((1, 2, 0, 3), (0, 2, 3, 1))), and the
 # ∘-tables of B and B', the first twist map of each class in enumeration order.
 _A4_ADD = (
     (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),

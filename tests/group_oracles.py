@@ -1,9 +1,12 @@
-"""Exhaustive group-table oracles for the forced searches in sbspec.groups.
+"""Exhaustive group-table oracles for sbspec.groups.
 
-The library branches only on generator rows (`all_group_tables`) and on
-row 1 of a relabelling (`canonical_group_table`).  The tests check both
-against the sweeps here: every normalized Latin square, filled row by
-row, and every identity-fixing relabelling, (n-1)! of them.
+The library reads its groups off permutation generators
+(`groups.GROUP_SOURCE`), their tables off relabelling orbits walked on
+adjacent transpositions (`all_group_tables`), and canonical forms off a
+search forced on row 1 of a relabelling (`canonical_group_table`).  The
+tests check them against the sweeps here: every normalized Latin square,
+filled row by row, which shows that the source misses no group of order
+<= 6, and every identity-fixing relabelling, (n-1)! of them.
 """
 
 import itertools

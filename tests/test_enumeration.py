@@ -6,6 +6,7 @@ import random
 import pytest
 from group_oracles import identity_fixing_perms
 
+from sbspec import groups
 from sbspec.braces import (
     SkewBrace,
     _serialize,
@@ -17,9 +18,12 @@ from sbspec.braces import (
     trivial_brace,
     validate,
 )
+from sbspec.catalog import generate_catalog
 from sbspec.enumeration import _twist_braces, enumerate_braces, enumerate_braces_raw
 from sbspec.errors import OrderBoundError
 from sbspec.groups import (
+    GROUP_SOURCE,
+    all_group_tables,
     automorphisms,
     cyclic_table,
     group_fingerprint,
@@ -27,6 +31,7 @@ from sbspec.groups import (
     klein_table,
     symmetric_table,
 )
+from sbspec.suite import run_catalog_checks
 
 # Isomorphism classes of braces per order.  These are recomputed by two
 # independent strategies below; the constants just freeze the outcome.
@@ -164,3 +169,45 @@ def test_order_bound():
         enumerate_braces(7)
     with pytest.raises(OrderBoundError):
         enumerate_braces_raw(7)
+
+
+_SOURCE_CACHES = (group_representatives, all_group_tables, enumerate_braces, enumerate_braces_raw)
+
+
+@pytest.fixture
+def group_source(monkeypatch):
+    """Replace groups.GROUP_SOURCE, with the caches that read it cleared
+    before the test and again after it."""
+
+    def use(source):
+        monkeypatch.setattr(groups, "GROUP_SOURCE", source)
+        for cached in _SOURCE_CACHES:
+            cached.cache_clear()
+
+    yield use
+    monkeypatch.undo()
+    for cached in _SOURCE_CACHES:
+        cached.cache_clear()
+
+
+# Each group of order 4 or 6 is the ∘-group of a brace on the other group
+# of its order: (V4, Z4) and (Z4, V4), (Z6, S3) and (S3, Z6).  With it
+# dropped from the source the twist route still finds that brace, and the
+# raw sweep, which takes its ∘-tables from the source, cannot.
+@pytest.mark.parametrize(
+    "dropped,order",
+    [(None, 4), (None, 6), (GROUP_SOURCE[3], 4), (GROUP_SOURCE[4], 4),
+     (GROUP_SOURCE[6], 6), (GROUP_SOURCE[7], 6)],
+    ids=["none-4", "none-6", "Z4", "Z2^2", "Z6", "S3"],
+)
+def test_a_group_missing_from_the_source_fails_raw_agreement(group_source, dropped, order):
+    group_source(tuple(gens for gens in GROUP_SOURCE if gens != dropped))
+    rows = run_catalog_checks(generate_catalog(order))
+    verdicts = {r.brace_id: r.verdict for r in rows if r.check == "enumeration-raw-agreement"}
+    assert verdicts == {
+        f"order-{n}": "fail" if n == order and dropped is not None else "pass"
+        for n in range(1, order + 1)
+    }
+    twist, raw = len(enumerate_braces(order)), len(enumerate_braces_raw(order))
+    assert f"twist={twist} raw={raw}" in [r.detail for r in rows]
+    assert (twist == BRACE_COUNTS[order - 1]) == (dropped is None)

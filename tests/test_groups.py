@@ -6,6 +6,7 @@ import random
 import pytest
 from brace_oracles import pairwise_closure
 from group_oracles import canonical_sweep, identity_fixing_perms, latin_squares, rows_associate
+from test_relabelling_guard import ROOT, readers
 
 from sbspec.bitsets import bits
 from sbspec.errors import OrderBoundError
@@ -30,9 +31,11 @@ from sbspec.groups import (
 )
 
 # Number of group tables on {0..n-1} with identity 0, and the number of
-# isomorphism classes among them.  Both are recomputed from scratch by
-# the library; the values here were verified against independent
-# hand counts (n! / |Aut| summed over classes).
+# isomorphism classes among them.  The library reads the classes off
+# GROUP_SOURCE and the tables off their relabelling orbits; the values
+# here were verified against independent hand counts (n! / |Aut| summed
+# over classes), and test_tables_match_unpruned_sweep recomputes the
+# tables from the Latin squares.
 TABLE_COUNTS = [1, 1, 1, 4, 6, 80]
 CLASS_COUNTS = [1, 1, 1, 2, 1, 2]
 
@@ -232,6 +235,30 @@ def test_symmetric_table_shape():
     assert any(s3[a][b] != s3[b][a] for a in range(6) for b in range(6))
 
 
+@pytest.mark.parametrize("m", range(0, 6))
+def test_symmetric_table_is_every_permutation(m):
+    # the two generators reach all m! permutations, in lex order, with
+    # p·q acting by q first, then p
+    perms = sorted(itertools.permutations(range(m)))
+    index = {p: i for i, p in enumerate(perms)}
+    expected = tuple(
+        tuple(index[tuple(p[q[x]] for x in range(m))] for q in perms) for p in perms
+    )
+    assert symmetric_table(m) == expected
+
+
+def test_only_the_raw_enumeration_reads_the_table_list():
+    # the catalog path reads the group source alone; the orbits of
+    # all_group_tables feed only the raw sweep oracle
+    found = {
+        path.stem: readers(path.read_text(), "all_group_tables")
+        for path in sorted((ROOT / "src" / "sbspec").glob("*.py"))
+    }
+    assert {name: fns for name, fns in found.items() if fns} == {
+        "enumeration": ["enumerate_braces_raw"]
+    }
+
+
 def test_z2_times_z3_is_z6():
     prod = product_table(cyclic_table(2), cyclic_table(3))
     assert canonical_group_table(prod) == canonical_group_table(cyclic_table(6))
@@ -389,7 +416,9 @@ def test_representatives_match_canonical_forms(n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_row_pruning_decides_groups(n):
     # over all normalized Latin squares, passing the row test at every
-    # depth is exactly being a group; some squares fail it at n >= 5
+    # depth is exactly being a group; some squares fail it at n >= 5.
+    # The package searches no tables, so this checks the oracle's own
+    # row test (group_oracles.rows_associate)
     rejected = 0
     for square in latin_squares(n):
         rows_ok = all(rows_associate(list(square[: r + 1]), r) for r in range(1, n))
@@ -398,7 +427,7 @@ def test_row_pruning_decides_groups(n):
     assert (rejected > 0) == (n >= 5)
 
 
-# invariants the orbit sweep in group_representatives relies on
+# the orbits of all_group_tables: sorted, groups, closed under relabelling
 
 
 @pytest.mark.parametrize("n", range(1, 7))
