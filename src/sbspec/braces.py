@@ -36,13 +36,13 @@ class SkewBrace:
       add_generators  greedy generators of (A, +)
       mul_generators  greedy generators of (A, ∘)
 
-    and so are three per-element orbit masks, bit x of entry [i] set when
-    x is reached from i by some a, each closed under the generators of the
-    acting group in n·g steps (`_orbits`; never built by validate):
-      add_conj_orbit[i]  {a + i - a}        under the +-generators
-      mul_conj_orbit[i]  {a ∘ i ∘ a'}       under the ∘-generators
-                         (a' the multiplicative inverse)
-      lam_orbit[i]       {λ_a(i)}           under the ∘-generators
+    and so is ideal_orbit, one mask per element: bit x of entry [i] is set
+    when a word in the maps i ↦ a + i - a, i ↦ a ∘ i ∘ a' (a' the
+    multiplicative inverse) and i ↦ λ_a(i) carries i to x.  It is one
+    `_orbits` call, n·g steps, over the +-conjugations by the +-generators
+    and the ∘-conjugations and twists by the ∘-generators; validate never
+    builds it.  Each of these maps keeps every ideal, so all elements of
+    one orbit generate the same ideal.
 
     The twist λ_a(b) = -a + a∘b, the star product a·b = -a + a∘b - b and
     the commutators of both groups are words (lam_word, star_word,
@@ -86,19 +86,14 @@ class SkewBrace:
         return groups._greedy_generators(self.mul, full_mask(self.order))
 
     @cached_property
-    def add_conj_orbit(self) -> tuple[int, ...]:
-        add, neg, n, gens = self.add, self.neg, self.order, self.add_generators
-        return _orbits(n, [[add[add[g][i]][neg[g]] for i in range(n)] for g in gens])
-
-    @cached_property
-    def mul_conj_orbit(self) -> tuple[int, ...]:
-        mul, inv, n, gens = self.mul, self.inv, self.order, self.mul_generators
-        return _orbits(n, [[mul[mul[g][i]][inv[g]] for i in range(n)] for g in gens])
-
-    @cached_property
-    def lam_orbit(self) -> tuple[int, ...]:
-        lam, n = lam_word(self), self.order
-        return _orbits(n, [[lam(g, i) for i in range(n)] for g in self.mul_generators])
+    def ideal_orbit(self) -> tuple[int, ...]:
+        add, mul, neg, inv, n = self.add, self.mul, self.neg, self.inv, self.order
+        lam = lam_word(self)
+        maps = [[add[add[g][i]][neg[g]] for i in range(n)] for g in self.add_generators]
+        for g in self.mul_generators:
+            maps.append([mul[mul[g][i]][inv[g]] for i in range(n)])
+            maps.append([lam(g, i) for i in range(n)])
+        return _orbits(n, maps)
 
     def describe(self) -> str:
         return f"skew brace of order {self.order}"
@@ -144,8 +139,9 @@ def _orbits(n: int, maps) -> tuple[int, ...]:
 
     The orbit of i under a finite group is its closure under the maps of
     a generating set, since each inverse is a positive power; the orbits
-    partition the elements, so n·g steps in all.  The n² sweep over every
-    group element is the oracle (tests/brace_oracles.py).
+    partition the elements, so n·g steps in all.  The n² sweeps over every
+    group element, joined to a fixpoint, are the oracle
+    (tests/brace_oracles.py).
     """
     out = [0] * n
     for i in range(n):

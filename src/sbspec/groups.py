@@ -233,16 +233,17 @@ def canonical_group_table(table: Table) -> Table:
     return best
 
 
-def _closure(table, need: int, orbits) -> tuple[int, list[int]]:
-    """The least superset of need that is closed under the table and under
-    each per-element orbit mask, and the generators it was grown from.
+def _closure(table, need: int, orbit=None) -> tuple[int, list[int]]:
+    """The least superset of need that is closed under the table and, when
+    given, under the per-element orbit mask, and the generators it was
+    grown from.
 
     need holds 0, and row 0 of the table is the identity.  The subgroup
     grows one generator at a time: the next generator is the least pending
     element outside it, and the extension walks the elements with right
     multiplication by the generators, each (element, generator) pair
     once, so the closure costs |closure|·g steps, not |closure|².  The
-    orbit masks of each new element join the pending set.  The walked set
+    orbit mask of each new element joins the pending set.  The walked set
     holds 0 and is closed under right multiplication by every generator,
     a permutation of a finite group, so it is the subgroup they generate;
     every element was forced, so it is the least one.  The pairwise
@@ -265,18 +266,12 @@ def _closure(table, need: int, orbits) -> tuple[int, list[int]]:
                 if not closed >> y & 1:
                     closed |= 1 << y
                     walked.append(y)
-                    for orbit in orbits:
+                    if orbit is not None:
                         need |= orbit[y]
         if closed == full:
             break
         todo = need & ~closed
     return closed, gens
-
-
-def _sum_closure(table, closed: int, orbits) -> int:
-    """Least superset of closed (which holds 0) under the table and each
-    per-element orbit mask, in |closure|·g steps (`_closure`)."""
-    return _closure(table, closed, orbits)[0]
 
 
 def _greedy_generators(table, mask: int) -> tuple[int, ...]:
@@ -289,7 +284,7 @@ def _greedy_generators(table, mask: int) -> tuple[int, ...]:
     table with identity 0 that is not a group, as group_violation may
     read, each element of mask is still a right-multiplied word in them.
     """
-    return tuple(_closure(table, mask | 1, ())[1])
+    return tuple(_closure(table, mask | 1)[1])
 
 
 def _law_witness(f, table: Table, target: Table, gens) -> tuple[int, int] | None:

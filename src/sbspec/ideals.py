@@ -10,30 +10,29 @@ every member; tests/test_ideals.py checks the equivalence on every
 additively normal subgroup.
 
 add_closure and generated_ideal grow an additive subgroup one generator
-at a time (groups._sum_closure): each new element is walked once with
-right addition of every generator, |closure|·g steps, and for ideals its
-orbit masks (SkewBrace.add_conj_orbit, .mul_conj_orbit, .lam_orbit) join
-the pending set.
+at a time (groups._closure): each new element is walked once with right
+addition of every generator, |closure|·g steps, and for ideals its orbit
+mask (SkewBrace.ideal_orbit) joins the pending set.
 
 The lattice is built from ideals and their generators: all_ideals closes
 the principal ideals (one generated_ideal per element orbit) under set
 sums and refuses past MEMBER_BOUND members, IdealLattice reads joins off
-the size-sorted member list and takes the star and huq products of
-ideals from generator pairs (the proofs are on the class).  The star and
-commutator words (braces.star_word and the rest) are evaluated for the
-generator rows the tables read; no n² table of them exists.  Every ideal
-product the library decides with is a lattice table.  star_ideal,
-star_subgroup and huq_commutator sweep element pairs; they are only
-oracles, which the suite's cross-check rows and the tests compare the
-lattice against.  multiplicative_lattice_check decides the star table's
-laws exactly, distributivity on the join-generators, so no lattice row
-samples.  additive_subgroups sweeps every additive subgroup and is a test
-oracle alone: the suite certifies the member list from closures instead.
+the size-sorted member list, weights off the join table, and takes the
+star and huq products of ideals from generator pairs (the proofs are on
+the class).  The star and commutator words (braces.star_word and the
+rest) are evaluated for the generator rows the tables read; no n² table
+of them exists.  Every ideal product the library decides with is a
+lattice table.  star_ideal, star_subgroup and huq_commutator sweep
+element pairs; they are only oracles, which the suite's cross-check rows
+and the tests compare the lattice against.  multiplicative_lattice_check
+decides the star table's laws exactly, distributivity on the
+join-generators, so no lattice row samples.  additive_subgroups sweeps
+every additive subgroup and is a test oracle alone: the suite certifies
+the member list from closures instead.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -41,7 +40,7 @@ from functools import cached_property, lru_cache
 from .bitsets import bits, full_mask, hasse_edges, is_subset, popcount
 from .braces import SkewBrace, commutator_word, lam_word, star_word
 from .errors import ConsistencyError, OrderBoundError
-from .groups import _greedy_generators, _sum_closure
+from .groups import _closure, _greedy_generators
 
 Mask = int
 
@@ -132,7 +131,7 @@ def is_ideal(brace: SkewBrace, mask: Mask) -> bool:
 def add_closure(brace: SkewBrace, mask: Mask) -> Mask:
     """Least additive subgroup containing the masked set (and 0), grown
     one generator at a time in |closure|·g steps."""
-    return _sum_closure(brace.add, mask | 1, ())
+    return _closure(brace.add, mask | 1)[0]
 
 
 @lru_cache(maxsize=None)
@@ -157,29 +156,28 @@ def generated_ideal(brace: SkewBrace, seed: Mask) -> Mask:
     """Least ideal containing the masked set.
 
     The additive closure, grown one generator at a time, that also puts
-    each new element's additive-conjugation, multiplicative-conjugation
-    and twist orbits in the pending set, so each element's images under
+    each new element's orbit (SkewBrace.ideal_orbit: both conjugations
+    and the twists) in the pending set, so each element's images under
     every a are taken once.  Multiplicative closure follows on finite
-    sets, since a ∘ b = a + lam[a][b].
+    sets, since a ∘ b = a + λ_a(b).
     """
-    orbits = (brace.add_conj_orbit, brace.mul_conj_orbit, brace.lam_orbit)
-    return _sum_closure(brace.add, seed | 1, orbits)
+    return _closure(brace.add, seed | 1, brace.ideal_orbit)[0]
 
 
 @lru_cache(maxsize=None)
 def principal_ideals(brace: SkewBrace) -> tuple[Mask, ...]:
     """The ideal generated by each element, indexed by element.
 
-    Elements of one additive-conjugation, multiplicative-conjugation or
-    twist orbit generate the same ideal (each lies in the other's, since
-    the three actions are group actions), so one closure serves an orbit.
+    Elements of one SkewBrace.ideal_orbit generate the same ideal (each
+    lies in the other's, since every map of the orbit keeps ideals), so
+    one closure serves an orbit.
     """
     out: list[Mask] = [0] * brace.order
-    orbits = (brace.add_conj_orbit, brace.mul_conj_orbit, brace.lam_orbit)
+    orbit = brace.ideal_orbit
     for a in range(brace.order):
         if not out[a]:
             ideal = generated_ideal(brace, 1 << a)
-            for b in bits(orbits[0][a] | orbits[1][a] | orbits[2][a]):
+            for b in bits(orbit[a]):
                 out[b] = ideal
     return tuple(out)
 
@@ -264,28 +262,14 @@ def huq_commutator(brace: SkewBrace, x: Mask, y: Mask) -> Mask:
 
 def ideal_weight(brace: SkewBrace, mask: Mask) -> int:
     """Least size of a generating subset; the zero ideal has weight 1.
-
-    A k-subset of the ideal generates the join of its elements' principal
-    ideals, so the search runs over combinations of the distinct nonzero
-    principal ideals inside mask, joined through the lattice's table.
-    """
+    A lookup in IdealLattice.weights."""
     if mask == 1:
         return 1
     lat = ideal_lattice(brace)
-    target = lat.index.get(mask)
-    if target is None:
+    pos = lat.index.get(mask)
+    if pos is None:
         raise ConsistencyError(f"mask {mask:#x} is not an ideal")
-    principal = principal_ideals(brace)
-    inside = sorted({lat.index[principal[a]] for a in bits(mask) if a})
-    join = lat.join_table
-    for k in range(1, len(inside) + 1):
-        for combo in itertools.combinations(inside, k):
-            pos = combo[0]
-            for q in combo[1:]:
-                pos = join[pos][q]
-            if pos == target:
-                return k
-    raise ConsistencyError(f"mask {mask:#x} does not generate itself")
+    return lat.weights[pos]
 
 
 class IdealLattice:
@@ -334,9 +318,8 @@ class IdealLattice:
     every i + j − i − j lies in K, and likewise, K being normal in
     (A, ∘), every i ∘ j ∘ i' ∘ j'.
 
-    Instances are immutable after construction; weights, which are
-    combinatorial in the generator count, and the huq table are computed
-    on first read.
+    Instances are immutable after construction; weights and the huq table
+    are computed on first read.
     """
 
     def __init__(self, brace: SkewBrace):
@@ -436,7 +419,32 @@ class IdealLattice:
 
     @cached_property
     def weights(self) -> tuple[int, ...]:
-        return tuple(ideal_weight(self.brace, m) for m in self.members)
+        """Least size of a generating subset of each member, by position.
+
+        k elements generate the join of their k principal ideals, so a
+        weight is the least k that joins the member from principal ideals:
+        breadth-first levels over positions, the distinct principal ideals
+        ({0} included) at level 1, each level joining one more through
+        join_table, |members|·|principal| lookups.  A {0} or a repeat in
+        a join can be dropped, so a member first met at level k ≥ 2 needs
+        k nonzero elements.  all_ideals closes the principal ideals under
+        joins, so every member is met.  The search over subsets of
+        principal ideals is the oracle (tests/brace_oracles.py).
+        """
+        join = self.join_table
+        principal = sorted({self.index[p] for p in principal_ideals(self.brace)})
+        level = dict.fromkeys(principal, 1)
+        frontier = principal
+        while frontier:
+            grown = []
+            for x in frontier:
+                for p in principal:
+                    j = join[x][p]
+                    if j not in level:
+                        level[j] = level[x] + 1
+                        grown.append(j)
+            frontier = grown
+        return tuple(level[i] for i in range(len(self.members)))
 
     def __len__(self) -> int:
         return len(self.members)

@@ -126,19 +126,19 @@ def _closure_seeds(brace: SkewBrace, lat):
     """(M, a) for each member M: a = 0 for the seed M itself, then the
     lowest a of each class outside M, for the seed M ∪ {a}.
 
-    The class of a is M + (a's additive-conjugation, multiplicative-
-    conjugation and twist orbits).  Each b = i + j in it, with i in M and
-    j in an orbit of a, gives ⟨M ∪ {b}⟩ = ⟨M ∪ {a}⟩: the actions are group
-    actions, so an ideal holds j exactly when it holds a, and j = -i + b.
+    The class of a is M + a's orbit (SkewBrace.ideal_orbit).  Each
+    b = i + j in it, with i in M and j in the orbit of a, gives
+    ⟨M ∪ {b}⟩ = ⟨M ∪ {a}⟩: the orbit's maps keep ideals and generate a
+    group, so an ideal holds j exactly when it holds a, and j = -i + b.
     """
-    orbits = (brace.add_conj_orbit, brace.mul_conj_orbit, brace.lam_orbit)
+    orbit = brace.ideal_orbit
     for m in lat.members:
         yield m, 0
         todo = lat.top & ~m
         while todo:
             a = (todo & -todo).bit_length() - 1
             yield m, a
-            todo &= ~_set_sum(brace, m, orbits[0][a] | orbits[1][a] | orbits[2][a])
+            todo &= ~_set_sum(brace, m, orbit[a])
 
 
 def _absorbs(brace: SkewBrace, m, add_gens, mul_gens) -> bool:

@@ -2,15 +2,20 @@
 
 The library closes orbits under the generators of the acting group
 (`braces._orbits`), grows subgroups one generator at a time
-(`groups._closure`) and checks the skew law with a over the
-∘-generators (`braces._skew_witness`).  The tests compare each with the
-sweep here: every group element acting on every element, every pair of
-processed elements, every a.  The twist and star tables, which the
-package evaluates as words, are built here in full for the tests.
+(`groups._closure`), checks the skew law with a over the ∘-generators
+(`braces._skew_witness`) and reads weights off breadth-first joins
+(`IdealLattice.weights`).  The tests compare each with the sweep here:
+every group element acting on every element, every pair of processed
+elements, every a, every subset of principal ideals.  The twist and star
+tables, which the package evaluates as words, are built here in full for
+the tests.
 """
 
-from sbspec.bitsets import full_mask
+import itertools
+
+from sbspec.bitsets import bits, full_mask
 from sbspec.groups import _greedy_generators
+from sbspec.ideals import generated_ideal
 
 
 def lam_table(brace):
@@ -36,18 +41,50 @@ def orbit_sweep(n, act):
     return tuple(out)
 
 
-def orbit_masks_sweep(brace):
-    """The three orbit masks of SkewBrace, each from the n² sweep."""
+def ideal_orbit_sweep(brace):
+    """SkewBrace.ideal_orbit from the n² sweeps: the +-conjugation,
+    ∘-conjugation and twist orbits of each element, each over every a,
+    joined until no mask grows."""
     add, mul, neg, inv, n = brace.add, brace.mul, brace.neg, brace.inv, brace.order
-    return (
+    sweeps = (
         orbit_sweep(n, lambda a, i: add[add[a][i]][neg[a]]),
         orbit_sweep(n, lambda a, i: mul[mul[a][i]][inv[a]]),
         orbit_sweep(n, lambda a, i: add[neg[a]][mul[a][i]]),
     )
+    out = [sweeps[0][i] | sweeps[1][i] | sweeps[2][i] for i in range(n)]
+    grown = True
+    while grown:
+        grown = False
+        for i in range(n):
+            mask = out[i]
+            for x in bits(out[i]):
+                mask |= out[x]
+            if mask != out[i]:
+                out[i], grown = mask, True
+    return tuple(out)
 
 
-def pairwise_closure(table, closed, orbits):
-    """Least superset of closed under the table and each orbit mask.
+def weight_by_combinations(lat, mask):
+    """Least k such that k distinct nonzero principal ideals inside mask
+    join to it through lat.join_table; the zero ideal has weight 1.  The
+    principal ideals are closed here, one generated_ideal per element."""
+    if mask == 1:
+        return 1
+    target = lat.index[mask]
+    inside = sorted({lat.index[generated_ideal(lat.brace, 1 << a)] for a in bits(mask) if a})
+    join = lat.join_table
+    for k in range(1, len(inside) + 1):
+        for combo in itertools.combinations(inside, k):
+            pos = combo[0]
+            for q in combo[1:]:
+                pos = join[pos][q]
+            if pos == target:
+                return k
+    raise AssertionError(f"mask {mask:#x} does not generate itself")
+
+
+def pairwise_closure(table, closed, orbit=None):
+    """Least superset of closed under the table and, when given, the orbit mask.
 
     Worklist: pop the lowest unprocessed element i, OR in orbit[i], i·i,
     and i·j, j·i for every processed j, so each pair is touched once:
@@ -61,7 +98,7 @@ def pairwise_closure(table, closed, orbits):
         i = (todo & -todo).bit_length() - 1
         row = table[i]
         closed |= 1 << row[i]
-        for orbit in orbits:
+        if orbit is not None:
             closed |= orbit[i]
         for j in done:
             closed |= 1 << row[j] | 1 << table[j][i]

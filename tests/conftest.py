@@ -29,8 +29,6 @@ The fixture braces are chosen so that every interesting quantity
   have four ideals and two points per kind.
 """
 
-import itertools
-
 import pytest
 
 from sbspec.braces import SkewBrace, almost_trivial_brace, trivial_brace, validate
@@ -87,16 +85,14 @@ def s3_almost() -> SkewBrace:
 
 
 def _alternating_table(m: int):
-    """Cayley table of the even permutations of m letters, identity first."""
-    perms = sorted(
-        p
-        for p in itertools.permutations(range(m))
-        if sum(p[i] > p[j] for i in range(m) for j in range(i + 1, m)) % 2 == 0
-    )
-    index = {p: i for i, p in enumerate(perms)}
-    return tuple(
-        tuple(index[tuple(p[q[x]] for x in range(m))] for q in perms) for p in perms
-    )
+    """Cayley table of the even permutations of m letters, identity first:
+    `permutation_table` on the 3-cycles (0 1 k), which generate A_m."""
+    cycles = []
+    for k in range(2, m):
+        p = list(range(m))
+        p[0], p[1], p[k] = 1, k, 0
+        cycles.append(tuple(p))
+    return permutation_table(cycles)
 
 
 @pytest.fixture(scope="session")

@@ -5,14 +5,15 @@ import random
 
 import pytest
 from brace_oracles import pairwise_closure
+from conftest import _alternating_table
 from group_oracles import canonical_sweep, identity_fixing_perms, latin_squares, rows_associate
 from test_relabelling_guard import ROOT, readers
 
 from sbspec.bitsets import bits
 from sbspec.errors import OrderBoundError
 from sbspec.groups import (
+    _closure,
     _greedy_generators,
-    _sum_closure,
     all_group_tables,
     automorphisms,
     canonical_group_table,
@@ -247,6 +248,22 @@ def test_symmetric_table_is_every_permutation(m):
     assert symmetric_table(m) == expected
 
 
+@pytest.mark.parametrize("m", range(3, 6))
+def test_three_cycles_give_the_alternating_table(m):
+    # the fixtures' A_m on the 3-cycles (0 1 k) is the table of the even
+    # permutations, found by their inversion count, in lex order
+    perms = sorted(
+        p
+        for p in itertools.permutations(range(m))
+        if sum(p[i] > p[j] for i in range(m) for j in range(i + 1, m)) % 2 == 0
+    )
+    index = {p: i for i, p in enumerate(perms)}
+    expected = tuple(
+        tuple(index[tuple(p[q[x]] for x in range(m))] for q in perms) for p in perms
+    )
+    assert _alternating_table(m) == expected
+
+
 def test_only_the_raw_enumeration_reads_the_table_list():
     # the catalog path reads the group source alone; the orbits of
     # all_group_tables feed only the raw sweep oracle
@@ -363,7 +380,7 @@ def greedy_by_pairwise_closure(table, mask):
     for x in bits(mask):
         if not closed >> x & 1:
             gens.append(x)
-            closed = pairwise_closure(table, closed | 1 << x, ())
+            closed = pairwise_closure(table, closed | 1 << x)
     return tuple(gens)
 
 
@@ -373,7 +390,7 @@ def test_closures_grown_on_generators_match_the_pairwise_worklist(n):
     # the greedy generators equal the |closure|² worklist's
     for table in all_group_tables(n):
         for mask in range(1, 1 << n, 2):
-            assert _sum_closure(table, mask, ()) == pairwise_closure(table, mask, ())
+            assert _closure(table, mask)[0] == pairwise_closure(table, mask)
             assert _greedy_generators(table, mask) == greedy_by_pairwise_closure(table, mask)
 
 

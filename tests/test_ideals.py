@@ -8,9 +8,15 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from brace_oracles import lam_table, orbit_masks_sweep, pairwise_closure
+from brace_oracles import (
+    ideal_orbit_sweep,
+    lam_table,
+    pairwise_closure,
+    weight_by_combinations,
+)
+from conftest import _alternating_table
 
-from sbspec import groups, ideals, suite
+from sbspec import braces, groups, ideals, suite
 from sbspec.bitsets import bits, elements, full_mask, hasse_edges, is_subset, mask_of, popcount
 from sbspec.braces import SkewBrace, almost_trivial_brace, direct_product, relabel, trivial_brace
 from sbspec.errors import OrderBoundError
@@ -18,6 +24,7 @@ from sbspec.enumeration import enumerate_braces
 from sbspec.groups import cyclic_table, product_table, symmetric_table
 from sbspec.ideals import (
     IdealCheck,
+    IdealLattice,
     add_closure,
     additive_subgroups,
     all_ideals,
@@ -184,27 +191,19 @@ def test_ideal_weights(z4_radical, s3_almost, v4_trivial):
     assert lat.weights == (1, 1, 1, 1, 2)
 
 
-def test_lattice_and_spectra_leave_weights_unbuilt(monkeypatch):
+def test_lattice_and_spectra_leave_weights_unbuilt():
     # a relabelled trivial S3 x Z2 that no other test builds, so the
     # lattice and spectra below are cache misses
     table = product_table(symmetric_table(3), cyclic_table(2))
     brace = relabel(trivial_brace(table), (0, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1))
-    calls = []
-    real_weight = ideals.ideal_weight
-
-    def counting_weight(b, m):
-        calls.append(m)
-        return real_weight(b, m)
-
-    monkeypatch.setattr(ideals, "ideal_weight", counting_weight)
     misses = ideal_lattice.cache_info().misses
     lat = ideal_lattice(brace)
     assert ideal_lattice.cache_info().misses == misses + 1
     for kind in PRIME_KINDS:
         spectrum(brace, kind)
-    assert calls == []
-    assert lat.weights == tuple(real_weight(brace, m) for m in lat.members)
-    assert calls == list(lat.members)
+    assert "weights" not in vars(lat)
+    assert lat.weights == tuple(weight_by_combinations(lat, m) for m in lat.members)
+    assert "weights" in vars(lat)
     assert lat.weights is lat.weights
 
 
@@ -520,15 +519,7 @@ def subgroups_and_one_more(brace):
 
 
 def alternating4_table():
-    perms = sorted(
-        p
-        for p in itertools.permutations(range(4))
-        if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0
-    )
-    index = {p: i for i, p in enumerate(perms)}
-    return tuple(
-        tuple(index[tuple(p[q[x]] for x in range(4))] for q in perms) for p in perms
-    )
+    return _alternating_table(4)
 
 
 def catalog_braces():
@@ -652,39 +643,50 @@ def oracle_corpus(s4_trivial, s4_almost, a5_trivial, a5_almost, b_brace, b_prime
 
 
 def test_orbit_masks(s3_almost, oracle_corpus):
-    # the closures under generators equal the sweep over every group element
+    # the closure under the generator maps equals the fixpoint of the
+    # sweeps over every group element
     for brace in oracle_corpus:
-        masks = (brace.add_conj_orbit, brace.mul_conj_orbit, brace.lam_orbit)
-        assert masks == orbit_masks_sweep(brace), brace.describe()
+        assert brace.ideal_orbit == ideal_orbit_sweep(brace), brace.describe()
     brace = s3_almost
     n = brace.order
     for i in range(n):
-        assert brace.lam_orbit[i] == mask_of(lam_table(brace)[a][i] for a in range(n))
-    # the alternating subgroup {0, 3, 4} is a union of twist orbits
-    assert brace.lam_orbit[3] | brace.lam_orbit[4] == mask_of([3, 4])
+        assert is_subset(mask_of(lam_table(brace)[a][i] for a in range(n)), brace.ideal_orbit[i])
+    # the alternating subgroup {0, 3, 4} is a union of orbits
+    assert brace.ideal_orbit[3] | brace.ideal_orbit[4] == mask_of([3, 4])
 
 
-def test_an_orbit_missing_a_generator_is_caught(b_brace, monkeypatch):
-    # each orbit closed under all but the last generator of its acting
-    # group differs from the sweep on B, so test_orbit_masks fails
-    real = groups._greedy_generators
-    monkeypatch.setattr(groups, "_greedy_generators", lambda t, m: real(t, m)[:-1])
-    fresh = SkewBrace(b_brace.add, b_brace.mul)
-    masks = (fresh.add_conj_orbit, fresh.mul_conj_orbit, fresh.lam_orbit)
-    for mask, oracle in zip(masks, orbit_masks_sweep(b_brace)):
-        assert mask != oracle
+def test_an_orbit_missing_a_generator_is_caught(oracle_corpus, monkeypatch):
+    # three mutants, each differing from the sweep on some brace, so
+    # test_orbit_masks fails: the orbit closed without the last
+    # +-generator (caught on B'), without the last ∘-generator, or without
+    # the twists (both caught on 4-1, where λ_2 swaps 2 and 3 and both
+    # conjugations are trivial)
+    def caught(mutate):
+        with monkeypatch.context() as patch:
+            for brace in oracle_corpus:
+                fresh = SkewBrace(brace.add, brace.mul)
+                mutate(patch, fresh)
+                if fresh.ideal_orbit != ideal_orbit_sweep(brace):
+                    return brace.describe()
+
+    def drop_last(field):
+        return lambda patch, b: vars(b).__setitem__(field, getattr(b, field)[:-1])
+
+    assert caught(drop_last("add_generators"))
+    assert caught(drop_last("mul_generators"))
+    assert caught(lambda patch, b: patch.setattr(braces, "lam_word", lambda _: lambda a, i: i))
 
 
 def test_closures_match_the_pairwise_worklist(oracle_corpus):
     # every single-element seed and every union of two members
     for brace in oracle_corpus:
-        orbits = orbit_masks_sweep(brace)
+        orbit = ideal_orbit_sweep(brace)
         members = all_ideals(brace)
         seeds = [1 << a for a in range(brace.order)]
         seeds += [x | y for x in members for y in members]
         for seed in seeds:
-            assert add_closure(brace, seed) == pairwise_closure(brace.add, seed | 1, ())
-            assert generated_ideal(brace, seed) == pairwise_closure(brace.add, seed | 1, orbits)
+            assert add_closure(brace, seed) == pairwise_closure(brace.add, seed | 1)
+            assert generated_ideal(brace, seed) == pairwise_closure(brace.add, seed | 1, orbit)
 
 
 def lam_or_star_subscripts(source: str) -> list[str]:
@@ -709,10 +711,9 @@ def test_lattice_builds_no_lam_or_star_table():
     assert lat.huq_table and len(lat) == len(ideal_lattice(almost_trivial_brace(s4)))
     assert suite._ideal_criteria(brace) == [(True, False, "ideals=4")]
     assert suite._corpus(brace)
-    cached = {"neg", "inv", "add_generators", "mul_generators"}
-    cached |= {"add_conj_orbit", "mul_conj_orbit", "lam_orbit"}
+    cached = {"neg", "inv", "add_generators", "mul_generators", "ideal_orbit"}
     assert set(vars(brace)) <= {"add", "mul", "_hash"} | cached
-    assert "lam_orbit" in vars(brace)
+    assert "ideal_orbit" in vars(brace)
     # and no package source subscripts an attribute named lam or star
     assert lam_or_star_subscripts("brace.lam[a][b]\nx.star[a]\nlat.star(x, y)\n") == [
         "lam",
@@ -880,3 +881,31 @@ def elementwise_weight(brace, mask):
 def test_weights_match_elementwise_search(brace):
     lat = ideal_lattice(brace)
     assert lat.weights == tuple(elementwise_weight(brace, m) for m in lat.members)
+
+
+def elementary_abelian_brace(k):
+    table = cyclic_table(1)
+    for _ in range(k):
+        table = product_table(table, cyclic_table(2))
+    return trivial_brace(table)
+
+
+def test_weights_match_the_combination_search(oracle_corpus):
+    # the breadth-first levels against the search over subsets of
+    # principal ideals, and on trivial Z2^4 and Z2^5 (67 and 374 ideals)
+    for brace in oracle_corpus + [elementary_abelian_brace(4), elementary_abelian_brace(5)]:
+        lat = ideal_lattice(brace)
+        assert lat.weights == tuple(weight_by_combinations(lat, m) for m in lat.members)
+    assert len(lat) == 374 and max(lat.weights) == 5
+
+
+def test_weights_without_a_principal_ideal_are_caught(monkeypatch):
+    # levels started without the largest principal ideal: on trivial Z6
+    # that is the top, which is then met as ⟨2⟩ ∨ ⟨3⟩ at level 2, so
+    # test_weights_match_the_combination_search fails
+    lat = IdealLattice(trivial_brace(cyclic_table(6)))
+    real = ideals.principal_ideals(lat.brace)
+    largest = max(real, key=lambda m: (popcount(m), m))
+    monkeypatch.setattr(ideals, "principal_ideals", lambda b: [p for p in real if p != largest])
+    assert lat.weights != tuple(weight_by_combinations(lat, m) for m in lat.members)
+    assert lat.weights[-1] == 2

@@ -8,7 +8,7 @@ import itertools
 import pytest
 from brace_oracles import lam_table
 
-from sbspec import ideals, spectra, suite
+from sbspec import braces, groups, ideals, spectra, suite
 from sbspec.bitsets import popcount
 from sbspec.braces import direct_product, trivial_brace, validate
 from sbspec.catalog import (
@@ -23,7 +23,6 @@ from sbspec.catalog import (
 from sbspec.errors import ConsistencyError, ParseError
 from sbspec.groups import (
     CANONICAL_BOUND,
-    _sum_closure,
     cyclic_table,
     klein_table,
     product_table,
@@ -688,10 +687,12 @@ def test_generated_routes_fail_on_a_closure_without_the_twist(catalog6, monkeypa
     brace = next(validate(r.add, r.mul) for r in catalog6 if r.brace_id == "4-1")
     assert any(lam_a[x] != x for lam_a in lam_table(brace) for x in range(4))
     assert suite._generated_routes(brace) == [(True, False, "")]
+    add, mul, neg, inv = brace.add, brace.mul, brace.neg, brace.inv
+    maps = [[add[add[g][i]][neg[g]] for i in range(4)] for g in brace.add_generators]
+    maps += [[mul[mul[g][i]][inv[g]] for i in range(4)] for g in brace.mul_generators]
+    conjugation = braces._orbits(4, maps)
     monkeypatch.setattr(
-        suite,
-        "generated_ideal",
-        lambda b, seed: _sum_closure(b.add, seed | 1, (b.add_conj_orbit, b.mul_conj_orbit)),
+        suite, "generated_ideal", lambda b, seed: groups._closure(b.add, seed | 1, conjugation)[0]
     )
     assert suite._generated_routes(brace) == [(False, False, "seed=4")]
 
