@@ -19,10 +19,12 @@ the principal ideals (one generated_ideal per element orbit) under set
 sums and refuses past MEMBER_BOUND members, IdealLattice reads joins off
 the size-sorted member list, weights off the join table, and takes the
 star and huq products of ideals from generator pairs (the proofs are on
-the class).  The star and commutator words (braces.star_word and the
-rest) are evaluated for the generator rows the tables read; no n² table
-of them exists.  Every ideal product the library decides with is a
-lattice table.  star_ideal, star_subgroup and huq_commutator sweep
+the class).  Every k × k table is built on first read: a spectrum reads
+the products of principal pairs only, one column per principal ideal,
+and builds none.  The star and commutator words (braces.star_word and
+the rest) are evaluated for the generator rows the columns read; no n²
+table of them exists.  Every ideal product the library decides with is
+a lattice product.  star_ideal, star_subgroup and huq_commutator sweep
 element pairs; they are only oracles, which the suite's cross-check rows
 and the tests compare the lattice against.  multiplicative_lattice_check
 decides the star table's laws exactly, distributivity on the
@@ -44,9 +46,10 @@ from .groups import _closure, _greedy_generators
 
 Mask = int
 
-# the most ideals a lattice may have: its meet, join, star and huq tables
-# hold k² entries each.  Trivial Z2^6 has 2825 ideals; trivial Z2^7, with
-# about 29,000, would need about 100 times its memory.
+# the most ideals a lattice may have: its meet, join, star and huq tables,
+# each built on first read, hold k² entries each.  Trivial Z2^6 has 2825
+# ideals; trivial Z2^7, with about 29,000, would need about 100 times its
+# memory.
 MEMBER_BOUND = 4096
 
 
@@ -272,14 +275,27 @@ def ideal_weight(brace: SkewBrace, mask: Mask) -> int:
     return lat.weights[pos]
 
 
+# per product table: the words whose ideal, with a seed, is the product
+# (IdealLattice._column), and the product's name in errors
+_PRODUCT_WORDS = {"star_table": ("star",), "huq_table": ("add", "mul")}
+_PRODUCT_NAMES = {"star_table": "star product", "huq_table": "huq product"}
+
+
+def _not_a_member(exc: KeyError) -> ConsistencyError:
+    return ConsistencyError(f"ideal {exc.args[0]:#x} is not a member")
+
+
 class IdealLattice:
-    """All ideals of one brace with meet, join, star and huq product tables.
+    """All ideals of one brace, with meet, join, star and huq products.
 
     Members are kept sorted by size then mask; tables are indexed by the
-    member positions.  No table entry runs a closure over a pair:
+    member positions.  The constructor keeps the members, their index, the
+    distinct nonzero principal ideals (principal, in member order) and the
+    generators of every member, and checks the bottom and the top.  Every
+    k × k table is built on first read.  No entry runs a closure over a
+    pair:
 
-    - meets are intersections, looked up in the member index (a meet or
-      product outside it raises ConsistencyError naming the pair);
+    - a meet is the intersection, which must be a member;
     - the join of x and y is their set sum, of size |x||y|/|x ∩ y|.  Every
       upper bound contains it, so it is the first member, in size order,
       above both; a first upper bound of another size means the member
@@ -292,10 +308,22 @@ class IdealLattice:
       (huq_commutator), is generated by the +-commutators of +-generator
       pairs, the ∘-commutators of ∘-generator pairs and the member x·y.
 
-    The star and huq tables share one seed-to-member memo, which starts
-    from the members themselves, so each distinct seed is closed at most
-    once.  The words g·h = -g + g∘h - h, [g, h]₊ and [g, h]∘ are computed
-    only for the generator pairs the tables read, never as n² tables.
+    Both products come from one routine, _column, which computes column y
+    of a product table, x·y for every member x, once.  star and huq read
+    the table once it is built; before that, a product with a principal
+    member y, all that a spectrum reads (spectra.ideal_pair_witness), is
+    read off y's column, and any other product builds the table from the
+    columns.  So a spectrum builds no k × k table.  The columns share one
+    seed-to-member memo, which starts from the members themselves, so each
+    distinct seed is closed at most once; the words g·h = -g + g∘h - h,
+    [g, h]₊ and [g, h]∘ are evaluated once per generator g and column,
+    never as n² tables.  A product or meet that is not a member raises
+    ConsistencyError naming it, as does a mask that is no member handed
+    to star, huq or (as a principal ideal) weights.  The constructor
+    computes the star columns of the principal members: every star
+    product is a join of these (multiplicative_lattice_check), so a
+    member list closed under joins that holds them holds every star
+    product, and one that misses a product is refused at once.
 
     Proof of the star rule.  Let K be the ideal generated by those g·h.
     It lies in the ideal generated by all of x·y, so it remains to show
@@ -317,9 +345,6 @@ class IdealLattice:
     all of x, and then each element of x commutes with all of y.  So
     every i + j − i − j lies in K, and likewise, K being normal in
     (A, ∘), every i ∘ j ∘ i' ∘ j'.
-
-    Instances are immutable after construction; weights and the huq table
-    are computed on first read.
     """
 
     def __init__(self, brace: SkewBrace):
@@ -330,92 +355,134 @@ class IdealLattice:
         self.top: Mask = full_mask(brace.order)
         if self.members[0] != self.bottom or self.members[-1] != self.top:
             raise ConsistencyError("ideal lattice lacks bottom or top")
-        members, position = self.members, self._position
-        k = len(members)
-        sizes = [popcount(m) for m in members]
-
-        meet = []
-        above = [0] * k  # bit j of above[i]: member j contains member i
-        for i, x in enumerate(members):
-            row = [position(x & y, "meet", x, y) for y in members]
-            for j, m in enumerate(row):
-                if m == i:
-                    above[i] |= 1 << j
-            meet.append(tuple(row))
-        self.meet_table = tuple(meet)
-        # a coatom is a proper member whose only strict superset is the top
-        top_bit = 1 << (k - 1)
-        self._maximal = tuple(
-            m for i, m in enumerate(members[:-1]) if above[i] == 1 << i | top_bit
-        )
-
-        join = [[0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i, k):
-                both = above[i] & above[j]
-                pos = (both & -both).bit_length() - 1
-                if sizes[pos] * sizes[meet[i][j]] != sizes[i] * sizes[j]:
-                    raise ConsistencyError(
-                        f"no member is the sum of {members[i]:#x} and {members[j]:#x}"
-                    )
-                join[i][j] = join[j][i] = pos
-        self.join_table = tuple(tuple(r) for r in join)
-
-        self.add_generators = tuple(_greedy_generators(brace.add, m) for m in members)
-        self.mul_generators = tuple(_greedy_generators(brace.mul, m) for m in members)
+        principal = set(principal_ideals(brace))
+        self.principal: tuple[Mask, ...] = tuple(m for m in self.members[1:] if m in principal)
+        self._principal_set = frozenset(self.principal)
+        self.add_generators = tuple(_greedy_generators(brace.add, m) for m in self.members)
+        self.mul_generators = tuple(_greedy_generators(brace.mul, m) for m in self.members)
+        add_gs, mul_gs = self.add_generators, self.mul_generators
+        # per word: the word, the generators of each member it takes on the
+        # left and on the right, and every left generator
+        self._word_rules = {
+            "star": (star_word(brace), mul_gs, add_gs, _union(mul_gs)),
+            "add": (commutator_word(brace.add, brace.neg), add_gs, add_gs, _union(add_gs)),
+            "mul": (commutator_word(brace.mul, brace.inv), mul_gs, mul_gs, _union(mul_gs)),
+        }
         self._ideal_of_seed = dict(self.index)  # an ideal generates itself
-        close = self._close
-        star = star_word(brace)
-        mul_gs = _union(self.mul_generators)
-        star_columns = []
-        for y, add_h in zip(members, self.add_generators):
-            star_by = {g: star(g, add_h) for g in mul_gs}  # g·h over the generators h of y
-            column = []
-            for x, mul_g in zip(members, self.mul_generators):
-                seed = 1
-                for g in mul_g:
-                    seed |= star_by[g]
-                column.append(close(seed, "star product", x, y))
-            star_columns.append(column)
-        self.star_table = tuple(zip(*star_columns))
+        self._columns: dict[str, dict[int, list[int]]] = {"star_table": {}, "huq_table": {}}
+        # the star columns of the principal members (see above)
+        for p in self.principal:
+            self._column("star_table", self.index[p])
+
+    def _positions_of(self, masks) -> list[int]:
+        try:
+            return list(map(self.index.__getitem__, masks))
+        except KeyError as exc:
+            raise _not_a_member(exc) from None
 
     def _position(self, m: Mask, what: str, x: Mask, y: Mask) -> int:
         pos = self.index.get(m)
         if pos is None:
-            raise ConsistencyError(f"{what} of {x:#x} and {y:#x} is not a member")
+            raise ConsistencyError(f"{what} {m:#x} of {x:#x} and {y:#x} is not a member")
         return pos
 
-    def _close(self, seed: Mask, what: str, x: Mask, y: Mask) -> int:
-        """Position of the ideal the seed generates, closed once per seed."""
-        pos = self._ideal_of_seed.get(seed)
-        if pos is None:
-            product = generated_ideal(self.brace, seed)
-            pos = self._ideal_of_seed[seed] = self._position(product, what, x, y)
-        return pos
+    def _column(self, table: str, j: int) -> list[int]:
+        """Column j of the star or huq table (table), computed once: the
+        positions of the products of every member with member j.
+
+        Each product is the ideal generated by a seed and its words over
+        generator pairs (_PRODUCT_WORDS), g over the generators of the
+        left member and h over those of member j: for the star product
+        the seed {0} and g·h, for the huq product the star product and
+        [g, h]₊, [g, h]∘.  Each g's words over member j are evaluated once.
+        """
+        columns = self._columns[table]
+        column = columns.get(j)
+        if column is not None:
+            return column
+        built = self.__dict__.get(table)
+        if built is not None:
+            return [row[j] for row in built]
+        members = self.members
+        if table == "star_table":
+            seeds = [1] * len(members)
+        else:
+            seeds = map(members.__getitem__, self._column("star_table", j))
+        words = []
+        for name in _PRODUCT_WORDS[table]:
+            word, left, right, every = self._word_rules[name]
+            hs = right[j]
+            words.append((left, {g: word(g, hs) for g in every}))
+        ideal_of_seed, column = self._ideal_of_seed, []
+        for i, seed in enumerate(seeds):
+            for left, row in words:
+                for g in left[i]:
+                    seed |= row[g]
+            pos = ideal_of_seed.get(seed)
+            if pos is None:  # each distinct seed is closed once
+                product = generated_ideal(self.brace, seed)
+                what = _PRODUCT_NAMES[table]
+                pos = ideal_of_seed[seed] = self._position(product, what, members[i], members[j])
+            column.append(pos)
+        columns[j] = column
+        return column
+
+    def _table(self, table: str) -> tuple[tuple[int, ...], ...]:
+        """Every column, as rows; the columns are then dropped."""
+        columns = [self._column(table, j) for j in range(len(self.members))]
+        self._columns[table].clear()
+        return tuple(zip(*columns))
+
+    def _at(self, table: str, x: Mask, y: Mask) -> int:
+        """Position of one product before its table is built.  With y a
+        principal member, all that a spectrum reads, it is read off the
+        memoised column of y; any other y builds the table."""
+        i, j = self._positions_of((x, y))
+        if y in self._principal_set:
+            return self._column(table, j)[i]
+        return getattr(self, table)[i][j]
+
+    @cached_property
+    def star_table(self) -> tuple[tuple[int, ...], ...]:
+        return self._table("star_table")
 
     @cached_property
     def huq_table(self) -> tuple[tuple[int, ...], ...]:
-        brace, members = self.brace, self.members
-        add_comm = commutator_word(brace.add, brace.neg)
-        mul_comm = commutator_word(brace.mul, brace.inv)
-        add_gs, mul_gs = _union(self.add_generators), _union(self.mul_generators)
-        gens = tuple(zip(members, self.add_generators, self.mul_generators, self.star_table))
-        close = self._close
-        columns = []
-        for j, (y, add_h, mul_h, _) in enumerate(gens):
-            # *_by[g]: [g, h]₊ or [g, h]∘ over the generators h of y
-            add_by = {g: add_comm(g, add_h) for g in add_gs}
-            mul_by = {g: mul_comm(g, mul_h) for g in mul_gs}
-            column = []
-            for x, add_g, mul_g, star_row in gens:
-                commutators = 0
-                for g in mul_g:
-                    commutators |= mul_by[g]
-                for g in add_g:
-                    commutators |= add_by[g]
-                column.append(close(members[star_row[j]] | commutators, "huq product", x, y))
-            columns.append(column)
-        return tuple(zip(*columns))
+        return self._table("huq_table")
+
+    @cached_property
+    def meet_table(self) -> tuple[tuple[int, ...], ...]:
+        members, position = self.members, self._position
+        return tuple(tuple([position(x & y, "meet", x, y) for y in members]) for x in members)
+
+    @cached_property
+    def join_table(self) -> tuple[tuple[int, ...], ...]:
+        members, k = self.members, len(self.members)
+        sizes = [popcount(m) for m in members]
+        # bit j of above[i]: member j contains member i, so j >= i
+        above = [
+            sum(1 << j for j in range(i, k) if not x & ~members[j]) for i, x in enumerate(members)
+        ]
+        join = [[0] * k for _ in range(k)]
+        for i, (x, above_x, size_x) in enumerate(zip(members, above, sizes)):
+            row = join[i]
+            for j in range(i, k):
+                both = above_x & above[j]
+                pos = (both & -both).bit_length() - 1
+                if sizes[pos] * popcount(x & members[j]) != size_x * sizes[j]:
+                    raise ConsistencyError(
+                        f"no member is the sum of {x:#x} and {members[j]:#x}"
+                    )
+                row[j] = join[j][i] = pos
+        return tuple(map(tuple, join))
+
+    @cached_property
+    def _maximal(self) -> tuple[Mask, ...]:
+        # a coatom is a proper member whose join with any member is itself
+        # or the top: a proper member strictly above it would be its join
+        k = len(self.members)
+        rows = zip(self.members[:-1], self.join_table)
+        return tuple(m for i, (m, row) in enumerate(rows) if row.count(i) + row.count(k - 1) == k)
 
     @cached_property
     def weights(self) -> tuple[int, ...]:
@@ -432,7 +499,7 @@ class IdealLattice:
         principal ideals is the oracle (tests/brace_oracles.py).
         """
         join = self.join_table
-        principal = sorted({self.index[p] for p in principal_ideals(self.brace)})
+        principal = sorted(set(self._positions_of(principal_ideals(self.brace))))
         level = dict.fromkeys(principal, 1)
         frontier = principal
         while frontier:
@@ -453,16 +520,31 @@ class IdealLattice:
         return is_subset(x, y)
 
     def meet(self, x: Mask, y: Mask) -> Mask:
-        return self.members[self.meet_table[self.index[x]][self.index[y]]]
+        meet = x & y
+        if meet not in self.index:
+            raise ConsistencyError(f"meet {meet:#x} of {x:#x} and {y:#x} is not a member")
+        return meet
 
     def join(self, x: Mask, y: Mask) -> Mask:
         return self.members[self.join_table[self.index[x]][self.index[y]]]
 
     def star(self, x: Mask, y: Mask) -> Mask:
-        return self.members[self.star_table[self.index[x]][self.index[y]]]
+        table = self.__dict__.get("star_table")
+        if table is None:
+            return self.members[self._at("star_table", x, y)]
+        try:
+            return self.members[table[self.index[x]][self.index[y]]]
+        except KeyError as exc:
+            raise _not_a_member(exc) from None
 
     def huq(self, x: Mask, y: Mask) -> Mask:
-        return self.members[self.huq_table[self.index[x]][self.index[y]]]
+        table = self.__dict__.get("huq_table")
+        if table is None:
+            return self.members[self._at("huq_table", x, y)]
+        try:
+            return self.members[table[self.index[x]][self.index[y]]]
+        except KeyError as exc:
+            raise _not_a_member(exc) from None
 
     def generated(self, seed: Mask) -> Mask:
         """Least member containing the seed: the first one in size order."""
@@ -526,14 +608,14 @@ def multiplicative_lattice_check(lat: IdealLattice) -> LatticeLawReport:
     with K·I + K·J normal in (A, +) gives K·(I + J) ⊆ K·I + K·J; the
     star product is monotone, which gives ⊇.
     """
-    members, star = lat.members, lat.star
-    pairs = ((x, y) for x in members for y in members)
+    members, star_t, join_t = lat.members, lat.star_table, lat.join_table
+    products = ((x, y, p) for x, row in zip(members, star_t) for y, p in zip(members, row))
     above_meet = next(
-        (("below-meet", x, y) for x, y in pairs if not is_subset(star(x, y), x & y)), None
+        (("below-meet", x, y) for x, y, p in products if not is_subset(members[p], x & y)),
+        None,
     )
 
     # on positions: distinct members have distinct positions
-    star_t, join_t = lat.star_table, lat.join_table
     lower_covers = Counter(y for _, y in hasse_edges(members))
     gens = [p for p, m in enumerate(members) if lower_covers[m] <= 1]
     undistributed = (

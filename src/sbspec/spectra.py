@@ -2,11 +2,15 @@
 
 A proper ideal P is prime for an ideal product when no two ideals
 outside P have their product in P.  One loop, ideal_pair_witness,
-decides this for every kind, with the lattice table kind_product names:
-star, the ideal generated by the products i*j (the paper's primes, so
-Spec(Idl A) is this spectrum); ksv, the additive subgroup they generate,
-which decides every pair as star does; huq, the commutator ideal.  The
-loop reads tables only; the element-pair routes in ideals are oracles.
+decides this for every kind, with the lattice product kind_product
+names: star, the ideal generated by the products i*j (the paper's
+primes, so Spec(Idl A) is this spectrum); ksv, the additive subgroup
+they generate, which decides every pair as star does; huq, the
+commutator ideal.  Both products are monotone, so the loop tries pairs
+of principal ideals only, at most n - 1 of them rather than every
+member (the proof is on ideal_pair_witness), and reads their products
+one lattice column at a time: a spectrum builds no k × k table.  The
+element-pair routes in ideals are oracles.
 
 The pointwise notion, no two elements outside P star-multiplying into
 P, is empty on every finite skew brace, so it has no routine here.
@@ -41,14 +45,14 @@ def _check_kind(kind: str) -> None:
 
 
 def kind_product(lat: IdealLattice, kind: str) -> Callable[[Mask, Mask], Mask]:
-    """The ideal product that decides primality of one kind: a lattice table.
+    """The ideal product that decides primality of one kind: a lattice product.
 
-    star and ksv get the lattice's star table.  For ksv that is a theorem:
-    an ideal P contains the products i*j exactly when it contains the
-    additive subgroup they generate (P is a subgroup), and exactly when it
-    contains the ideal they generate (P is an ideal).  So both tests agree
-    on every pair, witnesses included.  huq gets the lattice's commutator
-    ideal table.
+    star and ksv get the lattice's star product.  For ksv that is a
+    theorem: an ideal P contains the products i*j exactly when it contains
+    the additive subgroup they generate (P is a subgroup), and exactly
+    when it contains the ideal they generate (P is an ideal).  So both
+    tests agree on every pair, witnesses included.  huq gets the lattice's
+    commutator ideal product.
     """
     _check_kind(kind)
     return lat.huq if kind == "huq" else lat.star
@@ -56,7 +60,7 @@ def kind_product(lat: IdealLattice, kind: str) -> Callable[[Mask, Mask], Mask]:
 
 def is_prime(brace: SkewBrace, mask: Mask, kind: str) -> tuple[bool, tuple | None]:
     """Primality of a proper ideal, with a witness ("ideals", x, y) for
-    failures: members outside mask whose product lies in it."""
+    failures: principal members outside mask whose product lies in it."""
     lat = ideal_lattice(brace)
     product = kind_product(lat, kind)
     if mask == lat.top:
@@ -68,19 +72,33 @@ def is_prime(brace: SkewBrace, mask: Mask, kind: str) -> tuple[bool, tuple | Non
 def ideal_pair_witness(
     lat: IdealLattice, mask: Mask, product: Callable[[Mask, Mask], Mask]
 ) -> tuple[Mask, Mask] | None:
-    """The first pair of members outside mask whose product lies in mask.
+    """The first pair of the lattice's principal members outside mask
+    whose product lies in mask.
 
-    None means mask is prime for that product.  This is the one
-    primality loop: is_prime runs it for every kind, with kind_product.
+    None means mask is prime for that product.  This is the one primality
+    loop: is_prime runs it for every kind, with kind_product.  The
+    candidates are lat.principal, the distinct nonzero principal ideals in
+    member order: at most n - 1 of them, not the k members.
+
+    Proof.  Both products are monotone: each is generated by words in
+    the elements of the two ideals, so larger ideals give more generators.
+    Ideals I, J outside P hold elements a, b outside P, and then (a) ⊆ I
+    and (b) ⊆ J are principal ideals outside P with (a)(b) ⊆ IJ.  So if
+    IJ lies in P, so does (a)(b): P is prime exactly when no two principal
+    ideals outside it multiply into it.  The witness is also the first
+    pair that the loop over every pair of members finds
+    (tests/brace_oracles.py).  Of the pairs that multiply into P, take
+    the first in member order, (I, J).  If I is not principal, the (a)
+    above is strictly smaller, so it comes earlier, and (a)·J lies in P:
+    a contradiction.  So I is principal, and J is principal by the same
+    step.
     """
-    for x in lat.members:
-        if is_subset(x, mask):
-            continue
-        for y in lat.members:
-            if is_subset(y, mask):
-                continue
-            if is_subset(product(x, y), mask):
-                return x, y
+    principal = lat.principal
+    for x in principal:
+        if x & ~mask:
+            for y in principal:
+                if y & ~mask and not product(x, y) & ~mask:
+                    return x, y
     return None
 
 

@@ -222,19 +222,20 @@ def _principal_criterion(brace: SkewBrace):
     """The element routes on every pair of distinct nonzero principal
     ideals: star-chain, then primality for star and for huq.
 
-    star-chain compares star_ideal with the lattice's star table on those
-    pairs, and checks each product lies in x ∩ y.  That decides every
-    pair of ideals: every ideal is the join of its principal ideals, the
-    table distributes over joins (multiplicative-lattice checks it
+    star-chain compares star_ideal with the lattice's star product on
+    those pairs, and checks each product lies in x ∩ y.  That decides
+    every pair of ideals: every ideal is the join of its principal ideals,
+    the table distributes over joins (multiplicative-lattice checks it
     exactly), the element route distributes by the theorem in
     multiplicative_lattice_check, and a product with {0} is {0} on both
     routes (on the table, by that row's x·y ⊆ x ∩ y).
 
-    Primality by the element routes is checked against the spectrum's
-    ideal-pair loop.  Both products are monotone, and an ideal outside P
-    holds an element a outside P, so ideals I, J outside P with I·J in P
-    give (a)·(b) in P: P is prime exactly when no two principal ideals
-    outside it do.
+    Primality by the element routes is checked against spectrum.  P is
+    prime exactly when no two principal ideals outside it multiply into
+    it (the proof is on spectra.ideal_pair_witness, which decides on the
+    same pairs with the lattice's products).  The principal ideals here
+    come from principal_ideals, not from the lattice, so a lattice that
+    loses one of its candidates fails these rows.
     """
     lat = ideal_lattice(brace)
     proper = lat.proper_members()

@@ -4,16 +4,18 @@ The library closes orbits under the generators of the acting group
 (`braces._orbits`), grows subgroups one generator at a time
 (`groups._closure`), checks the skew law with a over the ∘-generators
 (`braces._skew_witness`) and reads weights off breadth-first joins
-(`IdealLattice.weights`).  The tests compare each with the sweep here:
-every group element acting on every element, every pair of processed
-elements, every a, every subset of principal ideals.  The twist and star
+(`IdealLattice.weights`) and tests primality on pairs of principal ideals
+(`spectra.ideal_pair_witness`).  The tests compare each with the sweep
+here: every group element acting on every element, every pair of
+processed elements, every a, every subset of principal ideals, every pair
+of members.  The twist and star
 tables, which the package evaluates as words, are built here in full for
 the tests.
 """
 
 import itertools
 
-from sbspec.bitsets import bits, full_mask
+from sbspec.bitsets import bits, full_mask, is_subset
 from sbspec.groups import _greedy_generators
 from sbspec.ideals import generated_ideal
 
@@ -81,6 +83,18 @@ def weight_by_combinations(lat, mask):
             if pos == target:
                 return k
     raise AssertionError(f"mask {mask:#x} does not generate itself")
+
+
+def member_pair_witness(lat, mask, product):
+    """The first pair of members outside mask whose product lies in mask,
+    or None when mask is prime for that product: the loop over every pair
+    of members that spectra.ideal_pair_witness runs on principal members."""
+    outside = [x for x in lat.members if not is_subset(x, mask)]
+    for x in outside:
+        for y in outside:
+            if is_subset(product(x, y), mask):
+                return x, y
+    return None
 
 
 def pairwise_closure(table, closed, orbit=None):

@@ -39,8 +39,9 @@ from sbspec.ideals import (
     star_set,
     star_subgroup,
 )
-from sbspec.spectra import PRIME_KINDS, spectrum
+from sbspec.spectra import PRIME_KINDS, compare_definitions, spectrum
 from sbspec.suite import _absorbs
+from sbspec.topology import spec_topology
 
 
 def naive_is_ideal(brace, subset: set) -> bool:
@@ -205,6 +206,40 @@ def test_lattice_and_spectra_leave_weights_unbuilt():
     assert lat.weights == tuple(weight_by_combinations(lat, m) for m in lat.members)
     assert "weights" in vars(lat)
     assert lat.weights is lat.weights
+
+
+def test_spectra_and_spaces_build_no_table():
+    # the lattice workload's calls on a relabelled trivial Z2^4 that no
+    # other test builds: the spectra read the products of principal pairs
+    # only, so no k x k table is built until a caller reads one
+    v4 = product_table(cyclic_table(2), cyclic_table(2))
+    brace = relabel(trivial_brace(product_table(v4, v4)), (0, *range(15, 0, -1)))
+    misses = ideal_lattice.cache_info().misses
+    lat = ideal_lattice(brace)
+    assert ideal_lattice.cache_info().misses == misses + 1 and len(lat) == 67
+    for kind in PRIME_KINDS:
+        spectrum(brace, kind)
+    for kind in PRIME_KINDS:
+        spec_topology(brace, kind)
+    compare_definitions(brace)
+    pairs = [(x, y) for x in lat.principal for y in lat.principal]
+    read = {(x, y): (lat.star(x, y), lat.huq(x, y)) for x, y in pairs}
+    assert len(lat.principal) == 15 and not [n for n in vars(lat) if n.endswith("_table")]
+    # once built, each table equals its entries: the products read above,
+    # the columns of a second lattice that builds no table, intersections
+    # and least upper bounds
+    members, index = lat.members, lat.index
+    star, huq = lat.star_table, lat.huq_table
+    for (x, y), products in read.items():
+        assert (members[star[index[x]][index[y]]], members[huq[index[x]][index[y]]]) == products
+    fresh = IdealLattice(brace)
+    for j in range(len(members)):
+        assert fresh._column("star_table", j) == [row[j] for row in star]
+        assert fresh._column("huq_table", j) == [row[j] for row in huq]
+    assert not [n for n in vars(fresh) if n.endswith("_table")]
+    for (i, x), (j, y) in itertools.product(enumerate(members), repeat=2):
+        assert members[lat.meet_table[i][j]] == x & y
+        assert members[lat.join_table[i][j]] == lat.generated(x | y)
 
 
 def test_lattice_ops(v4_trivial):

@@ -1,16 +1,24 @@
 """Prime ideals: definitions, witnesses, radicals, and the emptiness findings."""
 
+import copy
+
 import pytest
-from brace_oracles import star_table
+from brace_oracles import member_pair_witness, star_table
+from conftest import _alternating_table
 
 from sbspec.bitsets import full_mask, is_subset, mask_of
+from sbspec import suite
+from sbspec.braces import direct_product, trivial_brace
 from sbspec.enumeration import enumerate_braces
 from sbspec.errors import NotMaximalError, NotProperError
+from sbspec.groups import cyclic_table, klein_table, product_table
 from sbspec.ideals import ideal_lattice, star_set, star_subgroup
 from sbspec.spectra import (
     PRIME_KINDS,
     compare_definitions,
+    ideal_pair_witness,
     is_prime,
+    kind_product,
     maximal_prime_criterion,
     nil_radical,
     radical,
@@ -244,3 +252,73 @@ def test_a5_almost_star_spectrum_is_zero(a5_almost, a5_trivial):
     # on the trivial brace A*A = {0}
     assert spectrum(a5_trivial, "star").primes == ()
 
+
+
+@pytest.fixture(scope="module")
+def primality_corpus(s4_trivial, s4_almost, a4_almost, a5_trivial, a5_almost, b_brace, b_prime_brace):
+    """Catalog <= 6, S4, A4, A5, B, B', B x B and trivial Z2^4 and Z2^5."""
+    z2_4 = product_table(klein_table(), klein_table())
+    return [b for _, b in CORPUS] + [
+        s4_trivial,
+        s4_almost,
+        trivial_brace(_alternating_table(4)),
+        a4_almost,
+        a5_trivial,
+        a5_almost,
+        b_brace,
+        b_prime_brace,
+        direct_product(b_brace, b_brace),
+        trivial_brace(z2_4),
+        trivial_brace(product_table(z2_4, cyclic_table(2))),
+    ]
+
+
+def test_principal_pairs_decide_primality_as_member_pairs(primality_corpus):
+    # ideal_pair_witness tries the pairs of principal members only; the
+    # loop over every pair of members finds the same witness at every
+    # proper ideal, for every kind, so the spectra agree too
+    assert [len(ideal_lattice(b)) for b in primality_corpus[-2:]] == [67, 374]
+    primes = 0
+    for brace in primality_corpus:
+        lat = ideal_lattice(brace)
+        for kind in PRIME_KINDS:
+            product = kind_product(lat, kind)
+            witnesses = {m: member_pair_witness(lat, m, product) for m in lat.proper_members()}
+            for m, witness in witnesses.items():
+                assert ideal_pair_witness(lat, m, product) == witness, (brace.describe(), kind, m)
+            expected = tuple(m for m, witness in witnesses.items() if witness is None)
+            assert spectrum(brace, kind).primes == expected
+            primes += len(expected)
+    assert primes
+
+
+def test_principal_pairs_without_the_largest_are_caught(
+    primality_corpus, a5_trivial, monkeypatch
+):
+    # a candidate list without the largest principal ideal decides some
+    # ideal differently from the member-pair loop: on trivial A5 the only
+    # nonzero principal ideal is A5, and without it {0} would be star prime
+    def caught(brace):
+        lat = ideal_lattice(brace)
+        mutant = copy.copy(lat)
+        mutant.principal = lat.principal[:-1]
+        return any(
+            (ideal_pair_witness(mutant, m, kind_product(lat, kind)) is None)
+            != (member_pair_witness(lat, m, kind_product(lat, kind)) is None)
+            for kind in PRIME_KINDS
+            for m in lat.proper_members()
+        )
+
+    found = [brace for brace in primality_corpus if caught(brace)]
+    assert a5_trivial in found
+    # the suite's principal-prime row takes the principal ideals from the
+    # brace, not from the lattice, so it fails on that spectrum too
+    lat = ideal_lattice(a5_trivial)
+    monkeypatch.setattr(lat, "principal", lat.principal[:-1])
+    spectrum.cache_clear()
+    try:
+        verdict = suite._principal_criterion(a5_trivial)[1]
+    finally:
+        monkeypatch.undo()
+        spectrum.cache_clear()
+    assert verdict == (False, False, str((1, ("principal", lat.top, lat.top))))

@@ -498,15 +498,16 @@ def test_principal_criterion_keeps_a_nonzero_prime(a5_trivial, z2_trivial):
 
 
 def test_principal_criterion_checks_the_huq_table(a5_trivial, monkeypatch):
-    # the huq spectrum reads the lattice's huq table, and the huq row checks
-    # it by the element route: it passes on trivial A5 with the prime {0},
-    # and a table that squares A5 into {0} drops that prime and fails it
+    # the huq spectrum reads the lattice's huq product on principal pairs,
+    # and the huq row checks it by the element route: it passes on trivial
+    # A5 with the prime {0}, and a product that squares A5 into {0} drops
+    # that prime and fails it
     lat = ideal_lattice(a5_trivial)
-    assert lat.huq_table == ((0, 0), (0, 1))
+    assert lat.principal == (lat.top,) and lat.huq(lat.top, lat.top) == lat.top
     verdicts = suite._principal_criterion(a5_trivial)
     assert verdicts[0] == (True, False, "")  # star-chain
     assert verdicts[2] == (True, False, "primes=1 principal=1")
-    monkeypatch.setattr(lat, "huq_table", ((0, 0), (0, 0)))
+    monkeypatch.setattr(lat, "huq", lambda x, y: lat.bottom)
     spectrum.cache_clear()
     try:
         verdict = suite._principal_criterion(a5_trivial)[2]
@@ -553,6 +554,31 @@ def test_ideal_criteria_finds_a_missing_ideal(v4_trivial, monkeypatch):
         monkeypatch.undo()
         _clear_lattice_caches()
     assert verdict == [(False, False, "('closure', 1, 2); ideals=4")]
+
+
+def test_a_principal_ideal_outside_the_members_is_named(v4_trivial, monkeypatch):
+    # with the principal ideal {0, 2} dropped, every product of the rest is
+    # a member, so the lattice builds; a row that hands {0, 2} to a product,
+    # and the weights, fail with a ConsistencyError naming it, never a
+    # KeyError that would stop the suite
+    real = ideals.all_ideals(v4_trivial)
+    monkeypatch.setattr(ideals, "all_ideals", lambda brace: tuple(m for m in real if m != 5))
+    _clear_lattice_caches()
+    try:
+        lat = ideal_lattice(v4_trivial)
+        with pytest.raises(ConsistencyError, match="ideal 0x5 is not a member"):
+            lat.star(5, lat.top)
+        with pytest.raises(ConsistencyError, match="ideal 0x5 is not a member"):
+            lat.weights
+        rows = {r.check: r for r in run_brace_suite("v4", v4_trivial)}
+    finally:
+        monkeypatch.undo()
+        _clear_lattice_caches()
+    for check in ("star-chain", "principal-prime-criterion-star", "principal-prime-criterion-huq"):
+        assert (rows[check].verdict, rows[check].detail) == (
+            "fail",
+            "ConsistencyError: ideal 0x5 is not a member",
+        )
 
 
 @pytest.fixture(scope="module")

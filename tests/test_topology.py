@@ -341,6 +341,9 @@ class MaskLattice:
     def __init__(self, members, product):
         self.members = tuple(sorted(set(members), key=lambda m: (popcount(m), m)))
         self.bottom, self.top = self.members[0], self.members[-1]
+        # the prime test's candidates: every member above the bottom, so
+        # primality needs no monotone product here
+        self.principal = self.members[1:]
         self.star = product
 
     def meet(self, x, y):
