@@ -14,23 +14,22 @@ at a time (groups._closure): each new element is walked once with right
 addition of every generator, |closure|·g steps, and for ideals its orbit
 mask (SkewBrace.ideal_orbit) joins the pending set.
 
-The lattice is built from ideals and their generators: all_ideals closes
-the principal ideals (one generated_ideal per element orbit) under set
-sums and refuses past MEMBER_BOUND members, IdealLattice reads joins off
-the size-sorted member list, weights off the join table, and takes the
-star and huq products of ideals from generator pairs (the proofs are on
-the class).  Every k × k table is built on first read: a spectrum reads
-the products of principal pairs only, one column per principal ideal,
-and builds none.  The star and commutator words (braces.star_word and
-the rest) are evaluated for the generator rows the columns read; no n²
+The lattice is built from what the spectra read: all_ideals joins each
+member with one principal ideal per class of elements and refuses past
+MEMBER_BOUND members; IdealLattice reads joins off the size-sorted
+member list, weights off the join table, and the star and huq products
+off generator pairs (the proofs are on the class).  It computes the
+star products of principal pairs at once, all a spectrum reads, and
+every k × k table on first read.  The star and commutator words
+(braces.star_word and the rest) are evaluated per generator; no n²
 table of them exists.  Every ideal product the library decides with is
-a lattice product.  star_ideal, star_subgroup and huq_commutator sweep
-element pairs; they are only oracles, which the suite's cross-check rows
-and the tests compare the lattice against.  multiplicative_lattice_check
-decides the star table's laws exactly, distributivity on the
-join-generators, so no lattice row samples.  additive_subgroups sweeps
-every additive subgroup and is a test oracle alone: the suite certifies
-the member list from closures instead.
+a lattice product.  star_ideal, star_subgroup
+and huq_commutator sweep element pairs; they are only oracles, which
+the suite's cross-check rows and the tests compare the lattice against.
+multiplicative_lattice_check decides the star table's laws exactly,
+distributivity on the join-generators, so no lattice row samples.
+additive_subgroups sweeps every additive subgroup and is a test oracle
+alone: the suite certifies the member list from closures instead.
 """
 
 from __future__ import annotations
@@ -185,45 +184,60 @@ def principal_ideals(brace: SkewBrace) -> tuple[Mask, ...]:
     return tuple(out)
 
 
-def _set_sum(brace: SkewBrace, x: Mask, y: Mask) -> Mask:
-    """x + y for normal additive subgroups: the union of the cosets x + j."""
-    add = brace.add
-    out = x
+def _set_sum(add, x: Mask, xs: tuple[int, ...], y: Mask, cls: Mask = 0) -> tuple[Mask, Mask]:
+    """x + y for a normal additive subgroup x with elements xs: the union
+    of the cosets x + j, j in y, built coset by coset; and the union of
+    those cosets that meet cls."""
+    total = skip = x
     for j in bits(y & ~x):
-        if not out >> j & 1:
-            for i in bits(x):
-                out |= 1 << add[i][j]
-    return out
+        if not total >> j & 1:
+            coset = 0
+            for i in xs:
+                coset |= 1 << add[i][j]
+            total |= coset
+            if coset & cls:
+                skip |= coset
+    return total, skip
 
 
 @lru_cache(maxsize=None)
 def all_ideals(brace: SkewBrace) -> tuple[Mask, ...]:
     """All ideals, sorted by size then mask.
 
-    Every ideal is the join of the principal ideals of its elements, so
-    closing the distinct principal ideals under joins with a principal
-    ideal reaches every ideal.  A join of ideals is their set sum.  Past
-    MEMBER_BOUND members the search refuses with OrderBoundError, before
-    any k × k table is built.
+    Every ideal is the join (the set sum) of the principal ideals (b) of
+    its elements, so the walk from {0} that joins each member x with
+    principal ideals reaches every ideal.  One pass (a _set_sum) serves a
+    class: it takes the least a outside x not yet skipped, builds x + p
+    for p = (a) coset by coset, and skips the cosets of x that meet
+    G(p) = {b : (b) = p}.  For b = i + g with i in x and g in G(p),
+    x + (b) = x + p: b lies in x + p, and g = -i + b lies in x + (b).
+    Skipping all of x + p would be unsound: on the radical brace of Z4,
+    (1) = Z4 holds 2, and {0, 2} would never be reached.  On trivial Z2^k
+    the passes are the Hasse edges (240, 2,077 and 23,562 for k = 4, 5,
+    6).  The join with every principal ideal is the oracle
+    (tests/brace_oracles.py).  Past MEMBER_BOUND members the search
+    refuses with OrderBoundError, before any k × k table is built.
     """
-    principal = sorted(set(principal_ideals(brace)))
-    found = set(principal)
-    frontier = list(principal)
+    add, top, principal = brace.add, full_mask(brace.order), principal_ideals(brace)
+    classes: dict[Mask, Mask] = {}
+    for b, p in enumerate(principal):
+        classes[p] = classes.get(p, 0) | 1 << b
+    found = {1}
+    frontier = [1]
     while frontier:
         if len(found) > MEMBER_BOUND:
             raise OrderBoundError(f"ideal lattice is bounded to {MEMBER_BOUND} members")
         x = frontier.pop()
-        for p in principal:
-            if p & ~x:
-                total = _set_sum(brace, x, p)
-                if total not in found:
-                    found.add(total)
-                    frontier.append(total)
+        xs = tuple(bits(x))
+        todo = top & ~x
+        while todo:
+            p = principal[(todo & -todo).bit_length() - 1]
+            total, skip = _set_sum(add, x, xs, p, classes[p])
+            todo &= ~skip
+            if total not in found:
+                found.add(total)
+                frontier.append(total)
     return tuple(sorted(found, key=lambda m: (popcount(m), m)))
-
-
-def _union(generator_lists) -> tuple[int, ...]:
-    return tuple(sorted(set().union(*generator_lists)))
 
 
 def star_set(brace: SkewBrace, x: Mask, y: Mask) -> Mask:
@@ -276,7 +290,7 @@ def ideal_weight(brace: SkewBrace, mask: Mask) -> int:
 
 
 # per product table: the words whose ideal, with a seed, is the product
-# (IdealLattice._column), and the product's name in errors
+# (IdealLattice._products), and the product's name in errors
 _PRODUCT_WORDS = {"star_table": ("star",), "huq_table": ("add", "mul")}
 _PRODUCT_NAMES = {"star_table": "star product", "huq_table": "huq product"}
 
@@ -289,11 +303,13 @@ class IdealLattice:
     """All ideals of one brace, with meet, join, star and huq products.
 
     Members are kept sorted by size then mask; tables are indexed by the
-    member positions.  The constructor keeps the members, their index, the
-    distinct nonzero principal ideals (principal, in member order) and the
-    generators of every member, and checks the bottom and the top.  Every
-    k × k table is built on first read.  No entry runs a closure over a
-    pair:
+    member positions.  The constructor keeps the members, their index and
+    the distinct nonzero principal ideals (principal, in member order),
+    checks the bottom and the top, and computes the star products of
+    principal pairs (the block), from the principal members' generators.
+    The other members' generators (add_generators, mul_generators) and
+    every k × k table are built on first read.  No entry runs a closure
+    over a pair:
 
     - a meet is the intersection, which must be a member;
     - the join of x and y is their set sum, of size |x||y|/|x ∩ y|.  Every
@@ -302,28 +318,28 @@ class IdealLattice:
       list is not closed under sums and raises ConsistencyError;
     - the star product x·y, the ideal generated by the pointwise products,
       is generated by g·h with g over ∘-generators of x and h over
-      +-generators of y (greedy, add_generators and mul_generators);
+      +-generators of y (greedy generators of each member);
     - the huq product, the ideal generated by i + j − i − j,
       i ∘ j ∘ i' ∘ j' and i ∘ j − j − i over i in x and j in y
       (huq_commutator), is generated by the +-commutators of +-generator
       pairs, the ∘-commutators of ∘-generator pairs and the member x·y.
 
-    Both products come from one routine, _column, which computes column y
-    of a product table, x·y for every member x, once.  star and huq read
-    the table once it is built; before that, a product with a principal
-    member y, all that a spectrum reads (spectra.ideal_pair_witness), is
-    read off y's column, and any other product builds the table from the
-    columns.  So a spectrum builds no k × k table.  The columns share one
-    seed-to-member memo, which starts from the members themselves, so each
-    distinct seed is closed at most once; the words g·h = -g + g∘h - h,
-    [g, h]₊ and [g, h]∘ are evaluated once per generator g and column,
-    never as n² tables.  A product or meet that is not a member raises
-    ConsistencyError naming it, as does a mask that is no member handed
-    to star, huq or (as a principal ideal) weights.  The constructor
-    computes the star columns of the principal members: every star
-    product is a join of these (multiplicative_lattice_check), so a
-    member list closed under joins that holds them holds every star
-    product, and one that misses a product is refused at once.
+    Every product entry comes from one rule, _products, whose seeds share
+    one seed-to-member memo, so each distinct seed is closed at most once.
+    star and huq read a pair of principal members off the block (the huq
+    columns on first read): that is all a spectrum reads
+    (spectra.ideal_pair_witness), so a spectrum builds no table and closes
+    the generators of principal members only.  Any other pair builds the
+    table through the same rule.  A product or meet that is not a member
+    raises ConsistencyError naming it, as does a mask that is no member
+    handed to star, huq or (as a principal ideal) weights.
+
+    The star block holds every star product: the star product distributes
+    over joins (the theorem in multiplicative_lattice_check), and every
+    ideal is the join of its principal ideals, so x·y is the join of the
+    p·q over principal p ⊆ x and q ⊆ y.  So a member list closed under
+    joins that holds the block holds every star product, and one that
+    misses a product of the block is refused at once.
 
     Proof of the star rule.  Let K be the ideal generated by those g·h.
     It lies in the ideal generated by all of x·y, so it remains to show
@@ -358,21 +374,47 @@ class IdealLattice:
         principal = set(principal_ideals(brace))
         self.principal: tuple[Mask, ...] = tuple(m for m in self.members[1:] if m in principal)
         self._principal_set = frozenset(self.principal)
-        self.add_generators = tuple(_greedy_generators(brace.add, m) for m in self.members)
-        self.mul_generators = tuple(_greedy_generators(brace.mul, m) for m in self.members)
-        add_gs, mul_gs = self.add_generators, self.mul_generators
-        # per word: the word, the generators of each member it takes on the
-        # left and on the right, and every left generator
+        members = self.members
+        # the positions of the principal members, and of the others
+        self._inside = [self.index[p] for p in self.principal]
+        self._outside = [i for i, m in enumerate(members) if m not in self._principal_set]
+        # each member's greedy generators by position: the top's are the
+        # brace's, the other principal members' are closed now, the rest
+        # with the tuples (add_generators)
+        add, mul, top = brace.add, brace.mul, len(members) - 1
+        add_gs, mul_gs = {top: brace.add_generators}, {top: brace.mul_generators}
+        for i in self._inside:
+            if i != top:
+                add_gs[i] = _greedy_generators(add, members[i])
+                mul_gs[i] = _greedy_generators(mul, members[i])
+        self._generators = {"add": add_gs, "mul": mul_gs}
+        # per word: the word and its left and right generators
         self._word_rules = {
-            "star": (star_word(brace), mul_gs, add_gs, _union(mul_gs)),
-            "add": (commutator_word(brace.add, brace.neg), add_gs, add_gs, _union(add_gs)),
-            "mul": (commutator_word(brace.mul, brace.inv), mul_gs, mul_gs, _union(mul_gs)),
+            "star": (star_word(brace), mul_gs, add_gs),
+            "add": (commutator_word(add, brace.neg), add_gs, add_gs),
+            "mul": (commutator_word(mul, brace.inv), mul_gs, mul_gs),
         }
+        # the word cache: per word and column j, each g's mask over j
+        self._words: dict[str, dict[int, dict[int, int]]] = {name: {} for name in self._word_rules}
         self._ideal_of_seed = dict(self.index)  # an ideal generates itself
-        self._columns: dict[str, dict[int, list[int]]] = {"star_table": {}, "huq_table": {}}
-        # the star columns of the principal members (see above)
-        for p in self.principal:
-            self._column("star_table", self.index[p])
+        # per table, the block's columns read: by right, then left position
+        self._blocks: dict[str, dict[int, dict[int, int]]] = {"star_table": {}, "huq_table": {}}
+        self._fill_block("star_table", self._inside)
+
+    def _all_generators(self, group: str, table) -> tuple[tuple[int, ...], ...]:
+        known, members = self._generators[group], self.members
+        for i in self._outside:
+            if i not in known:
+                known[i] = _greedy_generators(table, members[i])
+        return tuple(map(known.__getitem__, range(len(members))))
+
+    @cached_property
+    def add_generators(self) -> tuple[tuple[int, ...], ...]:
+        return self._all_generators("add", self.brace.add)
+
+    @cached_property
+    def mul_generators(self) -> tuple[tuple[int, ...], ...]:
+        return self._all_generators("mul", self.brace.mul)
 
     def _positions_of(self, masks) -> list[int]:
         try:
@@ -386,61 +428,89 @@ class IdealLattice:
             raise ConsistencyError(f"{what} {m:#x} of {x:#x} and {y:#x} is not a member")
         return pos
 
-    def _column(self, table: str, j: int) -> list[int]:
-        """Column j of the star or huq table (table), computed once: the
-        positions of the products of every member with member j.
+    def _products(self, table: str, cols, rows) -> list[list[int]]:
+        """The entry rule: for each j in cols, the positions of member i
+        times member j in table, for each i in rows.
 
         Each product is the ideal generated by a seed and its words over
-        generator pairs (_PRODUCT_WORDS), g over the generators of the
-        left member and h over those of member j: for the star product
-        the seed {0} and g·h, for the huq product the star product and
-        [g, h]₊, [g, h]∘.  Each g's words over member j are evaluated once.
+        generator pairs (_PRODUCT_WORDS), g over the generators of member
+        i and h over those of member j: for star the seed {0} and
+        g·h = -g + g∘h - h, for huq the star product and [g, h]₊, [g, h]∘.
+        Each word is evaluated once per g and column (the word cache).
+        Rows or columns outside the principal members need add_generators
+        first, and for huq the star table.
         """
-        columns = self._columns[table]
-        column = columns.get(j)
-        if column is not None:
-            return column
-        built = self.__dict__.get(table)
-        if built is not None:
-            return [row[j] for row in built]
-        members = self.members
-        if table == "star_table":
-            seeds = [1] * len(members)
-        else:
-            seeds = map(members.__getitem__, self._column("star_table", j))
-        words = []
+        members, ideal_of_seed = self.members, self._ideal_of_seed
+        rules = []
         for name in _PRODUCT_WORDS[table]:
-            word, left, right, every = self._word_rules[name]
-            hs = right[j]
-            words.append((left, {g: word(g, hs) for g in every}))
-        ideal_of_seed, column = self._ideal_of_seed, []
-        for i, seed in enumerate(seeds):
-            for left, row in words:
-                for g in left[i]:
-                    seed |= row[g]
-            pos = ideal_of_seed.get(seed)
-            if pos is None:  # each distinct seed is closed once
-                product = generated_ideal(self.brace, seed)
-                what = _PRODUCT_NAMES[table]
-                pos = ideal_of_seed[seed] = self._position(product, what, members[i], members[j])
-            column.append(pos)
-        columns[j] = column
-        return column
+            word, left, right = self._word_rules[name]
+            gens = list(map(left.__getitem__, rows))
+            rules.append((word, right, self._words[name], gens, set().union(*gens)))
+        seeds = [1] * len(rows)
+        star = self.__dict__.get("star_table")
+        out = []
+        for j in cols:
+            if table == "huq_table":  # x·y, off the star table or block
+                star_j = self._blocks["star_table"][j] if star is None else [r[j] for r in star]
+                seeds = [members[star_j[i]] for i in rows]
+            words = []
+            for word, right, cache, gens, every in rules:
+                row = cache.setdefault(j, {})
+                new = every.difference(row)
+                if new:
+                    hs = right[j]
+                    for g in new:
+                        row[g] = word(g, hs)
+                words.append((gens, row))
+            column = []
+            for n, seed in enumerate(seeds):
+                for gens, row in words:
+                    for g in gens[n]:
+                        seed |= row[g]
+                pos = ideal_of_seed.get(seed)
+                if pos is None:  # each distinct seed is closed once
+                    product = generated_ideal(self.brace, seed)
+                    what, x = _PRODUCT_NAMES[table], members[rows[n]]
+                    pos = ideal_of_seed[seed] = self._position(product, what, x, members[j])
+                column.append(pos)
+            out.append(column)
+        return out
+
+    def _fill_block(self, table: str, cols) -> None:
+        """Add to the block of table its columns cols: the products of each
+        principal member with principal member j."""
+        block, inside = self._blocks[table], self._inside
+        for j, column in zip(cols, self._products(table, cols, inside)):
+            block[j] = dict(zip(inside, column))
 
     def _table(self, table: str) -> tuple[tuple[int, ...], ...]:
-        """Every column, as rows; the columns are then dropped."""
-        columns = [self._column(table, j) for j in range(len(self.members))]
-        self._columns[table].clear()
+        """Every entry through the rule, column by column; the block's words
+        come from the word cache.  The block and the cache are then
+        dropped.  The huq table reads its seeds off the star table."""
+        self.add_generators, self.mul_generators
+        if table == "huq_table":
+            self.star_table
+        rows = range(len(self.members))
+        columns = self._products(table, rows, rows)
+        self._blocks[table].clear()
+        for name in _PRODUCT_WORDS[table]:
+            self._words[name].clear()
         return tuple(zip(*columns))
 
-    def _at(self, table: str, x: Mask, y: Mask) -> int:
-        """Position of one product before its table is built.  With y a
-        principal member, all that a spectrum reads, it is read off the
-        memoised column of y; any other y builds the table."""
-        i, j = self._positions_of((x, y))
-        if y in self._principal_set:
-            return self._column(table, j)[i]
-        return getattr(self, table)[i][j]
+    def _read(self, table: str, x: Mask, y: Mask) -> Mask:
+        """The product of members x and y before its table is built: off
+        the block for a pair of principal members, all that a spectrum
+        reads; any other pair builds the table."""
+        try:
+            i, j = self.index[x], self.index[y]
+        except KeyError as exc:
+            raise _not_a_member(exc) from None
+        if x in self._principal_set and y in self._principal_set:
+            block = self._blocks[table]
+            if j not in block:
+                self._fill_block(table, (j,))
+            return self.members[block[j][i]]
+        return self.members[getattr(self, table)[i][j]]
 
     @cached_property
     def star_table(self) -> tuple[tuple[int, ...], ...]:
@@ -531,7 +601,7 @@ class IdealLattice:
     def star(self, x: Mask, y: Mask) -> Mask:
         table = self.__dict__.get("star_table")
         if table is None:
-            return self.members[self._at("star_table", x, y)]
+            return self._read("star_table", x, y)
         try:
             return self.members[table[self.index[x]][self.index[y]]]
         except KeyError as exc:
@@ -540,7 +610,7 @@ class IdealLattice:
     def huq(self, x: Mask, y: Mask) -> Mask:
         table = self.__dict__.get("huq_table")
         if table is None:
-            return self.members[self._at("huq_table", x, y)]
+            return self._read("huq_table", x, y)
         try:
             return self.members[table[self.index[x]][self.index[y]]]
         except KeyError as exc:

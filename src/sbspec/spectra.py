@@ -5,12 +5,13 @@ outside P have their product in P.  One loop, ideal_pair_witness,
 decides this for every kind, with the lattice product kind_product
 names: star, the ideal generated by the products i*j (the paper's
 primes, so Spec(Idl A) is this spectrum); ksv, the additive subgroup
-they generate, which decides every pair as star does; huq, the
-commutator ideal.  Both products are monotone, so the loop tries pairs
-of principal ideals only, at most n - 1 of them rather than every
-member (the proof is on ideal_pair_witness), and reads their products
-one lattice column at a time: a spectrum builds no k × k table.  The
-element-pair routes in ideals are oracles.
+they generate, which decides every pair as star does, so spectrum
+returns the star spectrum under kind ksv and runs the loop for star and
+huq only; huq, the commutator ideal.  Both products are monotone, so the
+loop tries pairs of principal ideals only, at most n - 1 of them rather
+than every member (the proof is on ideal_pair_witness), and reads their
+products off the lattice's block of principal pairs: a spectrum builds
+no k × k table.  The element-pair routes in ideals are oracles.
 
 The pointwise notion, no two elements outside P star-multiplying into
 P, is empty on every finite skew brace, so it has no routine here.
@@ -26,7 +27,7 @@ A spectrum may well be empty; emptiness is a result, not an error.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .bitsets import full_mask, is_subset
@@ -116,8 +117,14 @@ class Spectrum:
 
 @lru_cache(maxsize=None)
 def spectrum(brace: SkewBrace, kind: str) -> Spectrum:
-    """All primes of one kind among the proper ideals, plus the minimal ones."""
+    """All primes of one kind among the proper ideals, plus the minimal ones.
+
+    The ksv spectrum is the star spectrum under kind ksv: kind_product
+    proves that the two decide every pair alike, witnesses included, so
+    the pair loop is not run again for ksv."""
     _check_kind(kind)
+    if kind == "ksv":
+        return replace(spectrum(brace, "star"), kind=kind)
     lat = ideal_lattice(brace)
     primes = []
     rejected = []

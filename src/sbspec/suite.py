@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 
-from .bitsets import is_subset, mask_of, popcount
+from .bitsets import bits, is_subset, mask_of, popcount
 from .braces import is_isomorphic, validate, SkewBrace
 from .catalog import catalog_lines, generate_catalog, verify_record
 from .enumeration import enumerate_braces, enumerate_braces_raw
@@ -131,14 +131,14 @@ def _closure_seeds(brace: SkewBrace, lat):
     ⟨M ∪ {b}⟩ = ⟨M ∪ {a}⟩: the orbit's maps keep ideals and generate a
     group, so an ideal holds j exactly when it holds a, and j = -i + b.
     """
-    orbit = brace.ideal_orbit
+    add, orbit = brace.add, brace.ideal_orbit
     for m in lat.members:
         yield m, 0
-        todo = lat.top & ~m
+        ms, todo = tuple(bits(m)), lat.top & ~m
         while todo:
             a = (todo & -todo).bit_length() - 1
             yield m, a
-            todo &= ~_set_sum(brace, m, orbit[a])
+            todo &= ~_set_sum(add, m, ms, orbit[a])[0]
 
 
 def _absorbs(brace: SkewBrace, m, add_gens, mul_gens) -> bool:

@@ -4,20 +4,21 @@ The library closes orbits under the generators of the acting group
 (`braces._orbits`), grows subgroups one generator at a time
 (`groups._closure`), checks the skew law with a over the ∘-generators
 (`braces._skew_witness`) and reads weights off breadth-first joins
-(`IdealLattice.weights`) and tests primality on pairs of principal ideals
-(`spectra.ideal_pair_witness`).  The tests compare each with the sweep
-here: every group element acting on every element, every pair of
-processed elements, every a, every subset of principal ideals, every pair
-of members.  The twist and star
+(`IdealLattice.weights`), tests primality on pairs of principal ideals
+(`spectra.ideal_pair_witness`) and joins each ideal with one principal
+ideal per class of elements (`ideals.all_ideals`).  The tests compare each
+with the sweep here: every group element acting on every element, every
+pair of processed elements, every a, every subset of principal ideals,
+every pair of members, every member joined with every principal ideal.  The twist and star
 tables, which the package evaluates as words, are built here in full for
 the tests.
 """
 
 import itertools
 
-from sbspec.bitsets import bits, full_mask, is_subset
+from sbspec.bitsets import bits, full_mask, is_subset, popcount
 from sbspec.groups import _greedy_generators
-from sbspec.ideals import generated_ideal
+from sbspec.ideals import generated_ideal, principal_ideals
 
 
 def lam_table(brace):
@@ -83,6 +84,26 @@ def weight_by_combinations(lat, mask):
             if pos == target:
                 return k
     raise AssertionError(f"mask {mask:#x} does not generate itself")
+
+
+def principal_join_closure(brace):
+    """Every ideal, sorted by size then mask: the distinct principal ideals
+    closed under joining any member with any principal ideal, each join
+    the set sum swept over element pairs."""
+    add = brace.add
+    principal = sorted(set(principal_ideals(brace)))
+    found, frontier = set(principal), list(principal)
+    while frontier:
+        x = frontier.pop()
+        for p in principal:
+            total = 0
+            for i in bits(x):
+                for j in bits(p):
+                    total |= 1 << add[i][j]
+            if total not in found:
+                found.add(total)
+                frontier.append(total)
+    return tuple(sorted(found, key=lambda m: (popcount(m), m)))
 
 
 def member_pair_witness(lat, mask, product):

@@ -12,6 +12,7 @@ from brace_oracles import (
     ideal_orbit_sweep,
     lam_table,
     pairwise_closure,
+    principal_join_closure,
     weight_by_combinations,
 )
 from conftest import _alternating_table
@@ -208,10 +209,17 @@ def test_lattice_and_spectra_leave_weights_unbuilt():
     assert lat.weights is lat.weights
 
 
-def test_spectra_and_spaces_build_no_table():
+def test_spectra_and_spaces_build_no_table(monkeypatch):
     # the lattice workload's calls on a relabelled trivial Z2^4 that no
     # other test builds: the spectra read the products of principal pairs
-    # only, so no k x k table is built until a caller reads one
+    # only, so they read the block of 15 x 15 star entries, close the
+    # generators of the 15 principal members only (30 closures, not 134)
+    # and build no k x k table until a caller reads one
+    closed = []
+    real = ideals._greedy_generators
+    monkeypatch.setattr(
+        ideals, "_greedy_generators", lambda table, mask: closed.append(mask) or real(table, mask)
+    )
     v4 = product_table(cyclic_table(2), cyclic_table(2))
     brace = relabel(trivial_brace(product_table(v4, v4)), (0, *range(15, 0, -1)))
     misses = ideal_lattice.cache_info().misses
@@ -222,21 +230,33 @@ def test_spectra_and_spaces_build_no_table():
     for kind in PRIME_KINDS:
         spec_topology(brace, kind)
     compare_definitions(brace)
+    def star_entries():
+        return sum(map(len, lat._blocks["star_table"].values()))
+
+    assert len(lat.principal) == 15 and star_entries() <= 225
+    assert sorted(closed) == sorted(lat.principal * 2)
     pairs = [(x, y) for x in lat.principal for y in lat.principal]
     read = {(x, y): (lat.star(x, y), lat.huq(x, y)) for x, y in pairs}
-    assert len(lat.principal) == 15 and not [n for n in vars(lat) if n.endswith("_table")]
+    assert star_entries() == 225 and len(closed) == 30
+    assert not [n for n in vars(lat) if n.endswith("_table")]
+    assert not {"add_generators", "mul_generators"} & set(vars(lat))
     # once built, each table equals its entries: the products read above,
-    # the columns of a second lattice that builds no table, intersections
-    # and least upper bounds
+    # the entry rule on a second lattice (the huq rule reads its seeds off
+    # the star table), intersections and least upper bounds
     members, index = lat.members, lat.index
     star, huq = lat.star_table, lat.huq_table
     for (x, y), products in read.items():
         assert (members[star[index[x]][index[y]]], members[huq[index[x]][index[y]]]) == products
     fresh = IdealLattice(brace)
-    for j in range(len(members)):
-        assert fresh._column("star_table", j) == [row[j] for row in star]
-        assert fresh._column("huq_table", j) == [row[j] for row in huq]
+    fresh.add_generators, fresh.mul_generators
+    rows = range(len(members))
+    for j in rows:
+        assert fresh._products("star_table", [j], rows) == [[row[j] for row in star]]
     assert not [n for n in vars(fresh) if n.endswith("_table")]
+    fresh.star_table
+    for j in rows:
+        assert fresh._products("huq_table", [j], rows) == [[row[j] for row in huq]]
+    assert "huq_table" not in vars(fresh)
     for (i, x), (j, y) in itertools.product(enumerate(members), repeat=2):
         assert members[lat.meet_table[i][j]] == x & y
         assert members[lat.join_table[i][j]] == lat.generated(x | y)
@@ -710,6 +730,53 @@ def test_an_orbit_missing_a_generator_is_caught(oracle_corpus, monkeypatch):
     assert caught(drop_last("add_generators"))
     assert caught(drop_last("mul_generators"))
     assert caught(lambda patch, b: patch.setattr(braces, "lam_word", lambda _: lambda a, i: i))
+
+
+def elementary_abelian_brace(k):
+    table = cyclic_table(2)
+    for _ in range(k - 1):
+        table = product_table(table, cyclic_table(2))
+    return trivial_brace(table)
+
+
+def test_walk_matches_the_principal_join_oracle(oracle_corpus):
+    # one pass per (member, class) reaches every ideal that joining every
+    # member with every principal ideal reaches, on the corpus (S4, A5 and
+    # B x B among it) and on trivial Z2^4 and Z2^5
+    corpus = oracle_corpus + [elementary_abelian_brace(4), elementary_abelian_brace(5)]
+    for brace in corpus:
+        assert all_ideals(brace) == principal_join_closure(brace), brace.describe()
+    assert [len(all_ideals(b)) for b in corpus[-2:]] == [67, 374]
+
+
+def test_a_walk_that_skips_the_whole_sum_is_caught(z4_radical, monkeypatch):
+    # the mutant skips every element of x + p, not only the cosets of x
+    # that meet p's class: from {0} the pass for (1) = Z4 then skips 2,
+    # so {0, 2} is never reached
+    real = ideals._set_sum
+
+    def skip_the_sum(*args):
+        total, _ = real(*args)
+        return total, total
+
+    assert all_ideals.__wrapped__(z4_radical) == principal_join_closure(z4_radical)
+    monkeypatch.setattr(ideals, "_set_sum", skip_the_sum)
+    mutant = all_ideals.__wrapped__(z4_radical)
+    assert mutant != principal_join_closure(z4_radical)
+    assert mask_of([0, 2]) not in mutant
+
+
+def test_walk_passes_are_the_hasse_edges(monkeypatch):
+    # on trivial Z2^k a class is one element and a pass adds one coset, so
+    # the walk makes one pass per covering pair: 240 and 2,077 passes for
+    # k = 4, 5, where joining with every principal ideal made 765 and 9,517
+    passes = []
+    real = ideals._set_sum
+    monkeypatch.setattr(ideals, "_set_sum", lambda *args: passes.append(1) or real(*args))
+    for k, expected in ((4, 240), (5, 2077)):
+        passes.clear()
+        members = all_ideals.__wrapped__(elementary_abelian_brace(k))
+        assert len(passes) == expected == len(hasse_edges(members))
 
 
 def test_closures_match_the_pairwise_worklist(oracle_corpus):

@@ -1,13 +1,15 @@
 """Prime ideals: definitions, witnesses, radicals, and the emptiness findings."""
 
 import copy
+import dataclasses
+from collections import Counter
 
 import pytest
 from brace_oracles import member_pair_witness, star_table
 from conftest import _alternating_table
 
 from sbspec.bitsets import full_mask, is_subset, mask_of
-from sbspec import suite
+from sbspec import spectra, suite
 from sbspec.braces import direct_product, trivial_brace
 from sbspec.enumeration import enumerate_braces
 from sbspec.errors import NotMaximalError, NotProperError
@@ -290,6 +292,30 @@ def test_principal_pairs_decide_primality_as_member_pairs(primality_corpus):
             assert spectrum(brace, kind).primes == expected
             primes += len(expected)
     assert primes
+
+
+def test_ksv_spectrum_is_the_star_spectrum(primality_corpus, monkeypatch):
+    # kind_product proves that ksv and star decide every pair alike,
+    # witnesses included, so the ksv spectrum is the star spectrum under
+    # kind ksv, field by field, and the pair loop runs for star only
+    corpus = list(dict.fromkeys(primality_corpus))
+    kinds = Counter()
+    real = spectra.is_prime
+    monkeypatch.setattr(
+        spectra, "is_prime", lambda brace, mask, kind: kinds.update([kind]) or real(brace, mask, kind)
+    )
+    spectrum.cache_clear()
+    try:
+        for brace in corpus:
+            star, ksv = spectrum(brace, "star"), spectrum(brace, "ksv")
+            assert ksv == dataclasses.replace(star, kind="ksv"), brace.describe()
+            spectrum(brace, "huq")
+    finally:
+        monkeypatch.undo()
+        spectrum.cache_clear()
+    proper = sum(len(ideal_lattice(b).proper_members()) for b in corpus)
+    assert kinds == {"star": proper, "huq": proper}
+    assert any(spectrum(b, "ksv").primes for b in corpus)
 
 
 def test_principal_pairs_without_the_largest_are_caught(
