@@ -18,12 +18,13 @@ The lattice is built from what the spectra read: all_ideals joins each
 member with one principal ideal per class of elements and refuses past
 MEMBER_BOUND members; IdealLattice reads joins off the size-sorted
 member list, weights off the join table, and the star and huq products
-off generator pairs (the proofs are on the class).  It computes the
-star products of principal pairs at once, all a spectrum reads, and
-every k × k table on first read.  The star and commutator words
-(braces.star_word and the rest) are evaluated per generator; no n²
-table of them exists.  Every ideal product the library decides with is
-a lattice product.  star_ideal, star_subgroup
+off generator pairs (the proofs are on the class).  Each product is one
+store of columns, each entry computed once on first read; the
+constructor fills the star products of principal pairs, all a spectrum
+reads, and a table is the store's full columns.  The star and
+commutator words (braces.star_word and the rest) are evaluated per
+generator; no n² table of them exists.  Every ideal product the
+library decides with is a lattice product.  star_ideal, star_subgroup
 and huq_commutator sweep element pairs; they are only oracles, which
 the suite's cross-check rows and the tests compare the lattice against.
 multiplicative_lattice_check decides the star table's laws exactly,
@@ -45,10 +46,10 @@ from .groups import _closure, _greedy_generators
 
 Mask = int
 
-# the most ideals a lattice may have: its meet, join, star and huq tables,
-# each built on first read, hold k² entries each.  Trivial Z2^6 has 2825
-# ideals; trivial Z2^7, with about 29,000, would need about 100 times its
-# memory.
+# the most ideals a lattice may have: its meet and join tables, and the
+# star and huq stores with their tables, each filled on first read, hold
+# k² entries each.  Trivial Z2^6 has 2825 ideals; trivial Z2^7, with
+# about 29,000, would need about 100 times its memory.
 MEMBER_BOUND = 4096
 
 
@@ -289,14 +290,24 @@ def ideal_weight(brace: SkewBrace, mask: Mask) -> int:
     return lat.weights[pos]
 
 
-# per product table: the words whose ideal, with a seed, is the product
-# (IdealLattice._products), and the product's name in errors
-_PRODUCT_WORDS = {"star_table": ("star",), "huq_table": ("add", "mul")}
-_PRODUCT_NAMES = {"star_table": "star product", "huq_table": "huq product"}
+class _MemberIndex(dict):
+    """Member positions by mask; a mask that is no member raises
+    ConsistencyError naming it."""
+
+    def __missing__(self, m: Mask) -> int:
+        raise ConsistencyError(f"ideal {m:#x} is not a member")
 
 
-def _not_a_member(exc: KeyError) -> ConsistencyError:
-    return ConsistencyError(f"ideal {exc.args[0]:#x} is not a member")
+class _Memo(dict):
+    """A dict that fills a missing key with fill(key) on first read."""
+
+    def __init__(self, fill, known):
+        super().__init__(known)
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 class IdealLattice:
@@ -306,10 +317,9 @@ class IdealLattice:
     member positions.  The constructor keeps the members, their index and
     the distinct nonzero principal ideals (principal, in member order),
     checks the bottom and the top, and computes the star products of
-    principal pairs (the block), from the principal members' generators.
-    The other members' generators (add_generators, mul_generators) and
-    every k × k table are built on first read.  No entry runs a closure
-    over a pair:
+    principal pairs (the block).  Every k × k table, and the generators
+    of each member (add_generators, mul_generators), are built on first
+    read.  No entry runs a closure over a pair:
 
     - a meet is the intersection, which must be a member;
     - the join of x and y is their set sum, of size |x||y|/|x ∩ y|.  Every
@@ -324,15 +334,19 @@ class IdealLattice:
       (huq_commutator), is generated by the +-commutators of +-generator
       pairs, the ∘-commutators of ∘-generator pairs and the member x·y.
 
-    Every product entry comes from one rule, _products, whose seeds share
-    one seed-to-member memo, so each distinct seed is closed at most once.
-    star and huq read a pair of principal members off the block (the huq
-    columns on first read): that is all a spectrum reads
-    (spectra.ideal_pair_witness), so a spectrum builds no table and closes
-    the generators of principal members only.  Any other pair builds the
-    table through the same rule.  A product or meet that is not a member
-    raises ConsistencyError naming it, as does a mask that is no member
-    handed to star, huq or (as a principal ideal) weights.
+    Each product has one store: per member j, the column of the products
+    of each member with j, filled on first read by one entry rule,
+    _column, which computes each entry once; its seeds share one
+    seed-to-member memo, so each distinct seed is closed at most once.
+    star and huq read an entry off its column, filling the principal
+    rows when the left factor is principal and every row otherwise;
+    star_table and huq_table are the full columns.  A spectrum reads
+    pairs of principal members only (spectra.ideal_pair_witness), so it
+    builds no table and closes the generators of principal members only.
+    A product or meet that is not a member raises ConsistencyError naming
+    it, as does a mask that is no member handed to star, huq, join or
+    (as a principal ideal) weights: index names it.  generated names a
+    seed that no member contains.
 
     The star block holds every star product: the star product distributes
     over joins (the theorem in multiplicative_lattice_check), and every
@@ -366,61 +380,49 @@ class IdealLattice:
     def __init__(self, brace: SkewBrace):
         self.brace = brace
         self.members: tuple[Mask, ...] = all_ideals(brace)
-        self.index: dict[Mask, int] = {m: i for i, m in enumerate(self.members)}
+        self.index: dict[Mask, int] = _MemberIndex((m, i) for i, m in enumerate(self.members))
         self.bottom: Mask = 1
         self.top: Mask = full_mask(brace.order)
         if self.members[0] != self.bottom or self.members[-1] != self.top:
             raise ConsistencyError("ideal lattice lacks bottom or top")
         principal = set(principal_ideals(brace))
         self.principal: tuple[Mask, ...] = tuple(m for m in self.members[1:] if m in principal)
-        self._principal_set = frozenset(self.principal)
-        members = self.members
-        # the positions of the principal members, and of the others
-        self._inside = [self.index[p] for p in self.principal]
-        self._outside = [i for i, m in enumerate(members) if m not in self._principal_set]
-        # each member's greedy generators by position: the top's are the
-        # brace's, the other principal members' are closed now, the rest
-        # with the tuples (add_generators)
-        add, mul, top = brace.add, brace.mul, len(members) - 1
-        add_gs, mul_gs = {top: brace.add_generators}, {top: brace.mul_generators}
-        for i in self._inside:
-            if i != top:
-                add_gs[i] = _greedy_generators(add, members[i])
-                mul_gs[i] = _greedy_generators(mul, members[i])
-        self._generators = {"add": add_gs, "mul": mul_gs}
-        # per word: the word and its left and right generators
-        self._word_rules = {
-            "star": (star_word(brace), mul_gs, add_gs),
-            "add": (commutator_word(add, brace.neg), add_gs, add_gs),
-            "mul": (commutator_word(mul, brace.inv), mul_gs, mul_gs),
+        # the positions of the principal members: the rows and columns of the block
+        self._inside = list(map(self.index.__getitem__, self.principal))
+        # each member's greedy generators by position, closed on first
+        # read; the top's are the brace's
+        members, add, mul = self.members, brace.add, brace.mul
+        k = len(members)
+        self._add_gens = _Memo(
+            lambda i: _greedy_generators(add, members[i]), {k - 1: brace.add_generators}
+        )
+        self._mul_gens = _Memo(
+            lambda i: _greedy_generators(mul, members[i]), {k - 1: brace.mul_generators}
+        )
+        # per product, its words (_column), each with the generators of its
+        # left and right factors and its cache: per column j, each g's
+        # mask over j
+        self._rules = {
+            "star": ((star_word(brace), self._mul_gens, self._add_gens, [None] * k),),
+            "huq": (
+                (commutator_word(add, brace.neg), self._add_gens, self._add_gens, [None] * k),
+                (commutator_word(mul, brace.inv), self._mul_gens, self._mul_gens, [None] * k),
+            ),
         }
-        # the word cache: per word and column j, each g's mask over j
-        self._words: dict[str, dict[int, dict[int, int]]] = {name: {} for name in self._word_rules}
         self._ideal_of_seed = dict(self.index)  # an ideal generates itself
-        # per table, the block's columns read: by right, then left position
-        self._blocks: dict[str, dict[int, dict[int, int]]] = {"star_table": {}, "huq_table": {}}
-        self._fill_block("star_table", self._inside)
-
-    def _all_generators(self, group: str, table) -> tuple[tuple[int, ...], ...]:
-        known, members = self._generators[group], self.members
-        for i in self._outside:
-            if i not in known:
-                known[i] = _greedy_generators(table, members[i])
-        return tuple(map(known.__getitem__, range(len(members))))
+        # the store: per product and column j, the position of each member
+        # times member j, -1 where not yet read (None: no entry read)
+        self._columns: dict[str, list] = {kind: [None] * k for kind in self._rules}
+        for j in self._inside:
+            self._column("star", j, self._inside)
 
     @cached_property
     def add_generators(self) -> tuple[tuple[int, ...], ...]:
-        return self._all_generators("add", self.brace.add)
+        return tuple(map(self._add_gens.__getitem__, range(len(self.members))))
 
     @cached_property
     def mul_generators(self) -> tuple[tuple[int, ...], ...]:
-        return self._all_generators("mul", self.brace.mul)
-
-    def _positions_of(self, masks) -> list[int]:
-        try:
-            return list(map(self.index.__getitem__, masks))
-        except KeyError as exc:
-            raise _not_a_member(exc) from None
+        return tuple(map(self._mul_gens.__getitem__, range(len(self.members))))
 
     def _position(self, m: Mask, what: str, x: Mask, y: Mask) -> int:
         pos = self.index.get(m)
@@ -428,97 +430,72 @@ class IdealLattice:
             raise ConsistencyError(f"{what} {m:#x} of {x:#x} and {y:#x} is not a member")
         return pos
 
-    def _products(self, table: str, cols, rows) -> list[list[int]]:
-        """The entry rule: for each j in cols, the positions of member i
-        times member j in table, for each i in rows.
+    def _column(self, kind: str, j: int, rows) -> list[int]:
+        """The entry rule: column j of the kind's store, filled at rows.
 
         Each product is the ideal generated by a seed and its words over
-        generator pairs (_PRODUCT_WORDS), g over the generators of member
-        i and h over those of member j: for star the seed {0} and
+        generator pairs (_rules), g over the generators of member i and h
+        over those of member j: for star the seed {0} and
         g·h = -g + g∘h - h, for huq the star product and [g, h]₊, [g, h]∘.
-        Each word is evaluated once per g and column (the word cache).
-        Rows or columns outside the principal members need add_generators
-        first, and for huq the star table.
+        Each word is evaluated once per g and column (the word cache), and
+        each entry once: rows already read are skipped.
         """
-        members, ideal_of_seed = self.members, self._ideal_of_seed
-        rules = []
-        for name in _PRODUCT_WORDS[table]:
-            word, left, right = self._word_rules[name]
-            gens = list(map(left.__getitem__, rows))
-            rules.append((word, right, self._words[name], gens, set().union(*gens)))
-        seeds = [1] * len(rows)
-        star = self.__dict__.get("star_table")
-        out = []
-        for j in cols:
-            if table == "huq_table":  # x·y, off the star table or block
-                star_j = self._blocks["star_table"][j] if star is None else [r[j] for r in star]
-                seeds = [members[star_j[i]] for i in rows]
-            words = []
-            for word, right, cache, gens, every in rules:
-                row = cache.setdefault(j, {})
-                new = every.difference(row)
-                if new:
-                    hs = right[j]
-                    for g in new:
-                        row[g] = word(g, hs)
-                words.append((gens, row))
-            column = []
-            for n, seed in enumerate(seeds):
-                for gens, row in words:
-                    for g in gens[n]:
-                        seed |= row[g]
-                pos = ideal_of_seed.get(seed)
-                if pos is None:  # each distinct seed is closed once
-                    product = generated_ideal(self.brace, seed)
-                    what, x = _PRODUCT_NAMES[table], members[rows[n]]
-                    pos = ideal_of_seed[seed] = self._position(product, what, x, members[j])
-                column.append(pos)
-            out.append(column)
-        return out
+        members, ideal_of_seed, store = self.members, self._ideal_of_seed, self._columns[kind]
+        column = store[j]
+        if column is None:
+            column = store[j] = [-1] * len(members)
+        else:
+            rows = [i for i in rows if column[i] < 0]
+            if not rows:
+                return column
+        if kind == "huq":  # x·y, off the star column
+            star_j = self._column("star", j, rows)
+            seeds = [members[star_j[i]] for i in rows]
+        else:
+            seeds = [1] * len(rows)
+        words = []
+        for word, left, right, cache in self._rules[kind]:
+            row = cache[j]
+            if row is None:
+                row = cache[j] = [None] * self.brace.order
+            words.append((word, right[j], row, left))
+        for seed, i in zip(seeds, rows):
+            for word, hs, row, left in words:
+                for g in left[i]:
+                    mask = row[g]
+                    if mask is None:
+                        mask = row[g] = word(g, hs)
+                    seed |= mask
+            pos = ideal_of_seed.get(seed)
+            if pos is None:  # each distinct seed is closed once
+                product, x, y = generated_ideal(self.brace, seed), members[i], members[j]
+                pos = ideal_of_seed[seed] = self._position(product, f"{kind} product", x, y)
+            column[i] = pos
+        return column
 
-    def _fill_block(self, table: str, cols) -> None:
-        """Add to the block of table its columns cols: the products of each
-        principal member with principal member j."""
-        block, inside = self._blocks[table], self._inside
-        for j, column in zip(cols, self._products(table, cols, inside)):
-            block[j] = dict(zip(inside, column))
+    def _entry(self, kind: str, x: Mask, y: Mask) -> Mask:
+        """The product of members x and y off its column: the principal
+        rows are filled first, then, for a left factor outside them, every
+        row."""
+        i, j = self.index[x], self.index[y]
+        column = self._columns[kind][j]
+        if column is None or column[i] < 0:
+            column = self._column(kind, j, self._inside)
+            if column[i] < 0:
+                column = self._column(kind, j, range(len(self.members)))
+        return self.members[column[i]]
 
-    def _table(self, table: str) -> tuple[tuple[int, ...], ...]:
-        """Every entry through the rule, column by column; the block's words
-        come from the word cache.  The block and the cache are then
-        dropped.  The huq table reads its seeds off the star table."""
-        self.add_generators, self.mul_generators
-        if table == "huq_table":
-            self.star_table
+    def _table(self, kind: str) -> tuple[tuple[int, ...], ...]:
         rows = range(len(self.members))
-        columns = self._products(table, rows, rows)
-        self._blocks[table].clear()
-        for name in _PRODUCT_WORDS[table]:
-            self._words[name].clear()
-        return tuple(zip(*columns))
-
-    def _read(self, table: str, x: Mask, y: Mask) -> Mask:
-        """The product of members x and y before its table is built: off
-        the block for a pair of principal members, all that a spectrum
-        reads; any other pair builds the table."""
-        try:
-            i, j = self.index[x], self.index[y]
-        except KeyError as exc:
-            raise _not_a_member(exc) from None
-        if x in self._principal_set and y in self._principal_set:
-            block = self._blocks[table]
-            if j not in block:
-                self._fill_block(table, (j,))
-            return self.members[block[j][i]]
-        return self.members[getattr(self, table)[i][j]]
+        return tuple(zip(*(self._column(kind, j, rows) for j in rows)))
 
     @cached_property
     def star_table(self) -> tuple[tuple[int, ...], ...]:
-        return self._table("star_table")
+        return self._table("star")
 
     @cached_property
     def huq_table(self) -> tuple[tuple[int, ...], ...]:
-        return self._table("huq_table")
+        return self._table("huq")
 
     @cached_property
     def meet_table(self) -> tuple[tuple[int, ...], ...]:
@@ -569,7 +546,7 @@ class IdealLattice:
         principal ideals is the oracle (tests/brace_oracles.py).
         """
         join = self.join_table
-        principal = sorted(set(self._positions_of(principal_ideals(self.brace))))
+        principal = sorted(set(map(self.index.__getitem__, principal_ideals(self.brace))))
         level = dict.fromkeys(principal, 1)
         frontier = principal
         while frontier:
@@ -599,28 +576,18 @@ class IdealLattice:
         return self.members[self.join_table[self.index[x]][self.index[y]]]
 
     def star(self, x: Mask, y: Mask) -> Mask:
-        table = self.__dict__.get("star_table")
-        if table is None:
-            return self._read("star_table", x, y)
-        try:
-            return self.members[table[self.index[x]][self.index[y]]]
-        except KeyError as exc:
-            raise _not_a_member(exc) from None
+        return self._entry("star", x, y)
 
     def huq(self, x: Mask, y: Mask) -> Mask:
-        table = self.__dict__.get("huq_table")
-        if table is None:
-            return self._read("huq_table", x, y)
-        try:
-            return self.members[table[self.index[x]][self.index[y]]]
-        except KeyError as exc:
-            raise _not_a_member(exc) from None
+        return self._entry("huq", x, y)
 
     def generated(self, seed: Mask) -> Mask:
-        """Least member containing the seed: the first one in size order."""
+        """Least member containing the seed: the first one in size order.
+        A seed outside the brace lies in no member and raises."""
         for m in self.members:
             if not seed & ~m:
                 return m
+        raise ConsistencyError(f"seed {seed:#x} lies in no member")
 
     def proper_members(self) -> tuple[Mask, ...]:
         return tuple(m for m in self.members if m != self.top)

@@ -11,9 +11,11 @@ with the sweep here: every group element acting on every element, every
 pair of processed elements, every a, every subset of principal ideals,
 every pair of members, every member joined with every principal ideal.  The twist and star
 tables, which the package evaluates as words, are built here in full for
-the tests.
+the tests.  with_star_table plants a star table in a copy of a lattice,
+for the mutation tests.
 """
 
+import copy
 import itertools
 
 from sbspec.bitsets import bits, full_mask, is_subset, popcount
@@ -116,6 +118,19 @@ def member_pair_witness(lat, mask, product):
             if is_subset(product(x, y), mask):
                 return x, y
     return None
+
+
+def with_star_table(lat, table):
+    """A copy of lat whose star products are table (rows by member
+    position): star_table is the table, every star read comes off its
+    columns, and the huq products, whose seeds are star products, are
+    read afresh from them.  lat itself is left as it was."""
+    mutant = copy.copy(lat)
+    mutant.star_table = tuple(map(tuple, table))
+    columns = list(map(list, zip(*mutant.star_table)))
+    mutant._columns = {"star": columns, "huq": [None] * len(columns)}
+    mutant.__dict__.pop("huq_table", None)
+    return mutant
 
 
 def pairwise_closure(table, closed, orbit=None):

@@ -1,7 +1,6 @@
 """Ideal layer: subset-sweep and seed-route oracles, frozen lattices, closures."""
 
 import ast
-import copy
 import dataclasses
 import itertools
 from collections import Counter
@@ -14,13 +13,14 @@ from brace_oracles import (
     pairwise_closure,
     principal_join_closure,
     weight_by_combinations,
+    with_star_table,
 )
 from conftest import _alternating_table
 
 from sbspec import braces, groups, ideals, suite
 from sbspec.bitsets import bits, elements, full_mask, hasse_edges, is_subset, mask_of, popcount
 from sbspec.braces import SkewBrace, almost_trivial_brace, direct_product, relabel, trivial_brace
-from sbspec.errors import OrderBoundError
+from sbspec.errors import ConsistencyError, OrderBoundError
 from sbspec.enumeration import enumerate_braces
 from sbspec.groups import cyclic_table, product_table, symmetric_table
 from sbspec.ideals import (
@@ -149,6 +149,14 @@ def test_generated_ideal_routes(z4_radical, s3_almost):
     assert generated_ideal(z4_radical, 0) == mask_of([0])
 
 
+def test_generated_names_a_seed_outside_the_brace(s3_trivial):
+    lat = ideal_lattice(s3_trivial)
+    assert lat.generated(full_mask(6)) == lat.top
+    for seed in (1 << 6, full_mask(7)):
+        with pytest.raises(ConsistencyError, match=f"seed {seed:#x} lies in no member"):
+            lat.generated(seed)
+
+
 def test_star_products(z4_radical, s3_almost, v4_trivial):
     a4 = full_mask(4)
     assert star_set(z4_radical, a4, a4) == mask_of([0, 2])
@@ -212,9 +220,9 @@ def test_lattice_and_spectra_leave_weights_unbuilt():
 def test_spectra_and_spaces_build_no_table(monkeypatch):
     # the lattice workload's calls on a relabelled trivial Z2^4 that no
     # other test builds: the spectra read the products of principal pairs
-    # only, so they read the block of 15 x 15 star entries, close the
-    # generators of the 15 principal members only (30 closures, not 134)
-    # and build no k x k table until a caller reads one
+    # only, so they fill the 15 x 15 principal entries of the star store,
+    # close the generators of the 15 principal members only (30 closures,
+    # not 134) and build no k x k table until a caller reads one
     closed = []
     real = ideals._greedy_generators
     monkeypatch.setattr(
@@ -231,7 +239,7 @@ def test_spectra_and_spaces_build_no_table(monkeypatch):
         spec_topology(brace, kind)
     compare_definitions(brace)
     def star_entries():
-        return sum(map(len, lat._blocks["star_table"].values()))
+        return sum(pos >= 0 for column in lat._columns["star"] if column for pos in column)
 
     assert len(lat.principal) == 15 and star_entries() <= 225
     assert sorted(closed) == sorted(lat.principal * 2)
@@ -241,23 +249,19 @@ def test_spectra_and_spaces_build_no_table(monkeypatch):
     assert not [n for n in vars(lat) if n.endswith("_table")]
     assert not {"add_generators", "mul_generators"} & set(vars(lat))
     # once built, each table equals its entries: the products read above,
-    # the entry rule on a second lattice (the huq rule reads its seeds off
-    # the star table), intersections and least upper bounds
+    # every entry read one at a time off a second lattice (star first,
+    # then huq, which fills the star entries it needs), intersections and
+    # least upper bounds
     members, index = lat.members, lat.index
     star, huq = lat.star_table, lat.huq_table
     for (x, y), products in read.items():
         assert (members[star[index[x]][index[y]]], members[huq[index[x]][index[y]]]) == products
     fresh = IdealLattice(brace)
-    fresh.add_generators, fresh.mul_generators
-    rows = range(len(members))
-    for j in rows:
-        assert fresh._products("star_table", [j], rows) == [[row[j] for row in star]]
+    cells = list(itertools.product(enumerate(members), repeat=2))
+    assert all(fresh.huq(x, y) == members[huq[i][j]] for (i, x), (j, y) in cells)
     assert not [n for n in vars(fresh) if n.endswith("_table")]
-    fresh.star_table
-    for j in rows:
-        assert fresh._products("huq_table", [j], rows) == [[row[j] for row in huq]]
-    assert "huq_table" not in vars(fresh)
-    for (i, x), (j, y) in itertools.product(enumerate(members), repeat=2):
+    assert all(fresh.star(x, y) == members[star[i][j]] for (i, x), (j, y) in cells)
+    for (i, x), (j, y) in cells:
         assert members[lat.meet_table[i][j]] == x & y
         assert members[lat.join_table[i][j]] == lat.generated(x | y)
 
@@ -386,8 +390,7 @@ def test_lattice_check_rejects_every_broken_star_table(v4_trivial, z4_radical, s
                     continue
                 table = [list(row) for row in lat.star_table]
                 table[i][j] = value
-                mutant = copy.copy(lat)
-                mutant.star_table = tuple(map(tuple, table))
+                mutant = with_star_table(lat, table)
                 report = multiplicative_lattice_check(mutant)
                 monotone = star_monotone_everywhere(mutant)
                 below = star_below_meet_everywhere(mutant)
@@ -410,9 +413,8 @@ def test_lattice_check_needs_every_join_generator(v4_trivial):
     lat = ideal_lattice(v4_trivial)
     bottom, a, b, c, top = range(len(lat))
     star = {(a, top): a, (top, a): a, (a, a): a, (top, top): a}
-    mutant = copy.copy(lat)
-    mutant.star_table = tuple(
-        tuple(star.get((i, j), bottom) for j in range(len(lat))) for i in range(len(lat))
+    mutant = with_star_table(
+        lat, [[star.get((i, j), bottom) for j in range(len(lat))] for i in range(len(lat))]
     )
     ms = lat.members
     assert star_monotone_everywhere(mutant) and star_below_meet_everywhere(mutant)
@@ -953,6 +955,40 @@ def test_hasse_edges_match_reference():
 def test_a5_lattice_tables_match_seed_route(a5_trivial, a5_almost):
     for brace in (a5_trivial, a5_almost):
         assert_lattice_matches_seed_route(brace)
+
+
+def block_reads(lat):
+    """The star and huq products of every principal pair, as positions."""
+    pairs = [(x, y) for x in lat.principal for y in lat.principal]
+    index = lat.index
+    return [(index[x], index[y], index[lat.star(x, y)], index[lat.huq(x, y)]) for x, y in pairs]
+
+
+def test_read_order_gives_the_seed_route_tables(a5_trivial, a5_almost):
+    # the store fills columns in part: on fresh lattices, each order of
+    # reads below ends with the seed-route tables, and every single read
+    # agrees with them
+    for brace in lattice_oracle_corpus() + [a5_trivial, a5_almost]:
+        members, _, _, star, huq = seed_route_tables(brace)
+        orders = ("huq outside the block", "huq table first", "block first", "tables first")
+        for order in orders:
+            lat = IdealLattice(brace)
+            principal = set(lat.principal)
+            if order == "huq outside the block":
+                x = max(m for m in members if m not in principal)
+                i, j = lat.index[x], len(members) - 1
+                assert lat.huq(x, lat.top) == members[huq[i][j]], (brace, order)
+                # a left factor outside the principal members fills the column
+                assert -1 not in lat._columns["huq"][j] + lat._columns["star"][j]
+            elif order == "huq table first":
+                assert lat.huq_table == huq and "star_table" not in vars(lat), (brace, order)
+            elif order == "block first":
+                reads = block_reads(lat)
+                assert all((star[i][j], huq[i][j]) == (s, h) for i, j, s, h in reads)
+            assert (lat.star_table, lat.huq_table) == (star, huq), (brace, order)
+            if order == "tables first":
+                reads = block_reads(lat)
+                assert all((star[i][j], huq[i][j]) == (s, h) for i, j, s, h in reads)
 
 
 def test_nontrivial_star_products_are_covered():

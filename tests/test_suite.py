@@ -1,12 +1,11 @@
 """Catalog records and the property-suite verdict machinery."""
 
-import copy
 import dataclasses
 import hashlib
 import itertools
 
 import pytest
-from brace_oracles import lam_table
+from brace_oracles import lam_table, with_star_table
 
 from sbspec import braces, groups, ideals, spectra, suite
 from sbspec.bitsets import popcount
@@ -558,18 +557,23 @@ def test_ideal_criteria_finds_a_missing_ideal(v4_trivial, monkeypatch):
 
 def test_a_principal_ideal_outside_the_members_is_named(v4_trivial, monkeypatch):
     # with the principal ideal {0, 2} dropped, every product of the rest is
-    # a member, so the lattice builds; a row that hands {0, 2} to a product,
-    # and the weights, fail with a ConsistencyError naming it, never a
-    # KeyError that would stop the suite
+    # a member, so the lattice builds; a row that hands {0, 2} to a product
+    # or a join, and the weights, fail with a ConsistencyError naming it,
+    # never a KeyError that would stop the suite
     real = ideals.all_ideals(v4_trivial)
     monkeypatch.setattr(ideals, "all_ideals", lambda brace: tuple(m for m in real if m != 5))
     _clear_lattice_caches()
     try:
         lat = ideal_lattice(v4_trivial)
-        with pytest.raises(ConsistencyError, match="ideal 0x5 is not a member"):
-            lat.star(5, lat.top)
-        with pytest.raises(ConsistencyError, match="ideal 0x5 is not a member"):
-            lat.weights
+        reads = (
+            lambda: lat.star(5, lat.top),
+            lambda: lat.huq(lat.top, 5),
+            lambda: lat.join(5, lat.top),
+            lambda: lat.weights,
+        )
+        for read in reads:
+            with pytest.raises(ConsistencyError, match="ideal 0x5 is not a member"):
+                read()
         rows = {r.check: r for r in run_brace_suite("v4", v4_trivial)}
     finally:
         monkeypatch.undo()
@@ -787,8 +791,7 @@ def test_every_broken_star_table_fails_a_lattice_row(
                     continue
                 table = [list(row) for row in lat.star_table]
                 table[i][j] = value
-                mutant = copy.copy(lat)
-                mutant.star_table = tuple(map(tuple, table))
+                mutant = with_star_table(lat, table)
                 monkeypatch.setattr(suite, "ideal_lattice", lambda _: mutant)
                 [(laws, _, _)] = suite._lattice_laws(brace)
                 if laws:  # a table with every law: star-chain must catch it
