@@ -21,14 +21,17 @@ member list, weights off the join table, and the star and huq products
 off generator pairs (the proofs are on the class).  Each product is one
 store of columns, each entry computed once on first read; the
 constructor fills the star products of principal pairs, all a spectrum
-reads, and a table is the store's full columns.  The star and
-commutator words (braces.star_word and the rest) are evaluated per
-generator; no n² table of them exists.  Every ideal product the
-library decides with is a lattice product.  star_ideal, star_subgroup
-and huq_commutator sweep element pairs; they are only oracles, which
-the suite's cross-check rows and the tests compare the lattice against.
-multiplicative_lattice_check decides the star table's laws exactly,
-distributivity on the join-generators, so no lattice row samples.
+reads.  No product is kept twice: a reader of every pair reads the
+store's full columns, and a meet is an intersection checked against the
+member index.  The star and commutator words (braces.star_word and the
+rest) are evaluated per generator; no n² table of them exists.  Every
+ideal product the library decides with is a lattice product.
+star_ideal, star_subgroup and huq_commutator sweep element pairs; they
+are only oracles, which the suite's cross-check rows and the tests
+compare the lattice against.
+multiplicative_lattice_check decides the star product's laws exactly,
+off the store's full columns, distributivity on the join-generators, so
+no lattice row samples.
 additive_subgroups sweeps every additive subgroup and is a test oracle
 alone: the suite certifies the member list from closures instead.
 """
@@ -46,10 +49,10 @@ from .groups import _closure, _greedy_generators
 
 Mask = int
 
-# the most ideals a lattice may have: its meet and join tables, and the
-# star and huq stores with their tables, each filled on first read, hold
-# k² entries each.  Trivial Z2^6 has 2825 ideals; trivial Z2^7, with
-# about 29,000, would need about 100 times its memory.
+# the most ideals a lattice may have: its join table and the star and
+# huq stores, each filled on first read, hold k² entries each.  Trivial
+# Z2^6 has 2825 ideals; trivial Z2^7, with about 29,000, would need about
+# 100 times its memory.
 MEMBER_BOUND = 4096
 
 
@@ -313,13 +316,14 @@ class _Memo(dict):
 class IdealLattice:
     """All ideals of one brace, with meet, join, star and huq products.
 
-    Members are kept sorted by size then mask; tables are indexed by the
-    member positions.  The constructor keeps the members, their index and
-    the distinct nonzero principal ideals (principal, in member order),
-    checks the bottom and the top, and computes the star products of
-    principal pairs (the block).  Every k × k table, and the generators
-    of each member (add_generators, mul_generators), are built on first
-    read.  No entry runs a closure over a pair:
+    Members are kept sorted by size then mask; the join table and the
+    stores are indexed by the member positions.  The constructor keeps
+    the members, their index and the distinct nonzero principal ideals
+    (principal, in member order), checks the bottom and the top, and
+    computes the star products of principal pairs (the block).  The join
+    table, the rest of each store and the generators of each member
+    (add_generators, mul_generators) are built on first read.  No entry
+    runs a closure over a pair:
 
     - a meet is the intersection, which must be a member;
     - the join of x and y is their set sum, of size |x||y|/|x ∩ y|.  Every
@@ -339,10 +343,10 @@ class IdealLattice:
     _column, which computes each entry once; its seeds share one
     seed-to-member memo, so each distinct seed is closed at most once.
     star and huq read an entry off its column, filling the principal
-    rows when the left factor is principal and every row otherwise;
-    star_table and huq_table are the full columns.  A spectrum reads
-    pairs of principal members only (spectra.ideal_pair_witness), so it
-    builds no table and closes the generators of principal members only.
+    rows when the left factor is principal and every row otherwise; no
+    table copies a store.  A spectrum reads pairs of principal members
+    only (spectra.ideal_pair_witness), so it fills the block alone and
+    closes the generators of principal members only.
     A product or meet that is not a member raises ConsistencyError naming
     it, as does a mask that is no member handed to star, huq, join or
     (as a principal ideal) weights: index names it.  generated names a
@@ -485,23 +489,6 @@ class IdealLattice:
                 column = self._column(kind, j, range(len(self.members)))
         return self.members[column[i]]
 
-    def _table(self, kind: str) -> tuple[tuple[int, ...], ...]:
-        rows = range(len(self.members))
-        return tuple(zip(*(self._column(kind, j, rows) for j in rows)))
-
-    @cached_property
-    def star_table(self) -> tuple[tuple[int, ...], ...]:
-        return self._table("star")
-
-    @cached_property
-    def huq_table(self) -> tuple[tuple[int, ...], ...]:
-        return self._table("huq")
-
-    @cached_property
-    def meet_table(self) -> tuple[tuple[int, ...], ...]:
-        members, position = self.members, self._position
-        return tuple(tuple([position(x & y, "meet", x, y) for y in members]) for x in members)
-
     @cached_property
     def join_table(self) -> tuple[tuple[int, ...], ...]:
         members, k = self.members, len(self.members)
@@ -567,10 +554,7 @@ class IdealLattice:
         return is_subset(x, y)
 
     def meet(self, x: Mask, y: Mask) -> Mask:
-        meet = x & y
-        if meet not in self.index:
-            raise ConsistencyError(f"meet {meet:#x} of {x:#x} and {y:#x} is not a member")
-        return meet
+        return self.members[self._position(x & y, "meet", x, y)]
 
     def join(self, x: Mask, y: Mask) -> Mask:
         return self.members[self.join_table[self.index[x]][self.index[y]]]
@@ -615,7 +599,8 @@ class LatticeLawReport:
 
 
 def multiplicative_lattice_check(lat: IdealLattice) -> LatticeLawReport:
-    """Check the order laws of the star product on the ideal lattice.
+    """Check the order laws of the star product, read by position off
+    the store's full columns (column z holds x·z at row x).
 
     The lattice laws hold by construction (IdealLattice): a meet is an
     intersection, a join is the first member above both and has the size
@@ -645,8 +630,12 @@ def multiplicative_lattice_check(lat: IdealLattice) -> LatticeLawReport:
     with K·I + K·J normal in (A, +) gives K·(I + J) ⊆ K·I + K·J; the
     star product is monotone, which gives ⊇.
     """
-    members, star_t, join_t = lat.members, lat.star_table, lat.join_table
-    products = ((x, y, p) for x, row in zip(members, star_t) for y, p in zip(members, row))
+    members, join_t = lat.members, lat.join_table
+    rows = range(len(members))
+    star_c = [lat._column("star", z, rows) for z in rows]
+    products = (
+        (x, y, column[i]) for i, x in enumerate(members) for y, column in zip(members, star_c)
+    )
     above_meet = next(
         (("below-meet", x, y) for x, y, p in products if not is_subset(members[p], x & y)),
         None,
@@ -659,9 +648,9 @@ def multiplicative_lattice_check(lat: IdealLattice) -> LatticeLawReport:
         ("distributive", members[x], members[p], members[z])
         for x, join_x in enumerate(join_t)
         for p in gens
-        for z, star_z in enumerate(star_t)
-        if star_t[join_x[p]][z] != join_t[star_t[x][z]][star_t[p][z]]
-        or star_z[join_x[p]] != join_t[star_z[x]][star_z[p]]
+        for z, col_z in enumerate(star_c)
+        if col_z[join_x[p]] != join_t[col_z[x]][col_z[p]]
+        or star_c[join_x[p]][z] != join_t[star_c[x][z]][star_c[p][z]]
     )
     bad = next(undistributed, None)
     return LatticeLawReport(above_meet is None, bad is None, above_meet or bad)

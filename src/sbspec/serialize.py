@@ -127,13 +127,13 @@ def spectrum_to_dict(brace: SkewBrace, kind: str) -> dict:
 
 def lattice_to_dict(brace: SkewBrace) -> dict:
     lat = ideal_lattice(brace)
-    k = len(lat.members)
+    members, index = lat.members, lat.index
     return {
-        "ideals": [member_list(m) for m in lat.members],
+        "ideals": [member_list(m) for m in members],
         "weights": list(lat.weights),
-        "meet": [[lat.meet_table[i][j] for j in range(k)] for i in range(k)],
-        "join": [[lat.join_table[i][j] for j in range(k)] for i in range(k)],
-        "star": [[lat.star_table[i][j] for j in range(k)] for i in range(k)],
+        "meet": [[index[lat.meet(x, y)] for y in members] for x in members],
+        "join": list(map(list, lat.join_table)),
+        "star": [[index[lat.star(x, y)] for y in members] for x in members],
     }
 
 

@@ -225,10 +225,10 @@ def _principal_criterion(brace: SkewBrace):
     star-chain compares star_ideal with the lattice's star product on
     those pairs, and checks each product lies in x ∩ y.  That decides
     every pair of ideals: every ideal is the join of its principal ideals,
-    the table distributes over joins (multiplicative-lattice checks it
-    exactly), the element route distributes by the theorem in
+    the lattice's product distributes over joins (multiplicative-lattice
+    checks it exactly), the element route distributes by the theorem in
     multiplicative_lattice_check, and a product with {0} is {0} on both
-    routes (on the table, by that row's x·y ⊆ x ∩ y).
+    routes (on the lattice, by that row's x·y ⊆ x ∩ y).
 
     Primality by the element routes is checked against spectrum.  P is
     prime exactly when no two principal ideals outside it multiply into
@@ -441,7 +441,7 @@ _BRACE_HEAD = (
     (("ideal-criteria",), _ideal_criteria),
     (("multiplicative-lattice",), _lattice_laws),
     (("generated-ideal-routes",), _generated_routes),
-    # star_ideal against the star table, then the primes of spectrum for
+    # star_ideal against the lattice's star product, then the primes of spectrum for
     # star and huq, all by principal ideal pairs
     (
         ("star-chain", "principal-prime-criterion-star", "principal-prime-criterion-huq"),

@@ -12,7 +12,7 @@ pair of processed elements, every a, every subset of principal ideals,
 every pair of members, every member joined with every principal ideal.  The twist and star
 tables, which the package evaluates as words, are built here in full for
 the tests.  with_star_table plants a star table in a copy of a lattice,
-for the mutation tests.
+and star_positions reads a lattice's back, for the mutation tests.
 """
 
 import copy
@@ -122,15 +122,20 @@ def member_pair_witness(lat, mask, product):
 
 def with_star_table(lat, table):
     """A copy of lat whose star products are table (rows by member
-    position): star_table is the table, every star read comes off its
-    columns, and the huq products, whose seeds are star products, are
-    read afresh from them.  lat itself is left as it was."""
+    position): the table's columns are its full star store, so every star
+    read comes off them, and the huq products, whose seeds are star
+    products, are read afresh from them.  lat itself is left as it was."""
     mutant = copy.copy(lat)
-    mutant.star_table = tuple(map(tuple, table))
-    columns = list(map(list, zip(*mutant.star_table)))
+    columns = list(map(list, zip(*table)))
     mutant._columns = {"star": columns, "huq": [None] * len(columns)}
-    mutant.__dict__.pop("huq_table", None)
     return mutant
+
+
+def star_positions(lat):
+    """The star table by member position, rows by the left factor, read
+    one entry at a time through lat.star."""
+    members, index = lat.members, lat.index
+    return [[index[lat.star(x, y)] for y in members] for x in members]
 
 
 def pairwise_closure(table, closed, orbit=None):

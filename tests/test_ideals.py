@@ -12,12 +12,13 @@ from brace_oracles import (
     lam_table,
     pairwise_closure,
     principal_join_closure,
+    star_positions,
     weight_by_combinations,
     with_star_table,
 )
 from conftest import _alternating_table
 
-from sbspec import braces, groups, ideals, suite
+from sbspec import braces, groups, ideals, serialize, suite
 from sbspec.bitsets import bits, elements, full_mask, hasse_edges, is_subset, mask_of, popcount
 from sbspec.braces import SkewBrace, almost_trivial_brace, direct_product, relabel, trivial_brace
 from sbspec.errors import ConsistencyError, OrderBoundError
@@ -248,22 +249,21 @@ def test_spectra_and_spaces_build_no_table(monkeypatch):
     assert star_entries() == 225 and len(closed) == 30
     assert not [n for n in vars(lat) if n.endswith("_table")]
     assert not {"add_generators", "mul_generators"} & set(vars(lat))
-    # once built, each table equals its entries: the products read above,
-    # every entry read one at a time off a second lattice (star first,
-    # then huq, which fills the star entries it needs), intersections and
-    # least upper bounds
-    members, index = lat.members, lat.index
-    star, huq = lat.star_table, lat.huq_table
-    for (x, y), products in read.items():
-        assert (members[star[index[x]][index[y]]], members[huq[index[x]][index[y]]]) == products
+    # every entry read one at a time off a second lattice (huq first,
+    # which fills the star entries it needs, then star) gives the products
+    # read above, and the first lattice, its block filled first, gives the
+    # same products at every pair; meets are intersections and joins least
+    # upper bounds
     fresh = IdealLattice(brace)
-    cells = list(itertools.product(enumerate(members), repeat=2))
-    assert all(fresh.huq(x, y) == members[huq[i][j]] for (i, x), (j, y) in cells)
+    cells = list(itertools.product(lat.members, repeat=2))
+    huq = {(x, y): fresh.huq(x, y) for x, y in cells}
     assert not [n for n in vars(fresh) if n.endswith("_table")]
-    assert all(fresh.star(x, y) == members[star[i][j]] for (i, x), (j, y) in cells)
-    for (i, x), (j, y) in cells:
-        assert members[lat.meet_table[i][j]] == x & y
-        assert members[lat.join_table[i][j]] == lat.generated(x | y)
+    star = {(x, y): fresh.star(x, y) for x, y in cells}
+    assert all((star[x, y], huq[x, y]) == products for (x, y), products in read.items())
+    assert all((lat.star(x, y), lat.huq(x, y)) == (star[x, y], huq[x, y]) for x, y in cells)
+    for x, y in cells:
+        assert lat.meet(x, y) == x & y
+        assert lat.join(x, y) == lat.generated(x | y)
 
 
 def test_lattice_ops(v4_trivial):
@@ -376,6 +376,21 @@ def test_multiplicative_lattice_laws(brace):
     assert report.join_distributive
 
 
+def law_fails_at(lat, witness):
+    """The law named by a counterexample of multiplicative_lattice_check
+    fails at its members: x·y above x ∩ y, or (x ∨ y)·z or z·(x ∨ y)
+    off the join of the products."""
+    law, *ms = witness
+    star, join = lat.star, lat.join
+    if law == "below-meet":
+        x, y = ms
+        return not lat.leq(star(x, y), x & y)
+    x, y, z = ms
+    left = star(join(x, y), z) != join(star(x, z), star(y, z))
+    right = star(z, join(x, y)) != join(star(z, x), star(z, y))
+    return left or right
+
+
 def test_lattice_check_rejects_every_broken_star_table(v4_trivial, z4_radical, s3_almost):
     # every single-entry change of the star table: the join-generator
     # route must agree with the triple oracle, and any break of a law,
@@ -383,12 +398,12 @@ def test_lattice_check_rejects_every_broken_star_table(v4_trivial, z4_radical, s
     breaks_only_monotone = breaks_only_distributivity = 0
     for brace in (v4_trivial, z4_radical, s3_almost):
         lat = ideal_lattice(brace)
-        k = len(lat)
+        k, star = len(lat), star_positions(lat)
         for i, j in itertools.product(range(k), repeat=2):
             for value in range(k):
-                if value == lat.star_table[i][j]:
+                if value == star[i][j]:
                     continue
-                table = [list(row) for row in lat.star_table]
+                table = [list(row) for row in star]
                 table[i][j] = value
                 mutant = with_star_table(lat, table)
                 report = multiplicative_lattice_check(mutant)
@@ -399,6 +414,7 @@ def test_lattice_check_rejects_every_broken_star_table(v4_trivial, z4_radical, s
                 assert report.join_distributive == distributive, (brace, i, j, value)
                 assert report.ok == (monotone and below and distributive)
                 assert report.ok or report.counterexample is not None
+                assert report.ok or law_fails_at(mutant, report.counterexample)
                 breaks_only_monotone += below and not monotone
                 breaks_only_distributivity += monotone and below and not distributive
     assert breaks_only_monotone and breaks_only_distributivity
@@ -807,12 +823,13 @@ def lam_or_star_subscripts(source: str) -> list[str]:
 def test_lattice_builds_no_lam_or_star_table():
     # SkewBrace has no twist or star table: a brace no other test builds,
     # so no cache answers for it, holds only the documented cached fields
-    # after the lattice, its huq table, ideal-criteria and hom-kernel-image
+    # after the lattice, its huq products, ideal-criteria and hom-kernel-image
     assert not hasattr(SkewBrace, "lam") and not hasattr(SkewBrace, "star")
     s4 = symmetric_table(4)
     brace = almost_trivial_brace(groups.relabel_table(s4, (0, *range(23, 0, -1))))
     lat = ideal_lattice(brace)
-    assert lat.huq_table and len(lat) == len(ideal_lattice(almost_trivial_brace(s4)))
+    assert all(lat.huq(x, y) for x in lat.members for y in lat.members)
+    assert len(lat) == len(ideal_lattice(almost_trivial_brace(s4)))
     assert suite._ideal_criteria(brace) == [(True, False, "ideals=4")]
     assert suite._corpus(brace)
     cached = {"neg", "inv", "add_generators", "mul_generators", "ideal_orbit"}
@@ -826,6 +843,21 @@ def test_lattice_builds_no_lam_or_star_table():
     root = Path(__file__).resolve().parent.parent / "src" / "sbspec"
     found = {path.name: lam_or_star_subscripts(path.read_text()) for path in root.glob("*.py")}
     assert {name: attrs for name, attrs in found.items() if attrs} == {}
+
+
+def test_lattice_keeps_no_copy_of_its_products(monkeypatch, a4_almost):
+    # the star and huq products live in the store alone, and a meet is an
+    # intersection: the lattice check and the lattice report, the two
+    # readers of every pair, leave no k x k product table on a fresh
+    # lattice; join_table, which holds containment, is the one table
+    names = ("star_table", "huq_table", "meet_table", "_table")
+    assert not [n for n in names if hasattr(IdealLattice, n)]
+    for brace in (enumerate_braces(6)[2], a4_almost):
+        lat = IdealLattice(brace)
+        monkeypatch.setattr(serialize, "ideal_lattice", lambda _: lat)
+        assert multiplicative_lattice_check(lat).ok
+        assert serialize.lattice_to_dict(brace)["star"]
+        assert [n for n in vars(lat) if n.endswith("_table")] == ["join_table"]
 
 
 def test_member_bound_refuses_before_the_tables(monkeypatch):
@@ -914,10 +946,9 @@ def assert_lattice_matches_seed_route(brace):
     lat = ideal_lattice(brace)
     members, meet, join, star, huq = seed_route_tables(brace)
     assert lat.members == members
-    assert lat.meet_table == meet
-    assert lat.join_table == join
-    assert lat.star_table == star
-    assert lat.huq_table == huq
+    for (i, x), (j, y) in itertools.product(enumerate(members), repeat=2):
+        read = (lat.meet(x, y), lat.join(x, y), lat.star(x, y), lat.huq(x, y))
+        assert read == tuple(members[t[i][j]] for t in (meet, join, star, huq)), (brace, x, y)
     for m, add_gens, mul_gens in zip(members, lat.add_generators, lat.mul_generators):
         assert reference_closure(brace.add, mask_of(add_gens)) == m
         assert reference_closure(brace.mul, mask_of(mul_gens)) == m
@@ -957,20 +988,29 @@ def test_a5_lattice_tables_match_seed_route(a5_trivial, a5_almost):
         assert_lattice_matches_seed_route(brace)
 
 
-def block_reads(lat):
-    """The star and huq products of every principal pair, as positions."""
-    pairs = [(x, y) for x in lat.principal for y in lat.principal]
+def pair_reads(lat, members):
+    """The star and huq products of every pair of the given members, as
+    positions (i, j, star, huq)."""
     index = lat.index
-    return [(index[x], index[y], index[lat.star(x, y)], index[lat.huq(x, y)]) for x, y in pairs]
+    return [
+        (index[x], index[y], index[lat.star(x, y)], index[lat.huq(x, y)])
+        for x in members
+        for y in members
+    ]
 
 
 def test_read_order_gives_the_seed_route_tables(a5_trivial, a5_almost):
     # the store fills columns in part: on fresh lattices, each order of
-    # reads below ends with the seed-route tables, and every single read
-    # agrees with them
+    # reads below ends with every member pair read, and every single read
+    # agrees with the seed-route tables
     for brace in lattice_oracle_corpus() + [a5_trivial, a5_almost]:
         members, _, _, star, huq = seed_route_tables(brace)
-        orders = ("huq outside the block", "huq table first", "block first", "tables first")
+        orders = (
+            "huq outside the block",
+            "huq at every pair first",
+            "block first",
+            "every pair first",
+        )
         for order in orders:
             lat = IdealLattice(brace)
             principal = set(lat.principal)
@@ -980,14 +1020,16 @@ def test_read_order_gives_the_seed_route_tables(a5_trivial, a5_almost):
                 assert lat.huq(x, lat.top) == members[huq[i][j]], (brace, order)
                 # a left factor outside the principal members fills the column
                 assert -1 not in lat._columns["huq"][j] + lat._columns["star"][j]
-            elif order == "huq table first":
-                assert lat.huq_table == huq and "star_table" not in vars(lat), (brace, order)
+            elif order == "huq at every pair first":
+                reads = [[lat.index[lat.huq(x, y)] for y in members] for x in members]
+                assert reads == list(map(list, huq)), (brace, order)
             elif order == "block first":
-                reads = block_reads(lat)
+                reads = pair_reads(lat, lat.principal)
                 assert all((star[i][j], huq[i][j]) == (s, h) for i, j, s, h in reads)
-            assert (lat.star_table, lat.huq_table) == (star, huq), (brace, order)
-            if order == "tables first":
-                reads = block_reads(lat)
+            reads = pair_reads(lat, members)
+            assert all((star[i][j], huq[i][j]) == (s, h) for i, j, s, h in reads), (brace, order)
+            if order == "every pair first":
+                reads = pair_reads(lat, lat.principal)
                 assert all((star[i][j], huq[i][j]) == (s, h) for i, j, s, h in reads)
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sbspec.enumeration import enumerate_braces
 from sbspec.errors import IdentityMismatchError, NotAGroupError, ParseError
 from sbspec.serialize import (
     brace_from_dict,
@@ -147,6 +148,19 @@ def test_spectrum_and_lattice_dicts(z4_radical):
     assert lat["meet"][2][1] == 1
     assert lat["join"][0][2] == 2
     assert lat["star"][2][2] == 1
+
+
+def test_lattice_dict_pins_an_asymmetric_star_table():
+    # star[1][2] != star[2][1]: rows are the left factor x, columns the
+    # right factor y, so a transposed read changes the bytes
+    lat = lattice_to_dict(enumerate_braces(6)[2])
+    assert lat == {
+        "ideals": [[0], [0, 3, 4], [0, 1, 2, 3, 4, 5]],
+        "weights": [1, 1, 1],
+        "meet": [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
+        "join": [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
+        "star": [[0, 0, 0], [0, 0, 1], [0, 0, 1]],
+    }
 
 
 def test_topology_dict(z4_radical):
