@@ -178,8 +178,11 @@ def catalog_lines(records) -> str:
 
 
 def write_catalog(records, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(catalog_lines(records))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(catalog_lines(records))
+    except OSError as exc:
+        raise ParseError(f"cannot write catalog {path}: {exc}") from exc
 
 
 def read_catalog(path: str) -> tuple[CatalogRecord, ...]:
@@ -187,14 +190,14 @@ def read_catalog(path: str) -> tuple[CatalogRecord, ...]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8
         raise ParseError(f"cannot read catalog {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         try:
             records.append(record_from_dict(obj))

@@ -322,8 +322,10 @@ class IdealLattice:
     (principal, in member order), checks the bottom and the top, and
     computes the star products of principal pairs (the block).  The join
     table, the rest of each store and the generators of each member
-    (add_generators, mul_generators) are built on first read.  No entry
-    runs a closure over a pair:
+    (add_generators, mul_generators) are built on first read.  join,
+    weights and multiplicative_lattice_check read the join table; the
+    maximal ideals read containment alone.  No entry runs a closure over
+    a pair:
 
     - a meet is the intersection, which must be a member;
     - the join of x and y is their set sum, of size |x||y|/|x ∩ y|.  Every
@@ -512,11 +514,15 @@ class IdealLattice:
 
     @cached_property
     def _maximal(self) -> tuple[Mask, ...]:
-        # a coatom is a proper member whose join with any member is itself
-        # or the top: a proper member strictly above it would be its join
-        k = len(self.members)
-        rows = zip(self.members[:-1], self.join_table)
-        return tuple(m for i, (m, row) in enumerate(rows) if row.count(i) + row.count(k - 1) == k)
+        # a proper member is maximal when no other proper member holds it.
+        # From the top down a strict superset comes first, and every proper
+        # member lies in a maximal one, so a member no coatom found so far
+        # contains is a coatom
+        found: list[Mask] = []
+        for m in reversed(self.members[:-1]):
+            if not any(is_subset(m, c) for c in found):
+                found.append(m)
+        return tuple(reversed(found))
 
     @cached_property
     def weights(self) -> tuple[int, ...]:

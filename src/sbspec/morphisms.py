@@ -172,17 +172,6 @@ def quotient(brace: SkewBrace, ideal: Mask) -> Quotient:
     return Quotient(brace, ideal, tuple(reps), coset_of, qbrace, Hom(brace, qbrace, coset_of))
 
 
-def quotient_has_primes(brace: SkewBrace, ideal: Mask, kind: str = "star") -> bool:
-    """Whether Spec(A/J) is non-empty, read off Spec A without building A/J.
-
-    The primes of A/J are the P/J for the primes P of A containing J:
-    pi maps ideals onto ideals with pi(I K) = pi(I) pi(K) for the star and
-    commutator products, and pi(I) lies in pi(P) exactly when I lies in
-    P + J = P, so the ideal pairs that witness against P and P/J match.
-    """
-    return spec_topology(brace, kind).hull_of_elements(ideal) != 0
-
-
 @dataclass(frozen=True)
 class CorrespondenceReport:
     """Ideals of A/I versus ideals of A containing I."""

@@ -149,26 +149,19 @@ def is_space_irreducible(fs: FiniteSpace) -> bool:
 
 
 def connected_component_count(fs: FiniteSpace) -> int:
-    """Components of the comparability graph of the specialization order."""
-    n = fs.n_points
-    closures = [point_closure(fs, i) for i in range(n)]
-    seen = [False] * n
-    count = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        count += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if seen[j]:
-                    continue
-                if closures[i] >> j & 1 or closures[j] >> i & 1:
-                    seen[j] = True
-                    stack.append(j)
-    return count
+    """The number of components: the minimal nonempty clopen sets of the
+    closed family.
+
+    Exact on any finite topology: each component is closed, and there
+    are finitely many, so each is also open; every clopen set is a union
+    of components.  The family is sorted by size, so a clopen set that is
+    not minimal holds one met before it.
+    """
+    closed, minimal = set(fs.closed), []
+    for c in fs.closed:
+        if c and fs.everything & ~c in closed and not any(is_subset(d, c) for d in minimal):
+            minimal.append(c)
+    return len(minimal)
 
 
 def is_connected(fs: FiniteSpace) -> bool:

@@ -43,7 +43,7 @@ from sbspec.ideals import (
 )
 from sbspec.spectra import PRIME_KINDS, compare_definitions, spectrum
 from sbspec.suite import _absorbs
-from sbspec.topology import spec_topology
+from sbspec.topology import HullKernelSpace, separation_report, spec_topology
 
 
 def naive_is_ideal(brace, subset: set) -> bool:
@@ -280,8 +280,9 @@ def test_lattice_ops(v4_trivial):
 
 
 def test_maximal_ideals_are_the_coatoms(s4_almost, a5_almost):
-    # the lattice reads its maximal ideals off the containment bitsets;
-    # the scan over pairs of proper members is the oracle, order included
+    # the lattice keeps each proper member, from the top down, that no
+    # maximal ideal found so far contains; the scan over pairs of proper
+    # members is the oracle, order included
     v4 = product_table(cyclic_table(2), cyclic_table(2))
     z2_4 = trivial_brace(product_table(v4, v4))
     for brace in closure_corpus() + [s4_almost, a5_almost, z2_4]:
@@ -293,6 +294,20 @@ def test_maximal_ideals_are_the_coatoms(s4_almost, a5_almost):
         assert lat.maximal_ideals() == scan
     # the maximal ideals of trivial Z2^4 are its 15 hyperplanes
     assert len(lat.maximal_ideals()) == 15
+
+
+def test_coatoms_build_no_join_table(monkeypatch):
+    # the maximal ideals read containment: the separation report and the
+    # topology report leave no join table on a fresh lattice
+    v4 = product_table(cyclic_table(2), cyclic_table(2))
+    brace = trivial_brace(product_table(v4, v4))
+    lat = IdealLattice(brace)
+    hk = HullKernelSpace(lat, spectrum(brace, "star").primes, lat.star)
+    monkeypatch.setattr(serialize, "spec_topology", lambda *_: hk)
+    assert not separation_report(hk).spec_equals_max
+    assert serialize.topology_to_dict(brace, "star")["components"] == 0
+    assert len(lat.maximal_ideals()) == 15
+    assert "join_table" not in vars(lat)
 
 
 def test_join_is_smallest_containing_ideal(s3_almost):

@@ -117,3 +117,40 @@ def test_what_validate_accepts_round_trips(catalog4):
     for rec in catalog4:
         brace = validate([list(r) for r in rec.add], [list(r) for r in rec.mul])
         assert brace_from_dict(_json(brace_to_dict(brace))) == brace
+
+
+# files the readers cannot decode: bytes that are not UTF-8, and JSON
+# nested deeper than Python's recursion limit
+UNREADABLE = {
+    "not-utf8": b'\xff\xfe{"order": 1}\n',
+    "too-deep": ("[" * 100_000 + "]" * 100_000 + "\n").encode(),
+}
+
+
+def _refused(capsys, argv):
+    assert main(argv) == 2, argv
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_files_are_input_errors(tmp_path, capsys, name):
+    path = tmp_path / "input.json"
+    path.write_bytes(UNREADABLE[name])
+    for command in ("validate", "hom", "check"):
+        _refused(capsys, [command, str(path)])
+    # the bad line after a good record
+    record = dumps(record_to_dict(build_record("2-0", trivial_brace(cyclic_table(2)))))
+    catalog = tmp_path / "catalog.jsonl"
+    catalog.write_bytes(record.encode() + b"\n" + UNREADABLE[name])
+    _refused(capsys, ["check", str(catalog)])
+
+
+def test_outputs_in_a_missing_directory_are_input_errors(tmp_path, capsys):
+    doc = tmp_path / "z2.json"
+    doc.write_text(dumps(brace_to_dict(trivial_brace(cyclic_table(2)))))
+    missing = tmp_path / "missing"
+    for kind in ("ideal-lattice", "closed-sets", "specialization", "json"):
+        _refused(capsys, ["report", str(doc), "--kind", kind, "--out", str(missing / "r")])
+    _refused(capsys, ["catalog", "--max-order", "2", "--out", str(missing / "c.jsonl")])
+    assert not missing.exists()

@@ -28,7 +28,6 @@ from sbspec.morphisms import (
     kernel,
     nil_quotient_homeo,
     quotient,
-    quotient_has_primes,
     quotient_projections,
     validate_hom,
     zero_hom,
@@ -353,13 +352,15 @@ def test_spec_map_certificates_on_a5(request, fixture, kinds):
             assert rep.density is (kernel(f) == 1)
             assert not rep.density_vacuous
             points_seen = points_seen or not rep.points_vacuous
-            # the restriction square's vacuity rule against the spectrum
-            # of the quotient itself
-            for ideal in ideal_lattice(brace).members:
-                j = extension(f, ideal)
-                built = bool(spectrum(quotient(f.target, j).brace, kind).primes)
-                assert quotient_has_primes(f.target, j, kind) == built, (ideal, j)
-                nonempty_seen += built
+            # the restriction square's vacuity rule against the spectra of
+            # the quotients themselves: some A'/e(I) has a prime exactly
+            # when A' has one
+            built = [
+                bool(spectrum(quotient(f.target, extension(f, ideal)).brace, kind).primes)
+                for ideal in ideal_lattice(brace).members
+            ]
+            assert any(built) == bool(spectrum(f.target, kind).primes), built
+            nonempty_seen += sum(built)
         assert points_seen
         assert nonempty_seen >= 1
         nq = nil_quotient_homeo(brace, kind)

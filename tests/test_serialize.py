@@ -1,9 +1,12 @@
 """JSON round-trips, strict input rejection, and DOT exports."""
 
+import hashlib
 import json
 
 import pytest
 
+from sbspec.braces import validate
+from sbspec.catalog import catalog_lines
 from sbspec.enumeration import enumerate_braces
 from sbspec.errors import IdentityMismatchError, NotAGroupError, ParseError
 from sbspec.serialize import (
@@ -226,3 +229,24 @@ def test_dot_specialization_empty(z4_radical):
 def test_dot_deterministic(s3_almost):
     assert dot_ideal_lattice(s3_almost) == dot_ideal_lattice(s3_almost)
     assert full_report_dict(s3_almost) == full_report_dict(s3_almost)
+
+
+# sha256 of the catalog <= 6 bytes (`sbspec catalog --max-order 6`), its
+# t1 and components fields included: a change that should leave every
+# output as it was keeps this digest
+CATALOG6_SHA256 = "5e7f57c0e357b0f3556ff1c515745cdc3f1bd05f78e62791202f0d490365cc32"
+
+# sha256 of dumps(full_report_dict(b)), one line per brace, over the
+# catalog <= 6 braces and trivial and almost-trivial S4 and A5
+FULL_REPORTS_SHA256 = "612e0acc0bb138cc615ae209e7893e42222022a37311896aa85723371bc0dc29"
+
+
+def test_catalog6_bytes_pinned(catalog6):
+    assert hashlib.sha256(catalog_lines(catalog6).encode()).hexdigest() == CATALOG6_SHA256
+
+
+def test_full_report_bytes_pinned(catalog6, s4_trivial, s4_almost, a5_trivial, a5_almost):
+    braces = [validate(rec.add, rec.mul) for rec in catalog6]
+    braces += [s4_trivial, s4_almost, a5_trivial, a5_almost]
+    joined = "\n".join(dumps(full_report_dict(b)) for b in braces)
+    assert hashlib.sha256(joined.encode()).hexdigest() == FULL_REPORTS_SHA256

@@ -25,7 +25,7 @@ from functools import reduce
 
 import pytest
 
-from sbspec.bitsets import full_mask, is_subset, mask_of, popcount
+from sbspec.bitsets import bits, full_mask, is_subset, mask_of, popcount
 from sbspec.errors import ConsistencyError
 from sbspec.ideals import ideal_lattice
 from sbspec.spectra import ideal_pair_witness, spectrum
@@ -133,6 +133,53 @@ def test_irreducible_space_and_components():
     assert connected_component_count(EMPTY) == 0
     assert is_connected(CHAIN3)
     assert not is_connected(DISCRETE2)
+
+
+def comparability_components(fs) -> int:
+    """The oracle: components of the comparability graph of the
+    specialization order, by a walk over point closures."""
+    n = fs.n_points
+    closures = [point_closure(fs, i) for i in range(n)]
+    seen, count = set(), 0
+    for start in range(n):
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if j not in seen and (closures[i] >> j & 1 or closures[j] >> i & 1):
+                    seen.add(j)
+                    stack.append(j)
+    return count
+
+
+def all_topologies(n: int):
+    """Every topology on n points, one per preorder: the closed sets are
+    the down-sets, the sets holding below[i] for each of their points i."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        below = [1 << i for i in range(n)]  # bit j of below[i]: j <= i
+        for (i, j), on in zip(pairs, chosen):
+            below[i] |= on << j
+        if all(is_subset(below[j], below[i]) for i in range(n) for j in bits(below[i])):
+            closed = [s for s in range(1 << n) if all(is_subset(below[i], s) for i in bits(s))]
+            yield finite_space(n, closed)
+
+
+def test_component_count_matches_the_comparability_graph():
+    # every topology on at most 4 points: 1, 1, 4, 29 and 355 of them
+    counts = []
+    for n in range(5):
+        spaces = list(all_topologies(n))
+        counts.append(len(spaces))
+        assert len({fs.closed for fs in spaces}) == len(spaces)
+        for fs in spaces:
+            assert is_topology(fs)[0]
+            assert connected_component_count(fs) == comparability_components(fs), fs
+    assert counts == [1, 1, 4, 29, 355]
 
 
 def test_spectral_report_synthetic():
