@@ -16,22 +16,23 @@ mask (SkewBrace.ideal_orbit) joins the pending set.
 
 The lattice is built from what the spectra read: all_ideals joins each
 member with one principal ideal per class of elements and refuses past
-MEMBER_BOUND members; IdealLattice reads joins off the size-sorted
-member list, weights off the join table, and the star and huq products
-off generator pairs (the proofs are on the class).  Each product is one
-store of columns, each entry computed once on first read; the
-constructor fills the star products of principal pairs, all a spectrum
-reads.  No product is kept twice: a reader of every pair reads the
-store's full columns, and a meet is an intersection checked against the
-member index.  The star and commutator words (braces.star_word and the
-rest) are evaluated per generator; no n² table of them exists.  Every
-ideal product the library decides with is a lattice product.
+MEMBER_BOUND members; IdealLattice reads joins off the containment of
+the size-sorted members, weights off the joins with principal ideals,
+and the star and huq products off generator pairs (the proofs are on
+the class).  Each product (join, star, huq) is one store of columns,
+each entry computed once on first read; the constructor fills the star
+products of principal pairs, all a spectrum reads.  No product is kept
+twice: a reader of every pair reads the store's full columns, and a
+meet is an intersection checked against the member index.  The star
+and commutator words (braces.star_word and the rest) are evaluated per
+generator; no n² table of them exists.  Every ideal product the library
+decides with is a lattice product.
 star_ideal, star_subgroup and huq_commutator sweep element pairs; they
 are only oracles, which the suite's cross-check rows and the tests
 compare the lattice against.
 multiplicative_lattice_check decides the star product's laws exactly,
-off the store's full columns, distributivity on the join-generators, so
-no lattice row samples.
+off the join and star stores' full columns, distributivity on the
+join-generators, so no lattice row samples.
 additive_subgroups sweeps every additive subgroup and is a test oracle
 alone: the suite certifies the member list from closures instead.
 """
@@ -44,13 +45,13 @@ from functools import cached_property, lru_cache
 
 from .bitsets import bits, full_mask, hasse_edges, is_subset, popcount
 from .braces import SkewBrace, commutator_word, lam_word, star_word
-from .errors import ConsistencyError, OrderBoundError
+from .errors import ConsistencyError, NotAnIdealError, OrderBoundError
 from .groups import _closure, _greedy_generators
 
 Mask = int
 
-# the most ideals a lattice may have: its join table and the star and
-# huq stores, each filled on first read, hold k² entries each.  Trivial
+# the most ideals a lattice may have: its join, star and huq stores,
+# each filled on first read, hold up to k² entries each.  Trivial
 # Z2^6 has 2825 ideals; trivial Z2^7, with about 29,000, would need about
 # 100 times its memory.
 MEMBER_BOUND = 4096
@@ -283,13 +284,14 @@ def huq_commutator(brace: SkewBrace, x: Mask, y: Mask) -> Mask:
 
 def ideal_weight(brace: SkewBrace, mask: Mask) -> int:
     """Least size of a generating subset; the zero ideal has weight 1.
-    A lookup in IdealLattice.weights."""
+    A lookup in IdealLattice.weights; a mask that is no member is refused
+    with NotAnIdealError naming its elements."""
     if mask == 1:
         return 1
     lat = ideal_lattice(brace)
     pos = lat.index.get(mask)
     if pos is None:
-        raise ConsistencyError(f"mask {mask:#x} is not an ideal")
+        raise NotAnIdealError("weight-input", list(bits(mask)))
     return lat.weights[pos]
 
 
@@ -316,21 +318,23 @@ class _Memo(dict):
 class IdealLattice:
     """All ideals of one brace, with meet, join, star and huq products.
 
-    Members are kept sorted by size then mask; the join table and the
-    stores are indexed by the member positions.  The constructor keeps
-    the members, their index and the distinct nonzero principal ideals
-    (principal, in member order), checks the bottom and the top, and
-    computes the star products of principal pairs (the block).  The join
-    table, the rest of each store and the generators of each member
-    (add_generators, mul_generators) are built on first read.  join,
-    weights and multiplicative_lattice_check read the join table; the
-    maximal ideals read containment alone.  No entry runs a closure over
-    a pair:
+    Members are kept sorted by size then mask; the stores are indexed by
+    the member positions.  The constructor keeps the members, their index
+    and the distinct nonzero principal ideals (principal, in member
+    order), checks the bottom and the top, and computes the star products
+    of principal pairs (the block).  The rest of each store, the
+    containment bitsets the joins read (_above) and the generators of
+    each member (add_generators, mul_generators) are built on first read.
+    weights reads the join columns of the principal members alone;
+    multiplicative_lattice_check and the lattice report read every
+    column; the maximal ideals read containment alone.  No entry runs a
+    closure over a pair:
 
     - a meet is the intersection, which must be a member;
     - the join of x and y is their set sum, of size |x||y|/|x ∩ y|.  Every
       upper bound contains it, so it is the first member, in size order,
-      above both; a first upper bound of another size means the member
+      above both (the lowest common bit of their containment bitsets,
+      _above); a first upper bound of another size means the member
       list is not closed under sums and raises ConsistencyError;
     - the star product x·y, the ideal generated by the pointwise products,
       is generated by g·h with g over ∘-generators of x and h over
@@ -342,11 +346,11 @@ class IdealLattice:
 
     Each product has one store: per member j, the column of the products
     of each member with j, filled on first read by one entry rule,
-    _column, which computes each entry once; its seeds share one
-    seed-to-member memo, so each distinct seed is closed at most once.
-    star and huq read an entry off its column, filling the principal
-    rows when the left factor is principal and every row otherwise; no
-    table copies a store.  A spectrum reads pairs of principal members
+    _column, which computes each entry once; the star and huq seeds share
+    one seed-to-member memo, so each distinct seed is closed at most once.
+    join, star and huq read an entry off its column, filling the
+    principal rows when the left factor is principal and every row
+    otherwise; no table copies a store.  A spectrum reads pairs of principal members
     only (spectra.ideal_pair_witness), so it fills the block alone and
     closes the generators of principal members only.
     A product or meet that is not a member raises ConsistencyError naming
@@ -418,7 +422,7 @@ class IdealLattice:
         self._ideal_of_seed = dict(self.index)  # an ideal generates itself
         # the store: per product and column j, the position of each member
         # times member j, -1 where not yet read (None: no entry read)
-        self._columns: dict[str, list] = {kind: [None] * k for kind in self._rules}
+        self._columns: dict[str, list] = {kind: [None] * k for kind in ("join", *self._rules)}
         for j in self._inside:
             self._column("star", j, self._inside)
 
@@ -439,12 +443,15 @@ class IdealLattice:
     def _column(self, kind: str, j: int, rows) -> list[int]:
         """The entry rule: column j of the kind's store, filled at rows.
 
-        Each product is the ideal generated by a seed and its words over
-        generator pairs (_rules), g over the generators of member i and h
-        over those of member j: for star the seed {0} and
-        g·h = -g + g∘h - h, for huq the star product and [g, h]₊, [g, h]∘.
-        Each word is evaluated once per g and column (the word cache), and
-        each entry once: rows already read are skipped.
+        The join of members i and j is the first member in size order
+        above both, the lowest bit of _above[i] & _above[j], and must have
+        the size of their set sum.  Each other product is the ideal
+        generated by a seed and its words over generator pairs (_rules),
+        g over the generators of member i and h over those of member j:
+        for star the seed {0} and g·h = -g + g∘h - h, for huq the star
+        product and [g, h]₊, [g, h]∘.  Each word is evaluated once per g
+        and column (the word cache), and each entry once: rows already
+        read are skipped.
         """
         members, ideal_of_seed, store = self.members, self._ideal_of_seed, self._columns[kind]
         column = store[j]
@@ -454,6 +461,17 @@ class IdealLattice:
             rows = [i for i in rows if column[i] < 0]
             if not rows:
                 return column
+        if kind == "join":
+            above, y, size_y = self._above, members[j], members[j].bit_count()
+            for i in rows:
+                both = above[i] & above[j]
+                pos, x = (both & -both).bit_length() - 1, members[i]
+                if members[pos].bit_count() * (x & y).bit_count() != x.bit_count() * size_y:
+                    # the pair in member order, whichever column reads it
+                    x, y = sorted((x, y), key=self.index.__getitem__)
+                    raise ConsistencyError(f"no member is the sum of {x:#x} and {y:#x}")
+                column[i] = pos
+            return column
         if kind == "huq":  # x·y, off the star column
             star_j = self._column("star", j, rows)
             seeds = [members[star_j[i]] for i in rows]
@@ -492,25 +510,13 @@ class IdealLattice:
         return self.members[column[i]]
 
     @cached_property
-    def join_table(self) -> tuple[tuple[int, ...], ...]:
-        members, k = self.members, len(self.members)
-        sizes = [popcount(m) for m in members]
-        # bit j of above[i]: member j contains member i, so j >= i
-        above = [
-            sum(1 << j for j in range(i, k) if not x & ~members[j]) for i, x in enumerate(members)
-        ]
-        join = [[0] * k for _ in range(k)]
-        for i, (x, above_x, size_x) in enumerate(zip(members, above, sizes)):
-            row = join[i]
-            for j in range(i, k):
-                both = above_x & above[j]
-                pos = (both & -both).bit_length() - 1
-                if sizes[pos] * popcount(x & members[j]) != size_x * sizes[j]:
-                    raise ConsistencyError(
-                        f"no member is the sum of {x:#x} and {members[j]:#x}"
-                    )
-                row[j] = join[j][i] = pos
-        return tuple(map(tuple, join))
+    def _above(self) -> tuple[int, ...]:
+        # bit j of _above[i]: member j contains member i, so j >= i
+        members = self.members
+        return tuple(
+            sum(1 << j for j in range(i, len(members)) if not x & ~members[j])
+            for i, x in enumerate(members)
+        )
 
     @cached_property
     def _maximal(self) -> tuple[Mask, ...]:
@@ -531,22 +537,24 @@ class IdealLattice:
         k elements generate the join of their k principal ideals, so a
         weight is the least k that joins the member from principal ideals:
         breadth-first levels over positions, the distinct principal ideals
-        ({0} included) at level 1, each level joining one more through
-        join_table, |members|·|principal| lookups.  A {0} or a repeat in
-        a join can be dropped, so a member first met at level k ≥ 2 needs
-        k nonzero elements.  all_ideals closes the principal ideals under
-        joins, so every member is met.  The search over subsets of
+        ({0} included) at level 1, each level joining one more through the
+        join columns of the nonzero principal members: |members|·|principal|
+        entries of the join store, and no other column.  A {0} or a repeat
+        in a join can be dropped, so a member first met at level k ≥ 2
+        needs k nonzero elements.  all_ideals closes the principal ideals
+        under joins, so every member is met.  The search over subsets of
         principal ideals is the oracle (tests/brace_oracles.py).
         """
-        join = self.join_table
         principal = sorted(set(map(self.index.__getitem__, principal_ideals(self.brace))))
+        # principal[0] is {0}, whose joins add nothing
+        columns = [self._column("join", p, range(len(self.members))) for p in principal[1:]]
         level = dict.fromkeys(principal, 1)
         frontier = principal
         while frontier:
             grown = []
             for x in frontier:
-                for p in principal:
-                    j = join[x][p]
+                for column in columns:
+                    j = column[x]
                     if j not in level:
                         level[j] = level[x] + 1
                         grown.append(j)
@@ -563,7 +571,7 @@ class IdealLattice:
         return self.members[self._position(x & y, "meet", x, y)]
 
     def join(self, x: Mask, y: Mask) -> Mask:
-        return self.members[self.join_table[self.index[x]][self.index[y]]]
+        return self._entry("join", x, y)
 
     def star(self, x: Mask, y: Mask) -> Mask:
         return self._entry("star", x, y)
@@ -606,7 +614,8 @@ class LatticeLawReport:
 
 def multiplicative_lattice_check(lat: IdealLattice) -> LatticeLawReport:
     """Check the order laws of the star product, read by position off
-    the store's full columns (column z holds x·z at row x).
+    the full columns of the join and star stores (column z holds x ∨ z
+    and x·z at row x).
 
     The lattice laws hold by construction (IdealLattice): a meet is an
     intersection, a join is the first member above both and has the size
@@ -636,8 +645,9 @@ def multiplicative_lattice_check(lat: IdealLattice) -> LatticeLawReport:
     with K·I + K·J normal in (A, +) gives K·(I + J) ⊆ K·I + K·J; the
     star product is monotone, which gives ⊇.
     """
-    members, join_t = lat.members, lat.join_table
-    rows = range(len(members))
+    members, rows = lat.members, range(len(lat.members))
+    # a join is symmetric, so join column x is also row x
+    join_c = [lat._column("join", z, rows) for z in rows]
     star_c = [lat._column("star", z, rows) for z in rows]
     products = (
         (x, y, column[i]) for i, x in enumerate(members) for y, column in zip(members, star_c)
@@ -652,11 +662,11 @@ def multiplicative_lattice_check(lat: IdealLattice) -> LatticeLawReport:
     gens = [p for p, m in enumerate(members) if lower_covers[m] <= 1]
     undistributed = (
         ("distributive", members[x], members[p], members[z])
-        for x, join_x in enumerate(join_t)
+        for x, join_x in enumerate(join_c)
         for p in gens
         for z, col_z in enumerate(star_c)
-        if col_z[join_x[p]] != join_t[col_z[x]][col_z[p]]
-        or star_c[join_x[p]][z] != join_t[star_c[x][z]][star_c[p][z]]
+        if col_z[join_x[p]] != join_c[col_z[x]][col_z[p]]
+        or star_c[join_x[p]][z] != join_c[star_c[x][z]][star_c[p][z]]
     )
     bad = next(undistributed, None)
     return LatticeLawReport(above_meet is None, bad is None, above_meet or bad)

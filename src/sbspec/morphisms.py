@@ -157,7 +157,7 @@ def quotient(brace: SkewBrace, ideal: Mask) -> Quotient:
     has built; past MEMBER_BOUND members that lattice refuses.
     """
     if ideal not in ideal_lattice(brace).index:
-        raise NotAnIdealError("quotient-input", ideal)
+        raise NotAnIdealError("quotient-input", list(bits(ideal)))
     coset_of = [-1] * brace.order
     reps = []
     for a in range(brace.order):

@@ -132,7 +132,7 @@ def lattice_to_dict(brace: SkewBrace) -> dict:
         "ideals": [member_list(m) for m in members],
         "weights": list(lat.weights),
         "meet": [[index[lat.meet(x, y)] for y in members] for x in members],
-        "join": list(map(list, lat.join_table)),
+        "join": [[index[lat.join(x, y)] for y in members] for x in members],
         "star": [[index[lat.star(x, y)] for y in members] for x in members],
     }
 

@@ -16,6 +16,7 @@ and star_positions reads a lattice's back, for the mutation tests.
 """
 
 import copy
+import functools
 import itertools
 
 from sbspec.bitsets import bits, full_mask, is_subset, popcount
@@ -71,19 +72,14 @@ def ideal_orbit_sweep(brace):
 
 def weight_by_combinations(lat, mask):
     """Least k such that k distinct nonzero principal ideals inside mask
-    join to it through lat.join_table; the zero ideal has weight 1.  The
+    join to it through lat.join; the zero ideal has weight 1.  The
     principal ideals are closed here, one generated_ideal per element."""
     if mask == 1:
         return 1
-    target = lat.index[mask]
-    inside = sorted({lat.index[generated_ideal(lat.brace, 1 << a)] for a in bits(mask) if a})
-    join = lat.join_table
+    inside = sorted({generated_ideal(lat.brace, 1 << a) for a in bits(mask) if a})
     for k in range(1, len(inside) + 1):
         for combo in itertools.combinations(inside, k):
-            pos = combo[0]
-            for q in combo[1:]:
-                pos = join[pos][q]
-            if pos == target:
+            if functools.reduce(lat.join, combo) == mask:
                 return k
     raise AssertionError(f"mask {mask:#x} does not generate itself")
 
@@ -124,10 +120,16 @@ def with_star_table(lat, table):
     """A copy of lat whose star products are table (rows by member
     position): the table's columns are its full star store, so every star
     read comes off them, and the huq products, whose seeds are star
-    products, are read afresh from them.  lat itself is left as it was."""
+    products, are read afresh from them.  The joins are lat's join store,
+    which no star product enters; lat's star and huq stores are left as
+    they were."""
     mutant = copy.copy(lat)
     columns = list(map(list, zip(*table)))
-    mutant._columns = {"star": columns, "huq": [None] * len(columns)}
+    mutant._columns = {
+        "join": lat._columns["join"],
+        "star": columns,
+        "huq": [None] * len(columns),
+    }
     return mutant
 
 

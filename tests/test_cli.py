@@ -216,7 +216,9 @@ def test_quotient_command(brace_file, capsys):
 
 def test_quotient_non_ideal_is_property_failure(brace_file, capsys):
     assert main(["quotient", brace_file, "--ideal", "0,1"]) == 1
-    assert "NotAnIdealError" in capsys.readouterr().err
+    # the refused set is named by the elements typed, not by its bitmask
+    err = capsys.readouterr().err
+    assert "NotAnIdealError" in err and "witness [0, 1]" in err
 
 
 def test_quotient_bad_elements_are_input_errors(brace_file, capsys):

@@ -21,7 +21,7 @@ from conftest import _alternating_table
 from sbspec import braces, groups, ideals, serialize, suite
 from sbspec.bitsets import bits, elements, full_mask, hasse_edges, is_subset, mask_of, popcount
 from sbspec.braces import SkewBrace, almost_trivial_brace, direct_product, relabel, trivial_brace
-from sbspec.errors import ConsistencyError, OrderBoundError
+from sbspec.errors import ConsistencyError, NotAnIdealError, OrderBoundError
 from sbspec.enumeration import enumerate_braces
 from sbspec.groups import cyclic_table, product_table, symmetric_table
 from sbspec.ideals import (
@@ -307,7 +307,41 @@ def test_coatoms_build_no_join_table(monkeypatch):
     assert not separation_report(hk).spec_equals_max
     assert serialize.topology_to_dict(brace, "star")["components"] == 0
     assert len(lat.maximal_ideals()) == 15
-    assert "join_table" not in vars(lat)
+    assert not any(lat._columns["join"]) and "_above" not in vars(lat)
+
+
+def test_weights_fill_only_the_principal_join_columns():
+    # on a fresh trivial Z2^4 lattice (a relabelling no other test builds)
+    # the spectra, the spaces and the topology reports read no join and
+    # build no containment bitsets; the weights then fill the join columns
+    # of the 15 principal members, every row, and no other column
+    v4 = product_table(cyclic_table(2), cyclic_table(2))
+    brace = relabel(trivial_brace(product_table(v4, v4)), (0, *range(2, 16), 1))
+    misses = ideal_lattice.cache_info().misses
+    lat = ideal_lattice(brace)
+    assert ideal_lattice.cache_info().misses == misses + 1 and len(lat) == 67
+    for kind in PRIME_KINDS:
+        assert not separation_report(spec_topology(brace, kind)).spec_equals_max
+        assert serialize.topology_to_dict(brace, kind)["points"] == []
+    joins = lat._columns["join"]
+    assert not any(joins) and "_above" not in vars(lat)
+    weights = lat.weights
+    principal = [lat.index[p] for p in lat.principal]
+    assert len(principal) == 15
+    assert [j for j, column in enumerate(joins) if column] == principal
+    assert all(-1 not in joins[j] for j in principal)
+    assert weights == tuple(weight_by_combinations(lat, m) for m in lat.members)
+
+
+def test_ideal_weight_refuses_a_non_ideal(z4_radical, s3_trivial):
+    # a set that is no ideal is bad input, named by its elements, as
+    # quotient names it; not a ConsistencyError, which means a defect here
+    with pytest.raises(NotAnIdealError, match=r"weight-input fails \(witness \[0, 1\]\)"):
+        ideal_weight(z4_radical, mask_of([0, 1]))
+    # a subgroup that is not normal
+    with pytest.raises(NotAnIdealError, match=r"witness \[0, 1\]"):
+        ideal_weight(s3_trivial, mask_of([0, 1]))
+    assert ideal_weight(z4_radical, mask_of([0, 2])) == 1
 
 
 def test_join_is_smallest_containing_ideal(s3_almost):
@@ -861,18 +895,17 @@ def test_lattice_builds_no_lam_or_star_table():
 
 
 def test_lattice_keeps_no_copy_of_its_products(monkeypatch, a4_almost):
-    # the star and huq products live in the store alone, and a meet is an
-    # intersection: the lattice check and the lattice report, the two
-    # readers of every pair, leave no k x k product table on a fresh
-    # lattice; join_table, which holds containment, is the one table
-    names = ("star_table", "huq_table", "meet_table", "_table")
+    # the join, star and huq products live in the store alone, and a meet
+    # is an intersection: the lattice check and the lattice report, the
+    # two readers of every pair, leave no k x k table on a fresh lattice
+    names = ("join_table", "star_table", "huq_table", "meet_table", "_table")
     assert not [n for n in names if hasattr(IdealLattice, n)]
     for brace in (enumerate_braces(6)[2], a4_almost):
         lat = IdealLattice(brace)
         monkeypatch.setattr(serialize, "ideal_lattice", lambda _: lat)
         assert multiplicative_lattice_check(lat).ok
         assert serialize.lattice_to_dict(brace)["star"]
-        assert [n for n in vars(lat) if n.endswith("_table")] == ["join_table"]
+        assert not [n for n in vars(lat) if n.endswith("_table")]
 
 
 def test_member_bound_refuses_before_the_tables(monkeypatch):

@@ -5,10 +5,11 @@ import json
 
 import pytest
 
-from sbspec.braces import validate
+from sbspec.braces import trivial_brace, validate
 from sbspec.catalog import catalog_lines
 from sbspec.enumeration import enumerate_braces
 from sbspec.errors import IdentityMismatchError, NotAGroupError, ParseError
+from sbspec.groups import cyclic_table, product_table
 from sbspec.serialize import (
     brace_from_dict,
     brace_to_dict,
@@ -240,6 +241,10 @@ CATALOG6_SHA256 = "5e7f57c0e357b0f3556ff1c515745cdc3f1bd05f78e62791202f0d490365c
 # catalog <= 6 braces and trivial and almost-trivial S4 and A5
 FULL_REPORTS_SHA256 = "612e0acc0bb138cc615ae209e7893e42222022a37311896aa85723371bc0dc29"
 
+# sha256 of dumps(lattice_to_dict(b)) for trivial Z2^4, whose 67 ideals
+# have joins that are not principal ideals
+LATTICE_Z2_4_SHA256 = "b64c0d1d089141da4b3e102cbac0a8f09d3693cd4b5aa40e22c1dc6cd7af04d2"
+
 
 def test_catalog6_bytes_pinned(catalog6):
     assert hashlib.sha256(catalog_lines(catalog6).encode()).hexdigest() == CATALOG6_SHA256
@@ -250,3 +255,10 @@ def test_full_report_bytes_pinned(catalog6, s4_trivial, s4_almost, a5_trivial, a
     braces += [s4_trivial, s4_almost, a5_trivial, a5_almost]
     joined = "\n".join(dumps(full_report_dict(b)) for b in braces)
     assert hashlib.sha256(joined.encode()).hexdigest() == FULL_REPORTS_SHA256
+
+
+def test_lattice_report_bytes_pinned():
+    v4 = product_table(cyclic_table(2), cyclic_table(2))
+    doc = lattice_to_dict(trivial_brace(product_table(v4, v4)))
+    assert len(doc["ideals"]) == 67
+    assert hashlib.sha256(dumps(doc).encode()).hexdigest() == LATTICE_Z2_4_SHA256

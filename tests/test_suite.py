@@ -8,7 +8,7 @@ import pytest
 from brace_oracles import lam_table, star_positions, with_star_table
 
 from sbspec import braces, groups, ideals, spectra, suite
-from sbspec.bitsets import popcount
+from sbspec.bitsets import is_subset, popcount
 from sbspec.braces import direct_product, trivial_brace, validate
 from sbspec.catalog import (
     build_record,
@@ -585,6 +585,47 @@ def test_a_principal_ideal_outside_the_members_is_named(v4_trivial, monkeypatch)
         )
 
 
+def test_a_missing_join_is_named(monkeypatch):
+    # trivial Z2^3 with one 4-element subgroup H dropped: every principal
+    # ideal and every star product ({0}) is still a member, so the lattice
+    # builds, but the sum of two atoms of H is no member.  The join of
+    # those atoms raises ConsistencyError naming both, ideal-criteria
+    # finds the missing closure, and each row that reads a join fails
+    # with the error instead of stopping the suite
+    brace = trivial_brace(product_table(klein_table(), cyclic_table(2)))
+    real, all_ideals = ideals.all_ideals(brace), ideals.all_ideals
+    h = next(m for m in real if popcount(m) == 4)
+    a, b, _ = [m for m in real if popcount(m) == 2 and is_subset(m, h)]
+    monkeypatch.setattr(
+        ideals,
+        "all_ideals",
+        lambda other: tuple(m for m in real if m != h) if other == brace else all_ideals(other),
+    )
+    _clear_lattice_caches()
+    try:
+        lat = ideal_lattice(brace)
+        assert len(lat) == 15
+        with pytest.raises(ConsistencyError, match=f"no member is the sum of {a:#x} and {b:#x}"):
+            lat.join(a, b)
+        rows = {r.check: r for r in run_brace_suite("z2^3", brace)}
+    finally:
+        monkeypatch.undo()
+        _clear_lattice_caches()
+    assert rows["ideal-criteria"].verdict == "fail"
+    assert rows["ideal-criteria"].detail.startswith("('closure', ")
+    join_rows = [
+        "multiplicative-lattice",
+        *(f"closed-axioms-{kind}" for kind in ("star", "ksv", "huq", "lattice")),
+        "spectral-space-spec",
+        "spectral-space-idl",
+    ]
+    for check in join_rows:
+        assert (rows[check].verdict, rows[check].detail) == (
+            "fail",
+            f"ConsistencyError: no member is the sum of {a:#x} and {b:#x}",
+        )
+
+
 @pytest.fixture(scope="module")
 def a5_s3_almost(a5_almost, s3_almost):
     brace = direct_product(a5_almost, s3_almost)
@@ -752,15 +793,11 @@ class DiamondLattice:
     def star(self, x, y):
         return 7 if x == y == 7 else 1
 
-    @property
-    def join_table(self):
-        ms = self.members
-        return tuple(tuple(ms.index(self.join(x, y)) for y in ms) for x in ms)
-
     def _column(self, kind, j, rows):
-        # the store's column j: the position of x·y for each row x, y = member j
-        ms = self.members
-        return [ms.index(self.star(ms[i], ms[j])) for i in rows]
+        # the store's column j: the position of x ∨ y or x·y for each row
+        # x, y = member j
+        ms, product = self.members, self.join if kind == "join" else self.star
+        return [ms.index(product(ms[i], ms[j])) for i in rows]
 
 
 def test_lattice_row_counts_distributivity(monkeypatch):
