@@ -350,9 +350,9 @@ class IdealLattice:
     one seed-to-member memo, so each distinct seed is closed at most once.
     join, star and huq read an entry off its column, filling the
     principal rows when the left factor is principal and every row
-    otherwise; no table copies a store.  A spectrum reads pairs of principal members
-    only (spectra.ideal_pair_witness), so it fills the block alone and
-    closes the generators of principal members only.
+    otherwise; no table copies a store.  A spectrum reads pairs of
+    principal members only (spectra.ideal_pair_witness), so it fills the
+    block alone and closes the generators of principal members only.
     A product or meet that is not a member raises ConsistencyError naming
     it, as does a mask that is no member handed to star, huq, join or
     (as a principal ideal) weights: index names it.  generated names a

@@ -298,7 +298,8 @@ def test_maximal_ideals_are_the_coatoms(s4_almost, a5_almost):
 
 def test_coatoms_build_no_join_table(monkeypatch):
     # the maximal ideals read containment: the separation report and the
-    # topology report leave no join table on a fresh lattice
+    # topology report read no join and build no containment bitsets on a
+    # fresh lattice
     v4 = product_table(cyclic_table(2), cyclic_table(2))
     brace = trivial_brace(product_table(v4, v4))
     lat = IdealLattice(brace)
