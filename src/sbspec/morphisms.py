@@ -9,15 +9,18 @@ A homomorphism f pulls primes of the target back to the source, and the
 reports below certify, by direct computation, how that point map
 interacts with the hull-kernel topology: continuity, the injectivity
 criterion, image = hull of the kernel for surjections, and density, read
-off the two hull-kernel spaces (spec_topology).  Each report keeps only
-the certificates that no other field of it implies.  Certificates over
-empty spectra are reported as vacuous, never silently folded into a pass.
+off the two hull-kernel spaces (spec_topology).  The certificates are
+computed at the target's points, so a target with no prime costs no
+extension.  Each report keeps only the certificates that no other field
+of it implies.  Certificates over empty spectra are reported as vacuous,
+never silently folded into a pass.  A prime that contracts to the whole
+source is reported as a failed contraction, not raised as an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .bitsets import bits, full_mask, is_subset, mask_of
 from .braces import SkewBrace
@@ -32,7 +35,9 @@ Mask = int
 
 @dataclass(frozen=True)
 class Hom:
-    """A validated homomorphism between two braces."""
+    """A validated homomorphism between two braces: the two braces and the
+    image of each source element.  It holds no table of extensions or
+    contractions; each is computed where a report reads it."""
 
     source: SkewBrace
     target: SkewBrace
@@ -53,11 +58,6 @@ class Hom:
             if mask >> self.mapping[a] & 1:
                 out |= 1 << a
         return out
-
-    @cached_property
-    def extensions(self) -> dict[Mask, Mask]:
-        """e(I) for every ideal I of the source, computed once per hom."""
-        return {i: extension(self, i) for i in ideal_lattice(self.source).members}
 
 
 def validate_hom(source: SkewBrace, target: SkewBrace, mapping) -> Hom:
@@ -258,24 +258,45 @@ class SpecMapReport:
 
 
 def induced_spec_map(f: Hom, kind: str = "star") -> SpecMapReport:
+    """Pull the points of the target's space back along f and certify the map.
+
+    Every certificate quantifies over the target's points q, so an
+    extension e(I) is closed only where a point reads it.  Continuity
+    compares, for each source ideal I, the points whose contraction holds
+    I with the points that hold e(I); with no points both sides are empty
+    for every I, so it holds and the loop over I does not run.
+
+    The injectivity premise, every point is an extension, is tested as
+    e(c(q)) = q, one closure per point.  Proof: if q = e(I) for a source
+    ideal I, then f(I) ⊆ q gives I ⊆ c(q), and f(c(q)) ⊆ q gives
+    e(c(q)) ⊆ q, so q = e(I) ⊆ e(c(q)) ⊆ q.  The converse is the case
+    I = c(q).
+    """
     source = spec_topology(f.source, kind)
     target = spec_topology(f.target, kind)
     witness = None
 
     point_map = tuple((p, f.preimage_of(p)) for p in target.points)
     # a contraction is prime exactly when it is a point of the source
-    # space; is_prime runs only to name the failing pair
+    # space; is_prime runs only to name the failing pair.  A prime that
+    # holds the image of f contracts to the whole source, which is not
+    # proper, so is_prime has no pair to name.
     source_points = set(source.points)
+    top = full_mask(f.source.order)
     contractions_prime = True
     for p, c in point_map:
         if c not in source_points:
             contractions_prime = False
-            witness = witness or ("contraction-not-prime", p, c, is_prime(f.source, c, kind)[1])
+            witness = witness or (
+                "contraction-not-prime", p, c,
+                "not proper" if c == top else is_prime(f.source, c, kind)[1],
+            )
 
     continuity = None
     if contractions_prime:
         continuity = True
-        for i, e in f.extensions.items():
+        for i in ideal_lattice(f.source).members if point_map else ():
+            e = extension(f, i)
             lhs = frozenset(p for p, c in point_map if is_subset(i, c))
             rhs = frozenset(p for p in target.points if is_subset(e, p))
             if lhs != rhs:
@@ -283,9 +304,8 @@ def induced_spec_map(f: Hom, kind: str = "star") -> SpecMapReport:
                 witness = witness or ("continuity", i, lhs, rhs)
 
     contracted = {c for _, c in point_map}
-    extensions = set(f.extensions.values())
     injectivity = None
-    if contractions_prime and all(q in extensions for q in target.points):
+    if contractions_prime and all(extension(f, c) == q for q, c in point_map):
         injectivity = len(contracted) == len(point_map)
         if not injectivity:
             witness = witness or ("injectivity",)

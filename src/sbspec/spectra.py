@@ -30,9 +30,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .bitsets import full_mask, is_subset
+from .bitsets import bits, full_mask, is_subset
 from .braces import SkewBrace
-from .errors import NotMaximalError, NotProperError
+from .errors import NotAnIdealError, NotMaximalError, NotProperError
 from .ideals import IdealLattice, ideal_lattice
 
 Mask = int
@@ -61,9 +61,17 @@ def kind_product(lat: IdealLattice, kind: str) -> Callable[[Mask, Mask], Mask]:
 
 def is_prime(brace: SkewBrace, mask: Mask, kind: str) -> tuple[bool, tuple | None]:
     """Primality of a proper ideal, with a witness ("ideals", x, y) for
-    failures: principal members outside mask whose product lies in it."""
+    failures: principal members outside mask whose product lies in it.
+
+    A mask that is no member of the ideal lattice is refused with
+    NotAnIdealError naming its elements, and the whole brace with
+    NotProperError: the pair loop decides primality for proper ideals
+    only.
+    """
     lat = ideal_lattice(brace)
     product = kind_product(lat, kind)
+    if mask not in lat.index:
+        raise NotAnIdealError("prime-input", list(bits(mask)))
     if mask == lat.top:
         raise NotProperError("primality is only defined for proper ideals")
     pair = ideal_pair_witness(lat, mask, product)

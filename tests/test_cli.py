@@ -246,6 +246,22 @@ def test_hom_command(tmp_path, capsys):
     )
 
 
+def test_hom_zero_map_onto_a_prime_is_reported(tmp_path, capsys, b_brace):
+    # the zero map B -> B is a homomorphism; the prime {0} of B contracts
+    # to all of B, which is no point: a reported fact, exit 0, not an error
+    doc = {"source": brace_to_dict(b_brace), "target": brace_to_dict(b_brace), "map": [0] * 12}
+    path = tmp_path / "hom.json"
+    path.write_text(dumps(doc))
+    assert main(["hom", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        '{"image":[0],"injective":false,'
+        '"kernel":[0,1,2,3,4,5,6,7,8,9,10,11],"spec_map":{"continuity_exact":null,'
+        '"continuity_vacuous":false,"contractions_prime":false,'
+        '"density_matches_kernel":null,"kind":"star","points":1},'
+        '"surjective":false}\n'
+    )
+
+
 def test_hom_broken_map_is_property_failure(tmp_path, capsys):
     z4 = brace_to_dict(trivial_brace(cyclic_table(4)))
     doc = {"source": z4, "target": z4, "map": [0, 1, 0, 1]}

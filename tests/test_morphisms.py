@@ -6,13 +6,14 @@ import pytest
 
 from sbspec.bitsets import full_mask, is_subset, mask_of, popcount
 from sbspec import morphisms
-from sbspec.braces import direct_product, is_isomorphic
+from sbspec.braces import direct_product, is_isomorphic, relabel, trivial_brace
 from sbspec.enumeration import enumerate_braces
 from sbspec.errors import (
     NotAHomomorphismError,
     NotAnIdealError,
     ParseError,
 )
+from sbspec.groups import cyclic_table, product_table
 from sbspec.ideals import all_ideals, ideal_lattice, is_ideal
 from sbspec.morphisms import (
     compose,
@@ -33,6 +34,7 @@ from sbspec.morphisms import (
     zero_hom,
 )
 from sbspec.spectra import nil_radical, spectrum
+from sbspec.suite import _spec_maps
 
 
 def test_validate_hom_accepts(z4_radical, z2_trivial):
@@ -120,9 +122,6 @@ def test_contraction_extension(z4_radical, z2_trivial):
     assert contraction(f, mask_of([0, 1])) == full_mask(4)
     assert extension(f, mask_of([0, 2])) == mask_of([0])
     assert extension(f, full_mask(4)) == mask_of([0, 1])
-    # the per-hom table the reports read: e(I) for every source ideal, once
-    assert f.extensions == {i: extension(f, i) for i in all_ideals(z4_radical)}
-    assert f.extensions is f.extensions
 
 
 def test_quotient_by_middle_ideal(z4_radical, z2_trivial):
@@ -241,9 +240,9 @@ def _adjunction_witness(f):
     return next(
         (
             (i, j)
-            for i, e in f.extensions.items()
+            for i in all_ideals(f.source)
             for j in targets
-            if is_subset(e, j) != is_subset(i, contraction(f, j))
+            if is_subset(extension(f, i), j) != is_subset(i, contraction(f, j))
         ),
         None,
     )
@@ -309,6 +308,38 @@ def test_spec_map_names_a_contraction_that_is_no_point(z2_trivial, b_brace, monk
             assert rep.contractions_prime
             points += len(rep.point_map)
     assert points
+
+
+def test_spec_map_of_the_zero_map_is_reported(b_brace):
+    # the zero map B -> B: the point {0} of B holds the image, so it
+    # contracts to all of B, which is not proper.  The report names the
+    # pair; is_prime, defined for proper ideals only, is not asked
+    top = full_mask(b_brace.order)
+    for kind in ("star", "ksv", "huq"):
+        rep = induced_spec_map(zero_hom(b_brace, b_brace), kind)
+        assert rep.point_map == ((1, top),)
+        assert not rep.contractions_prime and not rep.points_vacuous
+        assert rep.witness == ("contraction-not-prime", 1, top, "not proper")
+        assert rep.continuity_exact is None and rep.injectivity_certificate is None
+
+
+def test_spec_maps_close_extensions_only_at_points(b_brace, monkeypatch):
+    # every certificate quantifies over the target's points.  A fresh
+    # trivial Z2^4 (a relabelling no other test builds) has an empty star
+    # spectrum, and so has each quotient, the targets of its maps: the
+    # five spec-map rows close no extension and stay vacuous.  B x B has
+    # two points: the rows close extensions, and continuity passes on them
+    calls = []
+    extension = morphisms.extension
+    monkeypatch.setattr(
+        morphisms, "extension", lambda f, i: calls.append(i) or extension(f, i)
+    )
+    v4 = product_table(cyclic_table(2), cyclic_table(2))
+    brace = relabel(trivial_brace(product_table(v4, v4)), (0, *range(3, 16), 1, 2))
+    assert _spec_maps(brace) == [(True, True, "")] * 5
+    assert calls == []
+    assert _spec_maps(direct_product(b_brace, b_brace))[0] == (True, False, "")
+    assert calls
 
 
 def test_spec_map_all_kinds(z4_radical):

@@ -6,7 +6,9 @@ parameter, a zero-argument getter of a HullKernelSpace, so the rows run
 on the space of any lattice.  In suite.py only the runner, which hands
 out partial(spec_topology, brace, kind), and the spectral tail entry
 read spec_topology.  induced_spec_map reads the two spaces of its hom
-and derives no prime list or nil radical of its own.
+and derives no prime list or nil radical of its own.  It is also the one
+reader of extension, and morphisms.py reads no cached_property, so no
+per-hom table of extensions is built ahead of the points that read it.
 """
 
 import inspect
@@ -42,3 +44,15 @@ def test_spec_maps_read_no_spectrum():
     source = (PACKAGE / "morphisms.py").read_text()
     for name in ("spectrum", "nil_radical"):
         assert "induced_spec_map" not in readers(source, name), name
+
+
+def test_extensions_are_closed_only_by_the_spec_map():
+    source = (PACKAGE / "morphisms.py").read_text()
+    assert readers(source, "cached_property") == []
+    found = {
+        path.name: readers(path.read_text(), "extension")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: fns for name, fns in found.items() if fns} == {
+        "morphisms.py": ["induced_spec_map"]
+    }

@@ -11,15 +11,17 @@ ideal lattices of B and B' (test_topology.ProductLattice), with 2, 3
 and 4 points, without building a brace of order 1728.
 """
 
+import hashlib
 from functools import reduce
 
 import pytest
 
+from sbspec import morphisms
 from sbspec.bitsets import bits, is_subset, mask_of
 from sbspec.braces import direct_product, is_isomorphic
 from sbspec.enumeration import _twist_braces
 from sbspec.ideals import ideal_lattice
-from sbspec.morphisms import induced_spec_map, quotient
+from sbspec.morphisms import induced_spec_map, nil_quotient_homeo, quotient, quotient_projections
 from sbspec.spectra import PRIME_KINDS, kind_product, spectrum
 from sbspec.suite import _KIND_CHECKS, _run, _spec_maps, _spectral, run_brace_suite
 from sbspec.topology import HullKernelSpace, spec_topology
@@ -28,6 +30,11 @@ from test_topology import ProductLattice
 # the per-kind entries that compute their verdict; the rest are literal
 COMPUTED = [entry for entry in _KIND_CHECKS if entry[1].__name__ != "<lambda>"]
 SPECTRAL_ROWS = ("spectral-space-spec", "closed-axioms-lattice", "spectral-space-idl")
+
+# sha256 of the reprs, one per line, of induced_spec_map on every
+# projection of B x B and then of B x B', per kind, each kind followed by
+# nil_quotient_homeo: 30 reports whose certificates read real points
+SPEC_MAP_REPORTS_SHA256 = "d5682836eba7f2f0caa729f8819c5aaf9ff9b30c283add7042d6816553136c8b"
 
 
 def space_rows(hk, kind):
@@ -233,12 +240,27 @@ def test_a_broken_extension_map_fails_spec_map_continuity(b_brace, monkeypatch):
     right = mask_of(range(b_brace.order))  # the pairs (0, b)
     f = quotient(brace, right).projection
     assert spec_topology(brace, "star").n_points == 2
-    assert f.extensions[right] == 1 and induced_spec_map(f).continuity_exact is True
+    assert morphisms.extension(f, right) == 1 and induced_spec_map(f).continuity_exact is True
     assert _spec_maps(brace)[0] == (True, False, "")
 
-    broken = {**f.extensions, right: ideal_lattice(f.target).top}
-    monkeypatch.setitem(vars(f), "extensions", broken)
+    extension, top = morphisms.extension, ideal_lattice(f.target).top
+    monkeypatch.setattr(
+        morphisms, "extension", lambda g, i: top if g is f and i == right else extension(g, i)
+    )
     rep = induced_spec_map(f)
     assert rep.continuity_exact is False and rep.witness[:2] == ("continuity", right)
     ok, vacuous, detail = _spec_maps(brace)[0]
     assert not ok and not vacuous and detail.startswith("('continuity', ")
+
+
+def test_spec_map_reports_on_the_products_pinned(b_brace, b_prime_brace):
+    # the injectivity premise is read at each point as e(c(q)) = q, and
+    # continuity closes e(I) only when the target has points: these maps
+    # have them, so the pin covers both on real points
+    lines = []
+    for brace in (direct_product(b_brace, b_brace), direct_product(b_brace, b_prime_brace)):
+        for kind in PRIME_KINDS:
+            lines += [repr(induced_spec_map(f, kind)) for f in quotient_projections(brace)]
+            lines.append(repr(nil_quotient_homeo(brace, kind)))
+    assert len(lines) == 30
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SPEC_MAP_REPORTS_SHA256

@@ -12,7 +12,7 @@ from sbspec.bitsets import full_mask, is_subset, mask_of
 from sbspec import spectra, suite
 from sbspec.braces import direct_product, trivial_brace
 from sbspec.enumeration import enumerate_braces
-from sbspec.errors import NotMaximalError, NotProperError
+from sbspec.errors import NotAnIdealError, NotMaximalError, NotProperError
 from sbspec.groups import cyclic_table, klein_table, product_table
 from sbspec.ideals import ideal_lattice, star_set, star_subgroup
 from sbspec.spectra import (
@@ -109,6 +109,21 @@ def test_ideal_witness_for_ksv_and_huq(z4_radical):
 def test_not_proper(z4_radical):
     with pytest.raises(NotProperError):
         is_prime(z4_radical, full_mask(4), "star")
+
+
+def test_is_prime_refuses_a_non_ideal(b_brace):
+    # {0, 1} is no ideal of B, whose ideals are {0} and B, and the pair
+    # loop finds no pair against it, so it would read as prime.  Every
+    # kind refuses it, as it refuses the empty mask and a mask with a bit
+    # past the brace, naming the elements as quotient and ideal_weight do
+    for kind in ("star", "ksv", "huq"):
+        with pytest.raises(NotAnIdealError) as err:
+            is_prime(b_brace, mask_of([0, 1]), kind)
+        assert (err.value.condition, err.value.witness) == ("prime-input", [0, 1])
+    for mask in (0, 1 | 1 << b_brace.order):
+        with pytest.raises(NotAnIdealError):
+            is_prime(b_brace, mask, "star")
+    assert is_prime(b_brace, 1, "star") == (True, None)
 
 
 def test_unknown_kind(z4_radical):
