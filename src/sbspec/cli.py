@@ -192,6 +192,19 @@ def cmd_quotient(args) -> int:
     return EXIT_OK
 
 
+def _witness_json(w):
+    """A report's witness as JSON: each mask as its member list, each set
+    of masks as the list of theirs in mask order; tags and flags as they
+    are."""
+    if w is None or isinstance(w, (bool, str)):
+        return w
+    if isinstance(w, int):
+        return member_list(w)
+    if isinstance(w, (frozenset, set)):
+        return [member_list(m) for m in sorted(w)]
+    return [_witness_json(part) for part in w]
+
+
 def cmd_hom(args) -> int:
     f = load_hom(args.file)
     rep = induced_spec_map(f, args.definition)
@@ -207,6 +220,9 @@ def cmd_hom(args) -> int:
             "continuity_exact": rep.continuity_exact,
             "continuity_vacuous": rep.points_vacuous,
             "density_matches_kernel": rep.density_matches_kernel,
+            "injectivity_certificate": rep.injectivity_certificate,
+            "kernel_hull": rep.kernel_hull,
+            "witness": _witness_json(rep.witness),
         },
     }
     print(dumps(payload))

@@ -326,9 +326,10 @@ class IdealLattice:
     containment bitsets the joins read (_above) and the generators of
     each member (add_generators, mul_generators) are built on first read.
     weights reads the join columns of the principal members alone;
-    multiplicative_lattice_check and the lattice report read every
-    column; the maximal ideals read containment alone.  No entry runs a
-    closure over a pair:
+    multiplicative_lattice_check, the hull laws
+    (topology.closed_axioms_report) and the lattice report read every
+    column, meets included; the maximal ideals read containment alone.
+    No entry runs a closure over a pair:
 
     - a meet is the intersection, which must be a member;
     - the join of x and y is their set sum, of size |x||y|/|x ∩ y|.  Every
@@ -443,6 +444,8 @@ class IdealLattice:
     def _column(self, kind: str, j: int, rows) -> list[int]:
         """The entry rule: column j of the kind's store, filled at rows.
 
+        A meet has no store: the column is built afresh at every row,
+        each entry the position of the intersection of members i and j.
         The join of members i and j is the first member in size order
         above both, the lowest bit of _above[i] & _above[j], and must have
         the size of their set sum.  Each other product is the ideal
@@ -451,12 +454,25 @@ class IdealLattice:
         for star the seed {0} and g·h = -g + g∘h - h, for huq the star
         product and [g, h]₊, [g, h]∘.  Each word is evaluated once per g
         and column (the word cache), and each entry once: rows already
-        read are skipped.
+        read are skipped, and a column with every row read is returned
+        as it is.
         """
-        members, ideal_of_seed, store = self.members, self._ideal_of_seed, self._columns[kind]
+        members = self.members
+        if kind == "meet":
+            y = members[j]
+            column = list(map(self.index.get, map(y.__and__, members)))
+            if None in column:
+                # the pair in member order, whichever column reads it
+                x = members[column.index(None)]
+                x, y = sorted((x, y), key=self.index.__getitem__)
+                raise ConsistencyError(f"meet {x & y:#x} of {x:#x} and {y:#x} is not a member")
+            return column
+        ideal_of_seed, store = self._ideal_of_seed, self._columns[kind]
         column = store[j]
         if column is None:
             column = store[j] = [-1] * len(members)
+        elif -1 not in column:  # every row is read
+            return column
         else:
             rows = [i for i in rows if column[i] < 0]
             if not rows:

@@ -22,7 +22,6 @@ from .ideals import ideal_lattice
 from .morphisms import Hom, validate_hom
 from .spectra import PRIME_KINDS, nil_radical, spectrum
 from .topology import (
-    closed_axioms_report,
     connected_component_count,
     separation_report,
     spec_topology,
@@ -126,15 +125,15 @@ def spectrum_to_dict(brace: SkewBrace, kind: str) -> dict:
 
 
 def lattice_to_dict(brace: SkewBrace) -> dict:
+    """The members, their weights and the meet, join and star tables by
+    position, rows by the left factor, read off the lattice's full
+    columns (a column holds the products with one right factor)."""
     lat = ideal_lattice(brace)
-    members, index = lat.members, lat.index
-    return {
-        "ideals": [member_list(m) for m in members],
-        "weights": list(lat.weights),
-        "meet": [[index[lat.meet(x, y)] for y in members] for x in members],
-        "join": [[index[lat.join(x, y)] for y in members] for x in members],
-        "star": [[index[lat.star(x, y)] for y in members] for x in members],
-    }
+    doc = {"ideals": [member_list(m) for m in lat.members], "weights": list(lat.weights)}
+    rows = range(len(lat.members))
+    for kind in ("meet", "join", "star"):
+        doc[kind] = list(map(list, zip(*[lat._column(kind, j, rows) for j in rows])))
+    return doc
 
 
 def topology_to_dict(brace: SkewBrace, kind: str) -> dict:
@@ -162,7 +161,7 @@ def lattice_spectrum_to_dict(brace: SkewBrace) -> dict:
     return {
         "primes": [member_list(p) for p in hk.points],
         # implies a topology: H(top) = ∅, H(bottom) = all, H(x)∪H(y) = H(x∧y), H(x)∩H(y) = H(x∨y)
-        "closed_axioms": closed_axioms_report(hk).ok,
+        "closed_axioms": hk.closed_axioms.ok,
         "spectral": spc.spectral,
     }
 

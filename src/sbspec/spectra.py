@@ -45,8 +45,8 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown prime kind {kind!r}, expected one of {PRIME_KINDS}")
 
 
-def kind_product(lat: IdealLattice, kind: str) -> Callable[[Mask, Mask], Mask]:
-    """The ideal product that decides primality of one kind: a lattice product.
+def product_kind(kind: str) -> str:
+    """The name of the lattice product that decides primality of one kind.
 
     star and ksv get the lattice's star product.  For ksv that is a
     theorem: an ideal P contains the products i*j exactly when it contains
@@ -56,7 +56,13 @@ def kind_product(lat: IdealLattice, kind: str) -> Callable[[Mask, Mask], Mask]:
     commutator ideal product.
     """
     _check_kind(kind)
-    return lat.huq if kind == "huq" else lat.star
+    return "huq" if kind == "huq" else "star"
+
+
+def kind_product(lat: IdealLattice, kind: str) -> Callable[[Mask, Mask], Mask]:
+    """The ideal product that decides primality of one kind: the lattice
+    product product_kind names."""
+    return getattr(lat, product_kind(kind))
 
 
 def is_prime(brace: SkewBrace, mask: Mask, kind: str) -> tuple[bool, tuple | None]:

@@ -59,7 +59,6 @@ from .spectra import (
     spectrum,
 )
 from .topology import (
-    closed_axioms_report,
     irreducibility_report,
     noetherian_report,
     separation_report,
@@ -284,7 +283,7 @@ def _maximal_prime(brace: SkewBrace):
 
 
 def _closed_axioms(space):
-    rep = closed_axioms_report(space())
+    rep = space().closed_axioms
     return [(rep.ok, False, str(rep.witness) if rep.witness else "")]
 
 
@@ -324,7 +323,7 @@ def _spectral(space):
     hk = space()
     rep = spectral_report(hk.space)
     # implies a topology: H(top) = ∅, H(bottom) = all, H(x)∪H(y) = H(x∧y), H(x)∩H(y) = H(x∨y)
-    axioms_ok = closed_axioms_report(hk).ok
+    axioms_ok = hk.closed_axioms.ok
     return [
         (rep.spectral, False, f"t0={rep.t0} sober={rep.sober}"),
         (axioms_ok, False, ""),

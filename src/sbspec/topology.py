@@ -1,17 +1,18 @@
 """Hull-kernel topology on prime spectra, plus generic finite-space checks.
 
 A HullKernelSpace takes a finite multiplicative lattice, a choice of
-points and the product the points are meant to be prime for; it never
-reads the brace.  The closed sets are the hulls H(I) = {P : I <= P};
-the kernel of a point set is the meet of its members, with the empty
-meet read as the top.  Hull and kernel form an antitone Galois pair by
-their definitions, for any choice of points: s <= K(T) exactly when T
-lies in H(s).  The closure laws and KH = radical follow from that pair,
-and T0 from the points being distinct members, so none of them is
-recomputed as a check.  What is checked is what depends on the points
-being prime: the closed-set axioms of the hull family, with the union
-law H(I) | H(J) = H(I J) on the space's product, T1 against Spec = Max,
-irreducibility and the closed-chain length.
+points and the name (kind) of the lattice product the points are meant
+to be prime for; it never reads the brace.  The closed sets are the
+hulls H(I) = {P : I <= P}; the kernel of a point set is the meet of
+its members, with the empty meet read as the top.  Hull and kernel
+form an antitone Galois pair by their definitions, for any choice of
+points: s <= K(T) exactly when T lies in H(s).  The closure laws and
+KH = radical follow from that pair, and T0 from the points being
+distinct members, so none of them is recomputed as a check.  What is
+checked is what depends on the points being prime: the closed-set
+axioms of the hull family, with the union law H(I) | H(J) = H(I J) on
+the space's product, T1 against Spec = Max, irreducibility and the
+closed-chain length.
 
 The intersection law H(x) & H(y) = H(x ∨ y) is checked on member pairs.
 That gives every finite family: the empty one is H(bottom) = everything,
@@ -28,13 +29,13 @@ quasi-compact and Noetherian, so neither is checked as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .bitsets import bits, full_mask, is_subset, popcount
 from .braces import SkewBrace
 from .errors import ConsistencyError
 from .ideals import ideal_lattice
-from .spectra import ideal_pair_witness, kind_product, spectrum
+from .spectra import ideal_pair_witness, product_kind, spectrum
 
 Mask = int
 
@@ -199,24 +200,29 @@ class HullKernelSpace:
     """Points are chosen lattice members; closed sets are hulls of members.
 
     The lattice is any finite multiplicative lattice of masks under
-    inclusion, meets being intersections; the space and its reports read
-    only its members, top, bottom, meet, join, maximal_ideals and star.
-    No topology axiom is asserted at construction: the axioms are theorems
-    about points prime for product and are verified by the report
-    functions, which also lets tests exercise them on other choices.
+    inclusion, meets being intersections.  The space and its reports read
+    only its members, index, top, bottom, maximal_ideals, star, the
+    product named by kind, and its column read _column(kind, j, rows):
+    the positions of the products of the members at rows with member j,
+    for meet, join and the kind.  kind names the product the points are
+    meant to be prime for: star or huq on an ideal lattice.  The hulls
+    are kept by member position (hulls).  No topology axiom is asserted at
+    construction: the axioms are theorems about points prime for the
+    product and are verified by the report functions, which also lets
+    tests exercise them on other choices.  closed_axioms is the space's
+    one ClosedAxiomsReport, built on first read.
     """
 
-    def __init__(self, lat, points, product):
+    def __init__(self, lat, points, kind: str):
         self.lat = lat
-        self.product = product
+        self.kind = kind
+        self.product = getattr(lat, kind)
         self.points: tuple[Mask, ...] = tuple(
             sorted(points, key=lambda m: (popcount(m), m))
         )
         self.n_points = len(self.points)
-        self.hull_by_member: dict[Mask, int] = {
-            m: self.hull_of_elements(m) for m in lat.members
-        }
-        self.space = finite_space(self.n_points, self.hull_by_member.values())
+        self.hulls: tuple[int, ...] = tuple(map(self.hull_of_elements, lat.members))
+        self.space = finite_space(self.n_points, self.hulls)
 
     def hull_of_elements(self, elem_mask: Mask) -> int:
         """Point set of primes containing every masked element."""
@@ -227,7 +233,7 @@ class HullKernelSpace:
         return out
 
     def hull(self, member: Mask) -> int:
-        return self.hull_by_member[member]
+        return self.hulls[self.lat.index[member]]
 
     def kern(self, point_set: int) -> Mask:
         """Intersection of the points; the top for no points."""
@@ -239,12 +245,21 @@ class HullKernelSpace:
     def closure(self, point_set: int) -> int:
         return self.hull_of_elements(self.kern(point_set))
 
+    @cached_property
+    def closed_axioms(self) -> ClosedAxiomsReport:
+        return closed_axioms_report(self)
+
 
 @lru_cache(maxsize=None)
 def spec_topology(brace: SkewBrace, kind: str = "star") -> HullKernelSpace:
-    """The hull-kernel space on Spec of one kind, over the ideal lattice."""
+    """The hull-kernel space on Spec of one kind, over the ideal lattice,
+    with the product that decides the kind (spectra.product_kind).  ksv
+    gets the star space itself, as spectrum derives the ksv spectrum from
+    the star one: the same points and the same product."""
+    if kind == "ksv":
+        return spec_topology(brace, "star")
     lat = ideal_lattice(brace)
-    return HullKernelSpace(lat, spectrum(brace, kind).primes, kind_product(lat, kind))
+    return HullKernelSpace(lat, spectrum(brace, kind).primes, product_kind(kind))
 
 
 @lru_cache(maxsize=None)
@@ -285,33 +300,49 @@ def closed_axioms_report(hk: HullKernelSpace) -> ClosedAxiomsReport:
 
     Hulls of the top and bottom; at each member pair, H(I) | H(J) against
     the hulls of the meet and of the space's product, and H(I) & H(J)
-    against the hull of the join (the first failing law is the witness).
-    The product law holds for points prime for a product that lies in the
-    meet, as the star product and the commutator ideal do.
+    against the hull of the join (the first failing law, pairs in member
+    order, is the witness).  The product law holds for points prime for a
+    product that lies in the meet, as the star product and the commutator
+    ideal do.
+
+    Everything is read by position: the hulls off hk.hulls, and the meet,
+    the join and the space's product off full columns of the lattice
+    (_column), so no lattice method runs per pair.  Each law is compared
+    a whole column j at a time, the pairs (I, J) with J = member j, as
+    lists; the witness is searched for only in a column that fails.
     """
-    lat = hk.lat
-    witness = None
+    lat, hulls = hk.lat, hk.hulls
+    rows = range(len(hulls))
     whole_empty = hk.hull(lat.top) == 0
     zero_all = hk.hull(lat.bottom) == full_mask(hk.n_points)
 
-    union_meet = union_product = family_ok = True
-    for x in lat.members:
-        hx = hk.hull(x)
-        for y in lat.members:
-            hy = hk.hull(y)
-            if hx | hy != hk.hull(lat.meet(x, y)):
-                union_meet = False
-                witness = witness or ("union-meet", x, y)
-            if hx | hy != hk.hull(hk.product(x, y)):
-                union_product = False
-                witness = witness or ("union-product", x, y)
-            if hx & hy != hk.hull(lat.join(x, y)):
-                family_ok = False
-                witness = witness or ("family", x, y)
-
-    return ClosedAxiomsReport(
-        whole_empty, zero_all, union_meet, union_product, family_ok, witness
-    )
+    laws = ("union-meet", "union-product", "family")
+    holds, failures = [True] * len(laws), []
+    # every product and join column before any meet, in column order: the
+    # order a loop over pairs in member order reads them, so a lattice
+    # missing a member raises the same error
+    columns = [(lat._column(hk.kind, j, rows), lat._column("join", j, rows)) for j in rows]
+    hull_at = hulls.__getitem__
+    for j, (product_c, join_c) in enumerate(columns):
+        hy = hulls[j]
+        union = list(map(hy.__or__, hulls))
+        want = (union, union, list(map(hy.__and__, hulls)))
+        got = (
+            list(map(hull_at, lat._column("meet", j, rows))),
+            list(map(hull_at, product_c)),
+            list(map(hull_at, join_c)),
+        )
+        if want != got:
+            for law, (w, g) in enumerate(zip(want, got)):
+                if w != g:
+                    holds[law] = False
+                    failures.append((next(i for i in rows if w[i] != g[i]), j, law))
+    # pairs in member order, then laws in order: the least failing triple
+    first = min(failures, default=None)
+    if first is not None:
+        i, j, law = first
+        first = (laws[law], lat.members[i], lat.members[j])
+    return ClosedAxiomsReport(whole_empty, zero_all, *holds, first)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import pytest
 from sbspec import ideals
 from sbspec.braces import trivial_brace, validate
 from sbspec.catalog import build_record, read_catalog, record_to_dict, write_catalog
-from sbspec.cli import main
+from sbspec.cli import _witness_json, main
 from sbspec.groups import CANONICAL_BOUND, ENUMERATION_BOUND, cyclic_table
 from sbspec.serialize import brace_to_dict, dumps, hom_to_dict
 from sbspec.morphisms import validate_hom
@@ -241,14 +241,16 @@ def test_hom_command(tmp_path, capsys):
         '{"image":[0,1],"injective":false,'
         '"kernel":[0,2],"spec_map":{"continuity_exact":true,'
         '"continuity_vacuous":true,"contractions_prime":true,'
-        '"density_matches_kernel":true,"kind":"star","points":0},'
+        '"density_matches_kernel":true,"injectivity_certificate":true,'
+        '"kernel_hull":true,"kind":"star","points":0,"witness":null},'
         '"surjective":true}\n'
     )
 
 
 def test_hom_zero_map_onto_a_prime_is_reported(tmp_path, capsys, b_brace):
     # the zero map B -> B is a homomorphism; the prime {0} of B contracts
-    # to all of B, which is no point: a reported fact, exit 0, not an error
+    # to all of B, which is no point: a reported fact, exit 0, not an error,
+    # with the witness naming the prime and its contraction as member lists
     doc = {"source": brace_to_dict(b_brace), "target": brace_to_dict(b_brace), "map": [0] * 12}
     path = tmp_path / "hom.json"
     path.write_text(dumps(doc))
@@ -257,9 +259,26 @@ def test_hom_zero_map_onto_a_prime_is_reported(tmp_path, capsys, b_brace):
         '{"image":[0],"injective":false,'
         '"kernel":[0,1,2,3,4,5,6,7,8,9,10,11],"spec_map":{"continuity_exact":null,'
         '"continuity_vacuous":false,"contractions_prime":false,'
-        '"density_matches_kernel":null,"kind":"star","points":1},'
+        '"density_matches_kernel":null,"injectivity_certificate":null,'
+        '"kernel_hull":null,"kind":"star","points":1,'
+        '"witness":["contraction-not-prime",[0],[0,1,2,3,4,5,6,7,8,9,10,11],"not proper"]},'
         '"surjective":false}\n'
     )
+
+
+def test_hom_witnesses_print_members():
+    # each witness shape of induced_spec_map: masks become member lists,
+    # sets of masks lists of them in mask order, tags and flags stay
+    assert _witness_json(None) is None
+    assert _witness_json(("contraction-not-prime", 5, 15, ("ideals", 3, 15))) == [
+        "contraction-not-prime", [0, 2], [0, 1, 2, 3], ["ideals", [0, 1], [0, 1, 2, 3]],
+    ]
+    assert _witness_json(("continuity", 1, frozenset({9, 3}), frozenset())) == [
+        "continuity", [0], [[0, 1], [0, 3]], [],
+    ]
+    assert _witness_json(("kernel-hull", {3}, set())) == ["kernel-hull", [[0, 1]], []]
+    assert _witness_json(("density", True, False)) == ["density", True, False]
+    assert _witness_json(("injectivity",)) == ["injectivity"]
 
 
 def test_hom_broken_map_is_property_failure(tmp_path, capsys):

@@ -303,7 +303,7 @@ def test_coatoms_build_no_join_table(monkeypatch):
     v4 = product_table(cyclic_table(2), cyclic_table(2))
     brace = trivial_brace(product_table(v4, v4))
     lat = IdealLattice(brace)
-    hk = HullKernelSpace(lat, spectrum(brace, "star").primes, lat.star)
+    hk = HullKernelSpace(lat, spectrum(brace, "star").primes, "star")
     monkeypatch.setattr(serialize, "spec_topology", lambda *_: hk)
     assert not separation_report(hk).spec_equals_max
     assert serialize.topology_to_dict(brace, "star")["components"] == 0

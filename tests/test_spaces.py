@@ -22,7 +22,7 @@ from sbspec.braces import direct_product, is_isomorphic
 from sbspec.enumeration import _twist_braces
 from sbspec.ideals import ideal_lattice
 from sbspec.morphisms import induced_spec_map, nil_quotient_homeo, quotient, quotient_projections
-from sbspec.spectra import PRIME_KINDS, kind_product, spectrum
+from sbspec.spectra import PRIME_KINDS, kind_product, product_kind, spectrum
 from sbspec.suite import _KIND_CHECKS, _run, _spec_maps, _spectral, run_brace_suite
 from sbspec.topology import HullKernelSpace, spec_topology
 from test_topology import ProductLattice
@@ -58,8 +58,7 @@ def product_space(braces, kind):
     """The hull-kernel space of one kind on the product of the braces'
     ideal lattices, with every member prime for the kind's product."""
     lat = reduce(ProductLattice, [ideal_lattice(b) for b in braces])
-    product = kind_product(lat, kind)
-    return HullKernelSpace(lat, lat.primes(product), product)
+    return HullKernelSpace(lat, lat.primes(kind_product(lat, kind)), product_kind(kind))
 
 
 def test_b_and_b_prime_are_the_simple_twist_classes_of_a4(b_brace, b_prime_brace):
@@ -213,7 +212,7 @@ def test_breaks_fail_their_rows_on_a_two_point_space(b_brace):
 
     # pseudo-points: every proper member, the bottom (not prime) included;
     # the hull family is then not a topology, so the spectral rows fail too
-    pseudo = HullKernelSpace(lat, lat.members[:-1], lat.star)
+    pseudo = HullKernelSpace(lat, lat.members[:-1], "star")
     assert failed(pseudo) == sorted([
         "closed-axioms-star",
         "irreducible-iff-nil-prime-star",
@@ -222,12 +221,12 @@ def test_breaks_fail_their_rows_on_a_two_point_space(b_brace):
     ])
 
     # the wrong product: a constant bottom, which no point is prime for
-    wrong = HullKernelSpace(lat, hk.points, lambda x, y: lat.bottom)
+    wrong = HullKernelSpace(lat, hk.points, "zero")
     assert failed(wrong) == ["closed-axioms-lattice", "closed-axioms-star"]
 
     # a missing point: Spec is one of the two maximal ideals, yet T1
     for kept in hk.points:
-        missing = HullKernelSpace(lat, [kept], lat.star)
+        missing = HullKernelSpace(lat, [kept], "star")
         assert failed(missing) == ["t1-iff-spec-equals-max"]
 
 

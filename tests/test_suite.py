@@ -7,7 +7,7 @@ import itertools
 import pytest
 from brace_oracles import lam_table, star_positions, with_star_table
 
-from sbspec import braces, groups, ideals, spectra, suite
+from sbspec import braces, groups, ideals, spectra, suite, topology
 from sbspec.bitsets import is_subset, popcount
 from sbspec.braces import direct_product, trivial_brace, validate
 from sbspec.catalog import (
@@ -379,6 +379,26 @@ def _clear_lattice_caches():
         fn.cache_clear()
 
 
+def test_suite_builds_one_closed_axioms_report_per_space(
+    z4_radical, a5_trivial, monkeypatch
+):
+    # star, ksv, the lattice row and spectral-space-spec read the one star
+    # space and its report; huq reads its own: two reports per brace
+    built = []
+    real = topology.closed_axioms_report
+    monkeypatch.setattr(
+        topology, "closed_axioms_report", lambda hk: built.append(hk.kind) or real(hk)
+    )
+    _clear_lattice_caches()
+    try:
+        for brace in (z4_radical, a5_trivial):
+            assert failures(run_brace_suite("b", brace)) == []
+    finally:
+        monkeypatch.undo()
+        _clear_lattice_caches()
+    assert built == ["star", "huq", "star", "huq"]
+
+
 def test_lattice_missing_a_member_gives_fail_rows(s4_almost, monkeypatch):
     # drop the second-smallest principal ideal, V4, from the members: the
     # star product A4 * A4 = V4 then has no position in the lattice
@@ -624,6 +644,41 @@ def test_a_missing_join_is_named(monkeypatch):
             "fail",
             f"ConsistencyError: no member is the sum of {a:#x} and {b:#x}",
         )
+
+
+def test_a_missing_meet_is_named(monkeypatch):
+    # trivial Z2^3 with one atom dropped: every join and star product of
+    # the rest is a member, so the lattice builds, but the atom is the
+    # meet of the planes that hold it.  The hull laws read every meet by
+    # position, off the meet columns, and raise the error a meet raises,
+    # naming the first two of those planes in member order
+    brace = trivial_brace(product_table(klein_table(), cyclic_table(2)))
+    real, all_ideals = ideals.all_ideals(brace), ideals.all_ideals
+    atom = next(m for m in real if popcount(m) == 2)
+    h1, h2, _ = [m for m in real if popcount(m) == 4 and is_subset(atom, m)]
+    monkeypatch.setattr(
+        ideals,
+        "all_ideals",
+        lambda other: tuple(m for m in real if m != atom) if other == brace else all_ideals(other),
+    )
+    error = f"meet {atom:#x} of {h1:#x} and {h2:#x} is not a member"
+    _clear_lattice_caches()
+    try:
+        lat = ideal_lattice(brace)
+        with pytest.raises(ConsistencyError, match=error):
+            lat.meet(h1, h2)
+        for h in (h1, h2):  # either column names the pair in member order
+            with pytest.raises(ConsistencyError, match=error):
+                lat._column("meet", lat.index[h], range(len(lat)))
+        rows = {r.check: r for r in run_brace_suite("z2^3", brace)}
+    finally:
+        monkeypatch.undo()
+        _clear_lattice_caches()
+    for check in (
+        *(f"closed-axioms-{kind}" for kind in ("star", "ksv", "huq", "lattice")),
+        "spectral-space-spec",
+    ):
+        assert (rows[check].verdict, rows[check].detail) == ("fail", f"ConsistencyError: {error}")
 
 
 @pytest.fixture(scope="module")

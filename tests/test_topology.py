@@ -17,6 +17,8 @@ here therefore split into four groups:
    divisor lattices of Z/n under ideal multiplication, and chains under
    meet.  ProductLattice, the product of two such lattices, carries the
    suite's space rows to 2-, 3- and 4-point spaces in test_spaces.py.
+   The down-set lattices of the 24 posets on one to four points, under
+   meet, give the first non-discrete spaces that come from no brace.
 """
 
 import itertools
@@ -27,7 +29,9 @@ import pytest
 
 from sbspec.bitsets import bits, full_mask, is_subset, mask_of, popcount
 from sbspec.errors import ConsistencyError
-from sbspec.ideals import ideal_lattice
+from sbspec.braces import trivial_brace
+from sbspec.groups import cyclic_table, product_table
+from sbspec.ideals import IdealLattice, ideal_lattice
 from sbspec.spectra import ideal_pair_witness, spectrum
 from sbspec.topology import (
     HullKernelSpace,
@@ -210,7 +214,7 @@ def test_hull_and_kern_small(v4_trivial):
     # a pseudo space built from the three maximal ideals as points
     lat = ideal_lattice(v4_trivial)
     points = lat.maximal_ideals()
-    hk = HullKernelSpace(lat, points, lat.star)
+    hk = HullKernelSpace(lat, points, "star")
     assert hk.n_points == 3
     assert hk.hull(mask_of([0])) == 0b111
     assert hk.hull(full_mask(4)) == 0
@@ -224,7 +228,7 @@ def test_pseudo_points_fail_union_axiom(v4_trivial):
     """Falsifiability: with all proper ideals as points, the hulls are
     NOT the closed sets of a topology."""
     lat = ideal_lattice(v4_trivial)
-    hk = HullKernelSpace(lat, lat.proper_members(), lat.star)
+    hk = HullKernelSpace(lat, lat.proper_members(), "star")
     rep = closed_axioms_report(hk)
     assert not rep.ok
     assert not rep.union_is_meet_hull
@@ -240,7 +244,7 @@ def test_pseudo_points_fail_union_axiom(v4_trivial):
 
 def test_pseudo_points_separation(v4_trivial):
     lat = ideal_lattice(v4_trivial)
-    hk = HullKernelSpace(lat, lat.proper_members(), lat.star)
+    hk = HullKernelSpace(lat, lat.proper_members(), "star")
     rep = separation_report(hk)
     assert rep.n_points == 4
     assert rep.t0
@@ -254,7 +258,7 @@ def test_pseudo_points_separation(v4_trivial):
 
 def test_pseudo_points_irreducibility(v4_trivial):
     lat = ideal_lattice(v4_trivial)
-    hk = HullKernelSpace(lat, lat.proper_members(), lat.star)
+    hk = HullKernelSpace(lat, lat.proper_members(), "star")
     rep = irreducibility_report(hk)
     # the space is irreducible, with the minimal point {0} as generic
     # point, but its nil radical {0} is not prime for the zero star
@@ -271,7 +275,7 @@ def test_pseudo_max_points_irreducibility(v4_trivial):
     # the whole space is irreducible without being a point hull, and it
     # has no generic point; the components are not the minimal hulls
     lat = ideal_lattice(v4_trivial)
-    hk = HullKernelSpace(lat, lat.maximal_ideals(), lat.star)
+    hk = HullKernelSpace(lat, lat.maximal_ideals(), "star")
     rep = irreducibility_report(hk)
     assert not rep.irreducibles_are_point_hulls
     assert not rep.generic_points_unique
@@ -322,7 +326,7 @@ def test_noetherian_rejects_pseudo_max_points(v4_trivial):
     # topology: the longest closed chain is 0 < {P} < everything, one
     # short of points + 1
     lat = ideal_lattice(v4_trivial)
-    hk = HullKernelSpace(lat, lat.maximal_ideals(), lat.star)
+    hk = HullKernelSpace(lat, lat.maximal_ideals(), "star")
     ok, why = is_topology(hk.space)
     assert not ok and "union" in why
     with pytest.raises(ConsistencyError):
@@ -366,7 +370,7 @@ def test_union_law_uses_the_space_product(a5_trivial):
     assert hk.points == (1,)
     assert closed_axioms_report(hk).ok
     lat = hk.lat
-    wrong = closed_axioms_report(HullKernelSpace(lat, hk.points, lat.star))
+    wrong = closed_axioms_report(HullKernelSpace(lat, hk.points, "star"))
     assert not wrong.ok
     assert wrong.union_is_meet_hull and not wrong.union_is_product_hull
     assert wrong.witness == ("union-product", lat.top, lat.top)
@@ -377,16 +381,46 @@ def test_spec_topology_cached(z4_radical):
     assert lattice_spectrum(z4_radical) is lattice_spectrum(z4_radical)
 
 
+def test_ksv_space_is_the_star_space(z4_radical, a5_trivial):
+    # the ksv spectrum is the star one, with the same product: one space
+    for brace in (z4_radical, a5_trivial):
+        assert spec_topology(brace, "ksv") is spec_topology(brace, "star")
+        assert spec_topology(brace, "ksv").kind == "star"
+    assert spec_topology(a5_trivial, "huq").kind == "huq"
+
+
+def test_hull_laws_call_no_lattice_method():
+    # on a fresh trivial Z2^4 lattice (67 ideals) the report reads the
+    # hulls by position and every meet, join and product off the column
+    # read: no per-pair call of meet, join, star or huq
+    v4 = product_table(cyclic_table(2), cyclic_table(2))
+    brace = trivial_brace(product_table(v4, v4))
+    lat = IdealLattice(brace)
+    calls = []
+
+    def counted(name, method):
+        return lambda x, y: calls.append(name) or method(x, y)
+
+    for name in ("meet", "join", "star", "huq"):
+        setattr(lat, name, counted(name, getattr(lat, name)))
+    for kind in ("star", "huq"):
+        hk = HullKernelSpace(lat, spectrum(brace, kind).primes, kind)
+        assert closed_axioms_report(hk).ok
+    assert len(lat) == 67 and calls == []
+
+
 # -- mask lattices that are not ideal lattices of a brace --------------------
 
 
 class MaskLattice:
     """A finite lattice of masks under inclusion, closed under intersection,
     with its multiplication given as a function: what a hull-kernel space
-    reads from a lattice, and nothing else."""
+    reads from a lattice, and nothing else.  Its column read serves every
+    operation by name, meet included."""
 
     def __init__(self, members, product):
         self.members = tuple(sorted(set(members), key=lambda m: (popcount(m), m)))
+        self.index = {m: i for i, m in enumerate(self.members)}
         self.bottom, self.top = self.members[0], self.members[-1]
         # the prime test's candidates: every member above the bottom, so
         # primality needs no monotone product here
@@ -399,6 +433,16 @@ class MaskLattice:
 
     def join(self, x, y):
         return next(m for m in self.members if is_subset(x | y, m))
+
+    def zero(self, x, y):
+        """The zero product: every product is the bottom."""
+        return self.bottom
+
+    def _column(self, kind, j, rows):
+        # the column read of an ideal lattice, off the product named kind:
+        # the position of each row's product with member j
+        ms, product = self.members, getattr(self, kind)
+        return [self.index[product(ms[i], ms[j])] for i in rows]
 
     def maximal_ideals(self):
         proper = self.members[:-1]
@@ -470,7 +514,7 @@ def test_divisor_lattice_spaces(n, primes):
     lat = divisor_lattice(n)
     points = lat.primes(lat.star)
     assert set(points) == {divisor_ideal(n, p) for p in primes}
-    hk = HullKernelSpace(lat, points, lat.star)
+    hk = HullKernelSpace(lat, points, "star")
     k = len(primes)
     assert hk.n_points == k
     assert len(hk.space.closed) == 2**k
@@ -508,7 +552,7 @@ def test_chain_lattice_spaces(k):
     lat = chain_lattice(k)
     points = lat.primes(lat.star)
     assert points == lat.members[:-1]
-    hk = HullKernelSpace(lat, points, lat.star)
+    hk = HullKernelSpace(lat, points, "star")
     n = k - 1
     everything = hk.space.everything
     assert [point_closure(hk.space, i) for i in range(n)] == [
@@ -549,14 +593,14 @@ def test_reports_read_the_space_product():
     meet = lat.meet
     points = lat.primes(meet)
     assert points == lat.members[:-1]
-    hk = HullKernelSpace(lat, points, meet)
+    hk = HullKernelSpace(lat, points, "meet")
     assert closed_axioms_report(hk).ok
     irr = irreducibility_report(hk)
     assert irr.whole_irreducible and irr.nil_is_prime and irr.whole_iff_nil_prime
 
     # the same points against the lattice's own product, which they are
     # not prime for: the union law and the nil-prime side both fail
-    wrong = HullKernelSpace(lat, points, lat.star)
+    wrong = HullKernelSpace(lat, points, "star")
     rep = closed_axioms_report(wrong)
     assert rep.union_is_meet_hull and not rep.union_is_product_hull
     four = divisor_ideal(8, 4)
@@ -569,7 +613,7 @@ def test_reports_read_the_space_product():
 def test_hull_law_rejects_a_product_outside_the_primes():
     # Z/30: the three primes are not prime for the zero product
     lat = divisor_lattice(30)
-    hk = HullKernelSpace(lat, lat.primes(lat.star), lambda x, y: lat.bottom)
+    hk = HullKernelSpace(lat, lat.primes(lat.star), "zero")
     rep = closed_axioms_report(hk)
     assert rep.union_is_meet_hull and rep.family_intersections
     assert not rep.union_is_product_hull and not rep.ok
@@ -587,17 +631,17 @@ def mask_lattice_spaces():
     spaces = []
     for n in (8, 12, 30):
         lat = divisor_lattice(n)
-        spaces.append(HullKernelSpace(lat, lat.primes(lat.star), lat.star))
+        spaces.append(HullKernelSpace(lat, lat.primes(lat.star), "star"))
     for k in (3, 4):
         lat = chain_lattice(k)
-        spaces.append(HullKernelSpace(lat, lat.primes(lat.star), lat.star))
+        spaces.append(HullKernelSpace(lat, lat.primes(lat.star), "star"))
     lat = divisor_lattice(8)
-    spaces.append(HullKernelSpace(lat, lat.primes(lat.meet), lat.meet))
-    spaces.append(HullKernelSpace(lat, lat.primes(lat.meet), lat.star))
+    spaces.append(HullKernelSpace(lat, lat.primes(lat.meet), "meet"))
+    spaces.append(HullKernelSpace(lat, lat.primes(lat.meet), "star"))
     lat = divisor_lattice(30)
-    spaces.append(HullKernelSpace(lat, lat.primes(lat.star), lambda x, y: lat.bottom))
+    spaces.append(HullKernelSpace(lat, lat.primes(lat.star), "zero"))
     lat = top_join_divisor_lattice(30)
-    spaces.append(HullKernelSpace(lat, divisor_lattice(30).primes(lat.star), lat.star))
+    spaces.append(HullKernelSpace(lat, divisor_lattice(30).primes(lat.star), "star"))
     return spaces
 
 
@@ -624,7 +668,7 @@ def test_intersection_law_rejects_a_join_that_is_not_least():
     # pair, 15Z and 10Z, both lie in 5Z, so H(15Z) & H(10Z) = {5Z}, but
     # the hull of the top is empty
     lat = top_join_divisor_lattice(30)
-    hk = HullKernelSpace(lat, divisor_lattice(30).primes(lat.star), lat.star)
+    hk = HullKernelSpace(lat, divisor_lattice(30).primes(lat.star), "star")
     rep = closed_axioms_report(hk)
     assert rep.union_is_meet_hull and rep.union_is_product_hull
     assert not rep.family_intersections and not rep.ok
@@ -632,3 +676,117 @@ def test_intersection_law_rejects_a_join_that_is_not_least():
     assert rep.witness == ("family", fifteen, ten)
     assert hk.hull(fifteen) & hk.hull(ten) == 1 << hk.points.index(divisor_ideal(30, 5))
     assert not family_law_oracle(hk)
+
+
+# -- down-set lattices of posets ---------------------------------------------
+
+
+def posets(n):
+    """One order relation per isomorphism class of posets on n points:
+    the set of pairs (p, q) with p <= q, p != q."""
+    pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
+    found = {}
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        rel = {pq for pq, on in zip(pairs, chosen) if on}
+        if any((q, p) in rel for p, q in rel):
+            continue
+        if any((p, r) not in rel for p, q in rel for q2, r in rel if q == q2 and p != r):
+            continue
+        key = min(
+            tuple(sorted((perm[p], perm[q]) for p, q in rel))
+            for perm in itertools.permutations(range(n))
+        )
+        found.setdefault(key, rel)
+    return [found[key] for key in sorted(found)]
+
+
+def down_sets(n, rel):
+    """The down-sets of the poset as masks: with q, every p <= q."""
+    return [
+        m for m in range(1 << n)
+        if all(m >> p & 1 for p, q in rel if m >> q & 1)
+    ]
+
+
+POSETS = [(n, rel) for n in range(1, 5) for rel in posets(n)]
+
+
+def down_set_space(n, rel, lattice=MaskLattice):
+    """The hull-kernel space of the poset's down-set lattice under meet,
+    with the points prime for meet (the complements of the principal
+    up-sets)."""
+    lat = lattice(down_sets(n, rel), lambda x, y: x & y)
+    return HullKernelSpace(lat, lat.primes(lat.star), "star")
+
+
+def test_posets_up_to_four_points():
+    assert [len(posets(n)) for n in range(1, 5)] == [1, 2, 5, 16]
+    # the antichains are the discrete spaces; the other 20 are not
+    assert len(POSETS) == 24
+    assert sum(bool(rel) for _, rel in POSETS) == 20
+
+
+@pytest.mark.parametrize("n, rel", POSETS, ids=lambda v: str(v))
+def test_down_set_spaces_are_spectral_with_the_up_sets_closed(n, rel):
+    # the meet primes of a down-set lattice are the complements P - up(p),
+    # one per point p, and the hull of a down-set D is the set of p
+    # outside D: the closed sets are the up-sets of the poset
+    hk = down_set_space(n, rel)
+    everything = full_mask(n)
+    up = {p: mask_of(q for q in range(n) if q == p or (p, q) in rel) for p in range(n)}
+    assert set(hk.points) == {everything & ~u for u in up.values()}
+    point_of = [next(p for p in range(n) if everything & ~up[p] == pt) for pt in hk.points]
+    closed = {sum(1 << point_of[i] for i in bits(c)) for c in hk.space.closed}
+    up_sets = {everything & ~d for d in down_sets(n, rel)}
+    assert closed == up_sets
+    assert closed_axioms_report(hk).ok
+    assert spectral_report(hk.space).spectral
+    # a non-discrete poset gives a non-discrete space
+    assert (len(closed) < 2**n) == bool(rel)
+
+
+def pair_law_oracle(hk):
+    """The three pair-law flags and the first failing (law, x, y), x
+    before y in member order, by per-pair calls of meet, the product and
+    join."""
+    lat, flags, witness = hk.lat, [True, True, True], None
+    for x in lat.members:
+        for y in lat.members:
+            union = hk.hull(x) | hk.hull(y)
+            laws = (
+                ("union-meet", union == hk.hull(lat.meet(x, y))),
+                ("union-product", union == hk.hull(hk.product(x, y))),
+                ("family", hk.hull(x) & hk.hull(y) == hk.hull(lat.join(x, y))),
+            )
+            for k, (law, ok) in enumerate(laws):
+                if not ok:
+                    flags[k] = False
+                    witness = witness or (law, x, y)
+    return (*flags, witness)
+
+
+def test_top_join_down_set_spaces_fail_the_family_law_as_the_oracle_does():
+    # every incomparable join read as the top: where two incomparable
+    # down-sets leave a point outside both, H(x) & H(y) is not empty but
+    # the hull of the top is, and the report names the pair the per-pair
+    # oracle names.  The law holds on 7 posets: the chains, the 2-point
+    # antichain, and one point below two maximal ones (on 3 and 4 points)
+    failing = 0
+    for n, rel in POSETS:
+        hk = down_set_space(n, rel, TopJoinLattice)
+        rep = closed_axioms_report(hk)
+        assert (
+            rep.union_is_meet_hull, rep.union_is_product_hull, rep.family_intersections,
+            rep.witness,
+        ) == pair_law_oracle(hk)
+        assert rep.union_is_meet_hull and rep.union_is_product_hull
+        covered = all(
+            x | y == full_mask(n)
+            for x, y in itertools.combinations(down_sets(n, rel), 2)
+            if not is_subset(x, y) and not is_subset(y, x)
+        )
+        assert rep.family_intersections == covered
+        if not covered:
+            failing += 1
+            assert rep.witness[0] == "family"
+    assert failing == 17
